@@ -21,7 +21,8 @@
 //!   the full measurement history.
 //! * **CLI** — `bench record | diff | rank | import` (see
 //!   `src/bin/bench.rs`), with `diff --gate <pct>` as the CI tripwire
-//!   that fails the build on an events/sec drop.
+//!   that fails the build on a wall-time rise (events/sec stays as a
+//!   secondary column: it rewards redundant events).
 
 use crate::perf::{
     bench_fig8_with, bench_flow_churn_with, bench_matching_posted_with,
@@ -402,7 +403,8 @@ pub struct LedgerEntry {
     pub wall_max_ms: f64,
     /// Simulator events per iteration.
     pub events: u64,
-    /// The figure of merit.
+    /// Simulator events per wall-clock second (secondary; the gate reads
+    /// `wall_ms`).
     pub events_per_sec: f64,
     /// Worker threads the scenario ran on (1 = sequential). `diff` and
     /// `rank` key on this: a threaded measurement is a different series
@@ -634,8 +636,18 @@ pub struct DiffRow {
 }
 
 impl DiffRow {
-    /// Candidate throughput over baseline throughput (>1 is faster).
-    pub fn ratio(&self) -> f64 {
+    /// Candidate wall time over baseline wall time (<1 is faster): the
+    /// gated figure. Each scenario is a fixed workload, so its wall time
+    /// is the end-to-end cost; events/sec would read a change that
+    /// removes redundant events as a slowdown. Not finite when the
+    /// baseline has no wall time.
+    pub fn wall_ratio(&self) -> f64 {
+        self.to.wall_ms / self.from.wall_ms
+    }
+
+    /// Candidate throughput over baseline throughput: the secondary
+    /// column, for reading how the event count moved alongside.
+    pub fn events_per_sec_ratio(&self) -> f64 {
         if self.from.events_per_sec > 0.0 {
             self.to.events_per_sec / self.from.events_per_sec
         } else {
@@ -677,17 +689,20 @@ pub fn render_diff(rows: &[DiffRow]) -> String {
     let mut s = String::new();
     let _ = writeln!(
         s,
-        "{:<32} {:>14} {:>14} {:>8}  from -> to",
-        "scenario", "from ev/s", "to ev/s", "ratio"
+        "{:<32} {:>12} {:>12} {:>8} {:>14} {:>14} {:>8}  from -> to",
+        "scenario", "from ms", "to ms", "wall", "from ev/s", "to ev/s", "ev/s"
     );
     for r in rows {
         let _ = writeln!(
             s,
-            "{:<32} {:>14.0} {:>14.0} {:>7.3}x  pr{} {} -> pr{} {}",
+            "{:<32} {:>12.3} {:>12.3} {:>7.3}x {:>14.0} {:>14.0} {:>7.3}x  pr{} {} -> pr{} {}",
             r.scenario,
+            r.from.wall_ms,
+            r.to.wall_ms,
+            r.wall_ratio(),
             r.from.events_per_sec,
             r.to.events_per_sec,
-            r.ratio(),
+            r.events_per_sec_ratio(),
             r.from.pr,
             r.from.rev,
             r.to.pr,
@@ -697,20 +712,24 @@ pub fn render_diff(rows: &[DiffRow]) -> String {
     s
 }
 
-/// Apply a gate: any scenario whose candidate throughput fell more than
-/// `pct` percent below its baseline fails, listed in the error.
+/// Apply a gate: any scenario whose candidate wall time rose more than
+/// `pct` percent above its baseline fails, listed in the error. A
+/// baseline without a wall time fails closed.
 pub fn gate(rows: &[DiffRow], pct: f64) -> Result<(), String> {
-    let floor = 1.0 - pct / 100.0;
+    let ceiling = 1.0 + pct / 100.0;
     let bad: Vec<String> = rows
         .iter()
-        .filter(|r| r.ratio() < floor)
+        .filter(|r| {
+            let w = r.wall_ratio();
+            w.is_nan() || w > ceiling
+        })
         .map(|r| {
             format!(
-                "{}: {:.0} -> {:.0} ev/s ({:.1}% drop)",
+                "{}: {:.3} -> {:.3} ms ({:+.1}%)",
                 r.scenario,
-                r.from.events_per_sec,
-                r.to.events_per_sec,
-                (1.0 - r.ratio()) * 100.0
+                r.from.wall_ms,
+                r.to.wall_ms,
+                (r.wall_ratio() - 1.0) * 100.0
             )
         })
         .collect();
@@ -979,24 +998,43 @@ cout_quick = 300
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// An entry for a run of `events` events taking `wall_ms`.
+    fn timed(scenario: &str, pr: u32, rev: &str, wall_ms: f64, events: u64) -> LedgerEntry {
+        LedgerEntry {
+            wall_ms,
+            events,
+            events_per_sec: events as f64 / (wall_ms / 1e3),
+            ..entry(scenario, pr, rev, 0.0)
+        }
+    }
+
     #[test]
     fn diff_pairs_selectors_and_gate_trips() {
         let ledger = vec![
-            entry("s1", 2, "aaaa", 1000.0),
-            entry("s1", 3, "bbbb", 800.0),
-            entry("s1", 6, "cccc", 1100.0),
-            entry("s2", 6, "cccc", 500.0), // single entry: no prev, skipped
+            timed("s1", 2, "aaaa", 100.0, 1_000_000),
+            // Same events, 6% more wall time: the regression.
+            timed("s1", 3, "bbbb", 106.0, 1_000_000),
+            // Half the events at lower wall time: events/sec falls by a
+            // third, but the workload got faster.
+            timed("s1", 6, "cccc", 80.0, 500_000),
+            timed("s2", 6, "cccc", 50.0, 1_000), // single entry: no prev, skipped
         ];
         // pr:2 -> pr:3 is the regression.
         let rows = diff(&ledger, &Sel::Pr(2), &Sel::Pr(3), Some("quick"));
         assert_eq!(rows.len(), 1);
-        assert!((rows[0].ratio() - 0.8).abs() < 1e-9);
-        assert!(gate(&rows, 5.0).is_err());
-        // prev -> latest is the reclaim; a 5% gate passes.
+        assert!((rows[0].wall_ratio() - 1.06).abs() < 1e-9);
+        let err = gate(&rows, 5.0).unwrap_err();
+        assert!(err.contains("100.000 -> 106.000 ms (+6.0%)"), "{err}");
+        // prev -> latest removed redundant events; a 5% gate passes.
         let rows = diff(&ledger, &Sel::Prev, &Sel::Latest, Some("quick"));
         assert_eq!(rows.len(), 1);
-        assert!(rows[0].ratio() > 1.0);
+        assert!(rows[0].wall_ratio() < 1.0);
+        assert!(rows[0].events_per_sec_ratio() < 0.95, "ev/s fell");
         assert!(gate(&rows, 5.0).is_ok());
+        let table = render_diff(&rows);
+        assert!(table.contains("0.755x"), "wall ratio column: {table}");
+        let eps = format!("{:.3}x", rows[0].events_per_sec_ratio());
+        assert!(table.contains(&eps), "ev/s column: {table}");
         // rev selector finds by prefix.
         let rows = diff(
             &ledger,
@@ -1005,7 +1043,14 @@ cout_quick = 300
             None,
         );
         assert_eq!(rows.len(), 1); // s2 has no `aa` rev, so it is skipped
-        assert!((rows[0].ratio() - 1.1).abs() < 1e-9);
+        assert!((rows[0].wall_ratio() - 0.8).abs() < 1e-9);
+        // A baseline with no wall time cannot vouch for anything.
+        let blank = DiffRow {
+            scenario: "s3".into(),
+            from: timed("s3", 1, "aaaa", 0.0, 0),
+            to: timed("s3", 2, "bbbb", 10.0, 1_000),
+        };
+        assert!(gate(&[blank], 5.0).is_err());
         // Wrong scale filter yields nothing.
         assert!(diff(&ledger, &Sel::Prev, &Sel::Latest, Some("full")).is_empty());
     }

@@ -12,7 +12,7 @@
 //! defaults to `prev -> latest`, which is what the CI gate wants right
 //! after a `record`: the freshly appended entry against the last
 //! committed one. `--gate PCT` makes `diff` exit non-zero when any
-//! scenario's events/sec drops more than PCT percent.
+//! scenario's wall time rises more than PCT percent.
 //!
 //! `import` backfills the ledger from a legacy `BENCH_PRn.json`
 //! snapshot, taking only its absolute numbers (the folded-in `before_*`

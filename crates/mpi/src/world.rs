@@ -5,9 +5,12 @@
 //! Each rank is a single-threaded MPI process: every action that needs its
 //! CPU (posting operations, matching, handshakes, completion callbacks,
 //! compute) serializes through the rank's *busy horizon* and is preempted
-//! by its noise windows. In-flight network transfers progress regardless —
-//! DMA does not need the host — which is precisely the asymmetry that lets
-//! event-driven collectives absorb noise (§2.2.2 of the paper).
+//! by its noise windows. Work that finds the CPU busy parks in per-rank
+//! bands ([`ParkedBands`]) and is woken by one event per band, not one
+//! re-queued event per item. In-flight network transfers progress
+//! regardless — DMA does not need the host — which is precisely the
+//! asymmetry that lets event-driven collectives absorb noise (§2.2.2 of
+//! the paper).
 //!
 //! ## P2P protocol
 //!
@@ -36,6 +39,7 @@ use adapt_obs::{
 };
 use adapt_sim::audit::{AuditReport, RankAudit};
 use adapt_sim::fxhash::{FxHashMap, FxHashSet};
+use adapt_sim::park::ParkedBands;
 use adapt_sim::queue::{EventKey, EventQueue};
 use adapt_sim::rng::{MasterSeed, StreamTag};
 use adapt_sim::shard::{ShardCounters, ShardedQueue};
@@ -135,6 +139,11 @@ enum Ev {
     Rank {
         rank: Rank,
         item: RankItem,
+    },
+    /// The oldest band of items this rank parked behind its busy CPU is
+    /// due (see [`ParkedBands`]).
+    Wake {
+        rank: Rank,
     },
     Launch {
         kind: FlowKind,
@@ -405,6 +414,16 @@ pub enum RunError {
     /// Ranks were killed and the survivors could not complete around
     /// them; the diagnosis names the agreed failed set per rank.
     RanksFailed(FailureDiagnosis),
+    /// The run processed more than [`World::max_events`] events without
+    /// completing: a livelock, or a cap set below the run's real size.
+    EventCap {
+        /// Events processed, the one that crossed the cap included.
+        events: u64,
+        /// Simulated instant of the event that crossed the cap.
+        at: Time,
+        /// Flight-recorder tail, when the attached recorder keeps one.
+        flight: Option<String>,
+    },
 }
 
 impl RunError {
@@ -412,7 +431,9 @@ impl RunError {
     pub fn flight(&self) -> Option<&str> {
         match self {
             RunError::Stalled(d) => d.flight.as_deref(),
-            RunError::RetryBudgetExhausted { flight, .. } => flight.as_deref(),
+            RunError::RetryBudgetExhausted { flight, .. } | RunError::EventCap { flight, .. } => {
+                flight.as_deref()
+            }
             RunError::RanksFailed(d) => d.flight.as_deref(),
         }
     }
@@ -421,7 +442,7 @@ impl RunError {
     pub fn stuck(&self) -> &[Rank] {
         match self {
             RunError::Stalled(d) => &d.stuck,
-            RunError::RetryBudgetExhausted { .. } => &[],
+            RunError::RetryBudgetExhausted { .. } | RunError::EventCap { .. } => &[],
             RunError::RanksFailed(d) => &d.stuck,
         }
     }
@@ -429,7 +450,9 @@ impl RunError {
     fn set_flight(&mut self, dump: Option<String>) {
         match self {
             RunError::Stalled(d) => d.flight = dump,
-            RunError::RetryBudgetExhausted { flight, .. } => *flight = dump,
+            RunError::RetryBudgetExhausted { flight, .. } | RunError::EventCap { flight, .. } => {
+                *flight = dump
+            }
             RunError::RanksFailed(d) => d.flight = dump,
         }
     }
@@ -441,6 +464,12 @@ impl std::fmt::Display for RunError {
             RunError::Stalled(d) => d.fmt(f),
             RunError::RetryBudgetExhausted { detail, .. } => f.write_str(detail),
             RunError::RanksFailed(d) => d.fmt(f),
+            RunError::EventCap { events, at, .. } => write!(
+                f,
+                "event cap exceeded: {events} events processed by t={}ns without \
+                 completing (livelock?)",
+                at.as_nanos()
+            ),
         }
     }
 }
@@ -784,6 +813,9 @@ pub struct World {
     noise: ClusterNoise,
     queue: Queues,
     ranks: Vec<RankState>,
+    /// Start/Deliver/CTS items waiting for their rank's busy CPU, in
+    /// per-rank bands woken by one [`Ev::Wake`] each.
+    parked: ParkedBands<RankItem>,
     msgs: FxHashMap<MsgId, Msg>,
     next_msg: MsgId,
     /// Per-flow protocol kind, indexed by the network's slab id (flow ids
@@ -793,7 +825,8 @@ pub struct World {
     finished: u32,
     stats: WorldStats,
     byte_audit: ByteAudit,
-    /// Hard cap on processed events (livelock guard).
+    /// Hard cap on processed events (livelock guard): crossing it ends
+    /// the run with [`RunError::EventCap`].
     pub max_events: u64,
     /// Asynchronous progress (paper §7 future work): when enabled, each
     /// rank has a dedicated progress thread — completion callbacks and
@@ -863,6 +896,7 @@ impl World {
             noise,
             queue: Queues::Single(EventQueue::new()),
             ranks: (0..nranks).map(|_| RankState::default()).collect(),
+            parked: ParkedBands::new(nranks),
             msgs: FxHashMap::default(),
             next_msg: 0,
             flow_kinds: Vec::new(),
@@ -1001,7 +1035,7 @@ impl World {
             shards,
             lookahead,
             move |ev: &Ev| match ev {
-                Ev::Rank { rank, .. } => node_of[*rank as usize],
+                Ev::Rank { rank, .. } | Ev::Wake { rank } => node_of[*rank as usize],
                 Ev::Net(_)
                 | Ev::Launch { .. }
                 | Ev::Timer { .. }
@@ -1072,10 +1106,10 @@ impl World {
     }
 
     /// Like [`World::run`], but a run that cannot complete — deadlock,
-    /// watchdog expiry, retry-budget exhaustion between live ranks, or
-    /// rank failures the survivors could not absorb — returns a typed
-    /// [`RunError`] instead of panicking. No fault plan can panic this
-    /// path.
+    /// watchdog expiry, retry-budget exhaustion between live ranks, rank
+    /// failures the survivors could not absorb, or a blown event cap —
+    /// returns a typed [`RunError`] instead of panicking. No fault plan
+    /// can panic this path.
     pub fn try_run(
         mut self,
         programs: Vec<Box<dyn RankProgram>>,
@@ -1250,13 +1284,19 @@ impl World {
                 prev_t = t;
             }
             self.stats.events += 1;
-            assert!(
-                self.stats.events <= self.max_events,
-                "event cap exceeded: livelock?"
-            );
+            if self.stats.events > self.max_events {
+                let mut e = RunError::EventCap {
+                    events: self.stats.events,
+                    at: t,
+                    flight: None,
+                };
+                e.set_flight(self.obs.flight_dump());
+                return Err(Box::new(e));
+            }
             match ev {
                 Ev::Net(flow) => self.on_net_event(t, flow),
                 Ev::Rank { rank, item } => self.rank_step(t, rank, item),
+                Ev::Wake { rank } => self.on_wake(t, rank),
                 Ev::Launch { kind, path, bytes } => self.launch_flow(t, kind, path, bytes),
                 Ev::Timer { key } => self.on_timer(t, key),
                 Ev::FaultCmd { link, cap, lat } => {
@@ -1435,9 +1475,15 @@ impl World {
                 .faults
                 .as_ref()
                 .and_then(|f| f.stalls[r as usize].as_ref());
+            let next_wake = match self.parked.next_wake(r as usize) {
+                Some(w) => format!("{}ns", w.as_nanos()),
+                None => "-".into(),
+            };
             detail.push_str(&format!(
-                "\n  rank {r}: busy_until={:?} posted={:?} unexp_rts_tags={:?} stalled={}",
+                "\n  rank {r}: busy_until={:?} parked={} next_wake={next_wake} posted={:?} \
+                 unexp_rts_tags={:?} stalled={}",
                 st.busy_until,
+                self.parked.parked(r as usize),
                 st.posted.entries(),
                 st.unexp_rts
                     .ids()
@@ -2246,36 +2292,41 @@ impl World {
     // Rank CPU steps (deferred by busy horizon and noise)
     // ------------------------------------------------------------------
 
+    /// An item reached a rank that has already finished (or was killed).
+    fn drop_after_finish(&mut self, rank: Rank, item: RankItem) {
+        // A live rank that finished during failure recovery (its dead
+        // peers were masked out of the completion target) may still
+        // harvest SendDones for transfers addressed to the dead — a
+        // doomed payload's drain, or the detector completing a
+        // rendezvous that never got its CTS. The sender's buffer is
+        // reusable and the op ledger must balance, so count the
+        // completion; the program itself is done and is not re-entered.
+        if let RankItem::Deliver {
+            c: Completion::SendDone { .. },
+            msg,
+        } = &item
+        {
+            let to_dead = self.faults.as_deref().is_some_and(|f| {
+                f.any_dead
+                    && f.dead_at[rank as usize].is_none()
+                    && self
+                        .msgs
+                        .get(msg)
+                        .is_some_and(|mm| f.endpoint_dead(mm.src, mm.dst))
+            });
+            if to_dead {
+                self.ranks[rank as usize].audit.sends_completed += 1;
+                return;
+            }
+        }
+        // Stray events after finish are dropped — but counted, so the
+        // audit can flag a leaked completion in a fault-free run.
+        self.stats.stray_events += 1;
+    }
+
     fn rank_step(&mut self, t: Time, rank: Rank, item: RankItem) {
         if self.ranks[rank as usize].finished_at.is_some() {
-            // A live rank that finished during failure recovery (its dead
-            // peers were masked out of the completion target) may still
-            // harvest SendDones for transfers addressed to the dead — a
-            // doomed payload's drain, or the detector completing a
-            // rendezvous that never got its CTS. The sender's buffer is
-            // reusable and the op ledger must balance, so count the
-            // completion; the program itself is done and is not re-entered.
-            if let RankItem::Deliver {
-                c: Completion::SendDone { .. },
-                msg,
-            } = &item
-            {
-                let to_dead = self.faults.as_deref().is_some_and(|f| {
-                    f.any_dead
-                        && f.dead_at[rank as usize].is_none()
-                        && self
-                            .msgs
-                            .get(msg)
-                            .is_some_and(|mm| f.endpoint_dead(mm.src, mm.dst))
-                });
-                if to_dead {
-                    self.ranks[rank as usize].audit.sends_completed += 1;
-                    return;
-                }
-            }
-            // Stray events after finish are dropped — but counted, so the
-            // audit can flag a leaked completion in a fault-free run.
-            self.stats.stray_events += 1;
+            self.drop_after_finish(rank, item);
             return;
         }
 
@@ -2367,11 +2418,40 @@ impl World {
 
         let ready = self.cpu_ready(rank, t);
         if ready > t {
-            self.queue
-                .schedule_untracked(ready, Ev::Rank { rank, item });
+            if self.parked.park(rank as usize, ready, item) {
+                self.queue.schedule_untracked(ready, Ev::Wake { rank });
+            }
             return;
         }
+        self.rank_run(t, rank, item);
+    }
 
+    /// A band of `rank`'s parked items fell due: serve them in order for
+    /// as long as the CPU stays ready, then re-park the rest as one block
+    /// at the new ready instant (see [`ParkedBands`]).
+    fn on_wake(&mut self, t: Time, rank: Rank) {
+        let r = rank as usize;
+        debug_assert_eq!(self.parked.next_wake(r), Some(t), "wake matches its band");
+        while self.parked.next_wake(r) == Some(t) {
+            if self.ranks[r].finished_at.is_some() {
+                let item = self.parked.pop(r).expect("a due band is non-empty");
+                self.drop_after_finish(rank, item);
+                continue;
+            }
+            let ready = self.cpu_ready(rank, t);
+            if ready > t {
+                if self.parked.repark(r, ready) {
+                    self.queue.schedule_untracked(ready, Ev::Wake { rank });
+                }
+                return;
+            }
+            let item = self.parked.pop(r).expect("a due band is non-empty");
+            self.rank_run(t, rank, item);
+        }
+    }
+
+    /// Run a CPU-bound item on a ready, unfinished rank.
+    fn rank_run(&mut self, t: Time, rank: Rank, item: RankItem) {
         match item {
             RankItem::Start => self.run_handler(rank, t, None, NO_MSG),
             RankItem::Deliver { c, msg } => self.run_handler(rank, t, Some(c), msg),
@@ -2417,7 +2497,7 @@ impl World {
                 );
             }
             RankItem::EagerArrived(_) | RankItem::RtsArrived(_) | RankItem::RndvDataArrived(_) => {
-                unreachable!("handled above")
+                unreachable!("arrivals are handled at arrival time, never parked")
             }
         }
     }

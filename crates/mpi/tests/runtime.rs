@@ -538,3 +538,92 @@ fn unexpected_eager_matches_before_unexpected_rts() {
         .unwrap();
     assert_eq!(recv.tags, vec![5, 7], "eager must match before RTS");
 }
+
+/// Posts `k` receives from rank 1, then computes through a long window;
+/// finishes once the compute and every receive completed.
+struct BusyReceiver {
+    k: u32,
+    left: u32,
+}
+impl RankProgram for BusyReceiver {
+    fn on_start(&mut self, ctx: &mut dyn ProgramCtx) {
+        for i in 0..self.k {
+            ctx.irecv(1, i, Token(i as u64));
+        }
+        ctx.compute(Duration::from_millis(5), Token(u64::MAX));
+        self.left = self.k + 1;
+    }
+    fn on_completion(&mut self, ctx: &mut dyn ProgramCtx, _: Completion) {
+        self.left -= 1;
+        if self.left == 0 {
+            ctx.finish();
+        }
+    }
+}
+
+/// Sends `k` small eager messages to rank 0 at once.
+struct EagerBurst {
+    k: u32,
+    left: u32,
+}
+impl RankProgram for EagerBurst {
+    fn on_start(&mut self, ctx: &mut dyn ProgramCtx) {
+        for i in 0..self.k {
+            ctx.isend(0, i, Payload::Synthetic(64), Token(i as u64));
+        }
+        self.left = self.k;
+    }
+    fn on_completion(&mut self, ctx: &mut dyn ProgramCtx, _: Completion) {
+        self.left -= 1;
+        if self.left == 0 {
+            ctx.finish();
+        }
+    }
+}
+
+fn burst_events(k: u32) -> u64 {
+    let res = two_rank_world(ClusterNoise::silent(2)).run(vec![
+        Box::new(BusyReceiver { k, left: 0 }),
+        Box::new(EagerBurst { k, left: 0 }),
+    ]);
+    assert!(res.audit.is_clean(), "{}", res.audit);
+    assert!(res.makespan > Duration::from_millis(5));
+    res.stats.events
+}
+
+#[test]
+fn completions_parked_behind_compute_cost_linear_events() {
+    // All k receive completions land while rank 0 computes, so every one
+    // of them waits for the CPU. Re-queueing each waiter after every
+    // handler would cost O(k²) events; parked bands cost one wake per
+    // band served, so doubling k must roughly double the count.
+    let (e1, e2, e4) = (burst_events(100), burst_events(200), burst_events(400));
+    assert!(e2 < 2 * e1 + e1 / 10, "k=100: {e1} events, k=200: {e2}");
+    assert!(e4 < 2 * e2 + e2 / 10, "k=200: {e2} events, k=400: {e4}");
+}
+
+#[test]
+fn event_cap_is_a_typed_error() {
+    let run = |cap: u64| {
+        let mut world = two_rank_world(ClusterNoise::silent(2));
+        world.max_events = cap;
+        world.try_run(vec![
+            Box::new(BusyReceiver { k: 4, left: 0 }),
+            Box::new(EagerBurst { k: 4, left: 0 }),
+        ])
+    };
+    let events = run(u64::MAX).expect("uncapped run completes").stats.events;
+    assert!(events > 10);
+    match run(10).map(|r| r.stats.events) {
+        Err(e) => match *e {
+            adapt_mpi::RunError::EventCap { events, .. } => {
+                assert_eq!(events, 11, "the event that crossed the cap is counted");
+                assert!(e.to_string().contains("event cap exceeded"), "{e}");
+            }
+            other => panic!("expected EventCap, got {other}"),
+        },
+        Ok(n) => panic!("a cap of 10 must stop a {n}-event run"),
+    }
+    // A cap at exactly the run's size is not exceeded.
+    assert!(run(events).is_ok());
+}

@@ -44,6 +44,7 @@ use std::collections::VecDeque;
 
 use adapt_faults::Schedule;
 use adapt_net::{FlowId, FlowScheduler, FlowSpec, Link, LinkClass, LinkId, NetStep, Network, Path};
+use adapt_sim::park::ParkedBands;
 use adapt_sim::queue::{EventKey, EventQueue};
 use adapt_sim::time::{Duration, Time};
 
@@ -269,6 +270,18 @@ enum REv {
     Deliver { rank: u32, key: TrigKey },
     /// Start recorded flow `fi` now.
     Launch(usize),
+    /// The rank's oldest band of parked items is due.
+    Wake { rank: u32 },
+}
+
+/// CPU-bound work a busy rank parks, mirroring the simulator's parked
+/// CTS arrivals and completion deliveries.
+enum Parked {
+    /// A CTS arrived at the sender (recorded flow index): launch the
+    /// rendezvous payload.
+    Cts(usize),
+    /// A completion wakes a handler.
+    Deliver(TrigKey),
 }
 
 struct QSched<'a>(&'a mut EventQueue<REv>);
@@ -343,6 +356,18 @@ struct Replay<'a> {
     rndv_flow: HashMap<u64, usize>,
     net: Network,
     factors: Factors,
+    q: EventQueue<REv>,
+    /// Per-rank CPU busy horizon.
+    busy: Vec<Time>,
+    /// Per-rank GPU-stream busy horizon.
+    gpu_busy: Vec<Time>,
+    finished: Vec<Option<Time>>,
+    finished_count: usize,
+    /// Items waiting for their rank's busy CPU, banded exactly as the
+    /// simulator bands them.
+    parked: ParkedBands<Parked>,
+    /// Network slab slot → recorded flow index.
+    net2rec: Vec<usize>,
 }
 
 impl<'a> Replay<'a> {
@@ -665,21 +690,20 @@ impl<'a> Replay<'a> {
             rndv_flow,
             net,
             factors,
+            q: EventQueue::new(),
+            busy: vec![Time::ZERO; nranks],
+            gpu_busy: vec![Time::ZERO; nranks],
+            finished: vec![None; nranks],
+            finished_count: 0,
+            parked: ParkedBands::new(nranks),
+            net2rec: Vec::new(),
         })
     }
 
     fn run(mut self) -> Result<Prediction, String> {
         let data = self.data;
-        let mut q: EventQueue<REv> = EventQueue::new();
-        let mut busy = vec![Time::ZERO; self.nranks];
-        let mut gpu_busy = vec![Time::ZERO; self.nranks];
-        let mut finished: Vec<Option<Time>> = vec![None; self.nranks];
-        let mut finished_count = 0usize;
-        // Network slab slot → recorded flow index.
-        let mut net2rec: Vec<usize> = Vec::new();
-
         for r in 0..self.nranks {
-            q.schedule_untracked(
+            self.q.schedule_untracked(
                 Time::ZERO,
                 REv::Deliver {
                     rank: r as u32,
@@ -688,259 +712,35 @@ impl<'a> Replay<'a> {
             );
         }
 
-        let cpu_ready = |sched: &[Schedule], busy: &[Time], rank: usize, t: Time| -> Time {
-            sched[rank].defer(t.max(busy[rank]))
-        };
-
         // Generous cap: structural divergence must not hang the caller.
         let max_events = 64 * (data.dispatches.len() + data.flows.len() + 16) as u64;
         let mut events = 0u64;
-        while let Some((t, ev)) = q.pop() {
+        while let Some((t, ev)) = self.q.pop() {
             events += 1;
             if events > max_events {
                 return Err("replay exceeded its event budget (structural divergence?)".into());
             }
             match ev {
-                REv::Net(fid) => {
-                    let mut sched = QSched(&mut q);
-                    let step = self.net.handle_event(t, fid, &mut sched);
-                    match step {
-                        NetStep::Progress => {}
-                        NetStep::Drained { flow, .. } => {
-                            let fi = net2rec[flow.0 as usize];
-                            let f = &data.flows[fi];
-                            if matches!(f.class, FlowClass::Eager | FlowClass::Rndv) {
-                                let m = f.msg.expect("data flow has a message");
-                                q.schedule_untracked(
-                                    t,
-                                    REv::Deliver {
-                                        rank: data.msgs[m as usize].src,
-                                        key: TrigKey::SendDone(m),
-                                    },
-                                );
-                            }
-                        }
-                        NetStep::Delivered(d) => {
-                            let fi = net2rec[d.flow.0 as usize];
-                            let f = &data.flows[fi];
-                            match f.class {
-                                FlowClass::Copy => q.schedule_untracked(
-                                    t,
-                                    REv::Deliver {
-                                        rank: f.rank,
-                                        key: TrigKey::CopyDone(f.token),
-                                    },
-                                ),
-                                _ => q.schedule_untracked(t, REv::Arrive(fi)),
-                            }
-                        }
-                        NetStep::Dropped(_) => return Err("replayed network dropped a flow".into()),
-                    }
-                }
-                REv::Launch(fi) => {
-                    let f = &data.flows[fi];
-                    let links: Vec<LinkId> = f.links.iter().map(|&l| LinkId(l)).collect();
-                    let bytes = if f.class == FlowClass::Copy {
-                        scale_dur(Duration::from_nanos(f.bytes), self.factors.copy).as_nanos()
-                    } else {
-                        f.bytes
-                    };
-                    let mut sched = QSched(&mut q);
-                    let fid = self.net.start_flow(
-                        t,
-                        FlowSpec {
-                            path: Path::new(&links),
-                            bytes,
-                            tag: 0,
-                        },
-                        &mut sched,
-                    );
-                    let slot = fid.0 as usize;
-                    if net2rec.len() <= slot {
-                        net2rec.resize(slot + 1, usize::MAX);
-                    }
-                    net2rec[slot] = fi;
-                }
-                REv::Arrive(fi) => {
-                    let f = &data.flows[fi];
-                    let m = f.msg.expect("protocol flow has a message") as usize;
-                    let mr = &data.msgs[m];
-                    match f.class {
-                        FlowClass::Eager => {
-                            let dst = mr.dst as usize;
-                            if finished[dst].is_some() {
-                                continue;
-                            }
-                            if mr.unexpected {
-                                let e = cpu_ready(&self.sched, &busy, dst, t);
-                                let pure = self
-                                    .proto
-                                    .get(&(m as u64, 2))
-                                    .copied()
-                                    .unwrap_or(Duration::ZERO);
-                                busy[dst] = self.sched[dst].finish_work(e, pure);
-                            } else {
-                                q.schedule_untracked(
-                                    t,
-                                    REv::Deliver {
-                                        rank: mr.dst,
-                                        key: TrigKey::RecvDone(m as u64),
-                                    },
-                                );
-                            }
-                        }
-                        FlowClass::Rts => {
-                            let dst = mr.dst as usize;
-                            if finished[dst].is_some() {
-                                continue;
-                            }
-                            if mr.unexpected {
-                                let e = cpu_ready(&self.sched, &busy, dst, t);
-                                let pure = self
-                                    .proto
-                                    .get(&(m as u64, 2))
-                                    .copied()
-                                    .unwrap_or(Duration::ZERO);
-                                busy[dst] = self.sched[dst].finish_work(e, pure);
-                            } else {
-                                // Posted match: CTS handshake at cpu_ready.
-                                let e = cpu_ready(&self.sched, &busy, dst, t);
-                                let pure = self
-                                    .proto
-                                    .get(&(m as u64, 0))
-                                    .copied()
-                                    .unwrap_or(Duration::ZERO);
-                                let end = self.sched[dst].finish_work(e, pure);
-                                busy[dst] = end;
-                                let cfi = *self
-                                    .cts_flow
-                                    .get(&(m as u64))
-                                    .ok_or_else(|| format!("message {m}: CTS flow missing"))?;
-                                q.schedule_untracked(end, REv::Launch(cfi));
-                            }
-                        }
-                        FlowClass::Cts => {
-                            let src = mr.src as usize;
-                            if finished[src].is_some() {
-                                continue;
-                            }
-                            let ready = cpu_ready(&self.sched, &busy, src, t);
-                            if ready > t {
-                                q.schedule_untracked(ready, REv::Arrive(fi));
-                                continue;
-                            }
-                            let pure = self
-                                .proto
-                                .get(&(m as u64, 1))
-                                .copied()
-                                .unwrap_or(Duration::ZERO);
-                            let end = self.sched[src].finish_work(t, pure);
-                            busy[src] = end;
-                            let rfi = *self
-                                .rndv_flow
-                                .get(&(m as u64))
-                                .ok_or_else(|| format!("message {m}: payload flow missing"))?;
-                            q.schedule_untracked(end, REv::Launch(rfi));
-                        }
-                        FlowClass::Rndv => {
-                            let dst = mr.dst as usize;
-                            if finished[dst].is_some() {
-                                continue;
-                            }
-                            q.schedule_untracked(
-                                t,
-                                REv::Deliver {
-                                    rank: mr.dst,
-                                    key: TrigKey::RecvDone(m as u64),
-                                },
-                            );
-                        }
-                        FlowClass::Copy | FlowClass::Ack => {
-                            unreachable!("copies/acks never take the arrival path")
-                        }
-                    }
-                }
-                REv::Deliver { rank, key } => {
-                    let r = rank as usize;
-                    if finished[r].is_some() {
-                        continue;
-                    }
-                    let ready = cpu_ready(&self.sched, &busy, r, t);
-                    if ready > t {
-                        q.schedule_untracked(ready, REv::Deliver { rank, key });
-                        continue;
-                    }
-                    let di = self
-                        .fifo
-                        .get_mut(&(rank, key))
-                        .and_then(|f| f.pop_front())
-                        .ok_or_else(|| {
-                            format!("rank {rank}: no recorded dispatch for {key:?} (divergence)")
-                        })?;
-                    let plan = &self.plans[di];
-                    for (off, act) in &plan.acts {
-                        let at = self.sched[r].finish_work(t, *off);
-                        match act {
-                            Act::Launch(fi) => q.schedule_untracked(at, REv::Launch(*fi)),
-                            Act::LocalSendDone(m) => q.schedule_untracked(
-                                at,
-                                REv::Deliver {
-                                    rank,
-                                    key: TrigKey::SendDone(*m),
-                                },
-                            ),
-                            Act::CompleteRecv(m) => q.schedule_untracked(
-                                at,
-                                REv::Deliver {
-                                    rank,
-                                    key: TrigKey::RecvDone(*m),
-                                },
-                            ),
-                            Act::ComputeDone(tok) => q.schedule_untracked(
-                                at,
-                                REv::Deliver {
-                                    rank,
-                                    key: TrigKey::ComputeDone(*tok),
-                                },
-                            ),
-                            Act::Gpu { token, dur } => {
-                                let start = gpu_busy[r].max(at);
-                                let done = start + *dur;
-                                gpu_busy[r] = done;
-                                q.schedule_untracked(
-                                    done,
-                                    REv::Deliver {
-                                        rank,
-                                        key: TrigKey::GpuDone(*token),
-                                    },
-                                );
-                            }
-                            Act::Finish => {
-                                if finished[r].is_none() {
-                                    finished[r] = Some(at);
-                                    finished_count += 1;
-                                }
-                            }
-                            Act::Mark => {}
-                        }
-                    }
-                    let end = self.sched[r].finish_work(t, plan.end_off);
-                    busy[r] = busy[r].max(end);
-                }
+                REv::Net(fid) => self.on_net(t, fid)?,
+                REv::Launch(fi) => self.launch(t, fi),
+                REv::Arrive(fi) => self.arrive(t, fi)?,
+                REv::Deliver { rank, key } => self.step(t, rank, Parked::Deliver(key))?,
+                REv::Wake { rank } => self.wake(t, rank)?,
             }
-            if finished_count == self.nranks {
+            if self.finished_count == self.nranks {
                 break;
             }
         }
 
-        if finished_count != self.nranks {
+        if self.finished_count != self.nranks {
             return Err(format!(
                 "replay deadlocked: {} of {} ranks finished (structural divergence)",
-                finished_count, self.nranks
+                self.finished_count, self.nranks
             ));
         }
-        let per_rank: Vec<u64> = finished
-            .into_iter()
+        let per_rank: Vec<u64> = self
+            .finished
+            .iter()
             .map(|f| f.expect("all finished").as_nanos())
             .collect();
         let predicted = per_rank.iter().copied().max().unwrap_or(0);
@@ -949,6 +749,235 @@ impl<'a> Replay<'a> {
             predicted_ns: predicted,
             per_rank_finish_ns: per_rank,
         })
+    }
+
+    fn cpu_ready(&self, rank: usize, t: Time) -> Time {
+        self.sched[rank].defer(t.max(self.busy[rank]))
+    }
+
+    fn on_net(&mut self, t: Time, fid: FlowId) -> Result<(), String> {
+        let data = self.data;
+        let mut sched = QSched(&mut self.q);
+        match self.net.handle_event(t, fid, &mut sched) {
+            NetStep::Progress => {}
+            NetStep::Drained { flow, .. } => {
+                let f = &data.flows[self.net2rec[flow.0 as usize]];
+                if matches!(f.class, FlowClass::Eager | FlowClass::Rndv) {
+                    let m = f.msg.expect("data flow has a message");
+                    self.q.schedule_untracked(
+                        t,
+                        REv::Deliver {
+                            rank: data.msgs[m as usize].src,
+                            key: TrigKey::SendDone(m),
+                        },
+                    );
+                }
+            }
+            NetStep::Delivered(d) => {
+                let fi = self.net2rec[d.flow.0 as usize];
+                let f = &data.flows[fi];
+                let ev = match f.class {
+                    FlowClass::Copy => REv::Deliver {
+                        rank: f.rank,
+                        key: TrigKey::CopyDone(f.token),
+                    },
+                    _ => REv::Arrive(fi),
+                };
+                self.q.schedule_untracked(t, ev);
+            }
+            NetStep::Dropped(_) => return Err("replayed network dropped a flow".into()),
+        }
+        Ok(())
+    }
+
+    fn launch(&mut self, t: Time, fi: usize) {
+        let f = &self.data.flows[fi];
+        let links: Vec<LinkId> = f.links.iter().map(|&l| LinkId(l)).collect();
+        let bytes = if f.class == FlowClass::Copy {
+            scale_dur(Duration::from_nanos(f.bytes), self.factors.copy).as_nanos()
+        } else {
+            f.bytes
+        };
+        let mut sched = QSched(&mut self.q);
+        let fid = self.net.start_flow(
+            t,
+            FlowSpec {
+                path: Path::new(&links),
+                bytes,
+                tag: 0,
+            },
+            &mut sched,
+        );
+        let slot = fid.0 as usize;
+        if self.net2rec.len() <= slot {
+            self.net2rec.resize(slot + 1, usize::MAX);
+        }
+        self.net2rec[slot] = fi;
+    }
+
+    /// A protocol or data flow reached its destination. Matching-side
+    /// work happens at arrival time; only the CTS takes the CPU path.
+    fn arrive(&mut self, t: Time, fi: usize) -> Result<(), String> {
+        let f = &self.data.flows[fi];
+        let m = f.msg.expect("protocol flow has a message") as usize;
+        let mr = &self.data.msgs[m];
+        let dst = mr.dst as usize;
+        match f.class {
+            FlowClass::Cts => return self.step(t, mr.src, Parked::Cts(fi)),
+            _ if self.finished[dst].is_some() => {}
+            FlowClass::Eager | FlowClass::Rts if mr.unexpected => {
+                // Unexpected-queue insertion: protocol work at cpu_ready.
+                let e = self.cpu_ready(dst, t);
+                let pure = self.proto_cost(m, 2);
+                self.busy[dst] = self.sched[dst].finish_work(e, pure);
+            }
+            FlowClass::Eager | FlowClass::Rndv => self.q.schedule_untracked(
+                t,
+                REv::Deliver {
+                    rank: mr.dst,
+                    key: TrigKey::RecvDone(m as u64),
+                },
+            ),
+            FlowClass::Rts => {
+                // Posted match: CTS handshake at cpu_ready.
+                let e = self.cpu_ready(dst, t);
+                let end = self.sched[dst].finish_work(e, self.proto_cost(m, 0));
+                self.busy[dst] = end;
+                let cfi = *self
+                    .cts_flow
+                    .get(&(m as u64))
+                    .ok_or_else(|| format!("message {m}: CTS flow missing"))?;
+                self.q.schedule_untracked(end, REv::Launch(cfi));
+            }
+            FlowClass::Copy | FlowClass::Ack => {
+                unreachable!("copies/acks never take the arrival path")
+            }
+        }
+        Ok(())
+    }
+
+    /// Scaled pure duration of message `m`'s protocol span of kind `k`.
+    fn proto_cost(&self, m: usize, k: u8) -> Duration {
+        self.proto
+            .get(&(m as u64, k))
+            .copied()
+            .unwrap_or(Duration::ZERO)
+    }
+
+    /// CPU-bound work reached `rank`: run it now, or park it behind the
+    /// busy CPU exactly as the simulator does.
+    fn step(&mut self, t: Time, rank: u32, item: Parked) -> Result<(), String> {
+        let r = rank as usize;
+        if self.finished[r].is_some() {
+            return Ok(());
+        }
+        let ready = self.cpu_ready(r, t);
+        if ready > t {
+            if self.parked.park(r, ready, item) {
+                self.q.schedule_untracked(ready, REv::Wake { rank });
+            }
+            return Ok(());
+        }
+        self.serve(t, rank, item)
+    }
+
+    /// A band fell due: serve it while the CPU stays ready, re-park the
+    /// rest as one block.
+    fn wake(&mut self, t: Time, rank: u32) -> Result<(), String> {
+        let r = rank as usize;
+        while self.parked.next_wake(r) == Some(t) {
+            if self.finished[r].is_some() {
+                self.parked.pop(r);
+                continue;
+            }
+            let ready = self.cpu_ready(r, t);
+            if ready > t {
+                if self.parked.repark(r, ready) {
+                    self.q.schedule_untracked(ready, REv::Wake { rank });
+                }
+                return Ok(());
+            }
+            let item = self.parked.pop(r).expect("a due band is non-empty");
+            self.serve(t, rank, item)?;
+        }
+        Ok(())
+    }
+
+    /// Run a parked-or-ready item on a ready, unfinished rank.
+    fn serve(&mut self, t: Time, rank: u32, item: Parked) -> Result<(), String> {
+        let r = rank as usize;
+        let key = match item {
+            Parked::Cts(fi) => {
+                // Sender side: launch the rendezvous payload.
+                let m = self.data.flows[fi]
+                    .msg
+                    .expect("protocol flow has a message");
+                let end = self.sched[r].finish_work(t, self.proto_cost(m as usize, 1));
+                self.busy[r] = end;
+                let rfi = *self
+                    .rndv_flow
+                    .get(&m)
+                    .ok_or_else(|| format!("message {m}: payload flow missing"))?;
+                self.q.schedule_untracked(end, REv::Launch(rfi));
+                return Ok(());
+            }
+            Parked::Deliver(key) => key,
+        };
+        let di = self
+            .fifo
+            .get_mut(&(rank, key))
+            .and_then(|f| f.pop_front())
+            .ok_or_else(|| format!("rank {rank}: no recorded dispatch for {key:?} (divergence)"))?;
+        let plan = &self.plans[di];
+        for (off, act) in &plan.acts {
+            let at = self.sched[r].finish_work(t, *off);
+            match act {
+                Act::Launch(fi) => self.q.schedule_untracked(at, REv::Launch(*fi)),
+                Act::LocalSendDone(m) => self.q.schedule_untracked(
+                    at,
+                    REv::Deliver {
+                        rank,
+                        key: TrigKey::SendDone(*m),
+                    },
+                ),
+                Act::CompleteRecv(m) => self.q.schedule_untracked(
+                    at,
+                    REv::Deliver {
+                        rank,
+                        key: TrigKey::RecvDone(*m),
+                    },
+                ),
+                Act::ComputeDone(tok) => self.q.schedule_untracked(
+                    at,
+                    REv::Deliver {
+                        rank,
+                        key: TrigKey::ComputeDone(*tok),
+                    },
+                ),
+                Act::Gpu { token, dur } => {
+                    let start = self.gpu_busy[r].max(at);
+                    let done = start + *dur;
+                    self.gpu_busy[r] = done;
+                    self.q.schedule_untracked(
+                        done,
+                        REv::Deliver {
+                            rank,
+                            key: TrigKey::GpuDone(*token),
+                        },
+                    );
+                }
+                Act::Finish => {
+                    if self.finished[r].is_none() {
+                        self.finished[r] = Some(at);
+                        self.finished_count += 1;
+                    }
+                }
+                Act::Mark => {}
+            }
+        }
+        let end = self.sched[r].finish_work(t, plan.end_off);
+        self.busy[r] = self.busy[r].max(end);
+        Ok(())
     }
 }
 

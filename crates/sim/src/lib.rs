@@ -12,6 +12,7 @@
 
 pub mod audit;
 pub mod fxhash;
+pub mod park;
 pub mod pool;
 pub mod queue;
 pub mod rng;
@@ -20,6 +21,7 @@ pub mod stats;
 pub mod time;
 
 pub use audit::{AuditReport, RankAudit};
+pub use park::ParkedBands;
 pub use pool::WorkerPool;
 pub use queue::{EventKey, EventQueue, QueueAudit};
 pub use rng::{MasterSeed, StreamTag};

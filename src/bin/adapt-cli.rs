@@ -408,11 +408,12 @@ impl FaultArgs {
     }
 
     /// Attach the plan and watchdog, then run. An unsurvivable schedule
-    /// never panics: a plain deadlock prints its diagnosis and exits with
-    /// [`EXIT_STALLED`]; killed ranks the survivors could not complete
-    /// around (or an exhausted live↔live retry budget) exit with
-    /// [`EXIT_FAILED`]. Either way the flight-recorder tail, when one was
-    /// kept, is dumped for the post-mortem.
+    /// never panics: a plain deadlock (or a livelock that blows the event
+    /// cap) prints its diagnosis and exits with [`EXIT_STALLED`]; killed
+    /// ranks the survivors could not complete around (or an exhausted
+    /// live↔live retry budget) exit with [`EXIT_FAILED`]. Either way the
+    /// flight-recorder tail, when one was kept, is dumped for the
+    /// post-mortem.
     fn run(&self, mut world: World, programs: Vec<Box<dyn RankProgram>>) -> adapt::mpi::RunResult {
         if let Some(plan) = &self.plan {
             world = world.with_faults(plan.clone());
@@ -429,7 +430,9 @@ impl FaultArgs {
                 }
                 eprintln!("{err}");
                 let code = match *err {
-                    adapt::mpi::RunError::Stalled(_) => EXIT_STALLED,
+                    adapt::mpi::RunError::Stalled(_) | adapt::mpi::RunError::EventCap { .. } => {
+                        EXIT_STALLED
+                    }
                     adapt::mpi::RunError::RanksFailed(_)
                     | adapt::mpi::RunError::RetryBudgetExhausted { .. } => EXIT_FAILED,
                 };

@@ -384,6 +384,23 @@ fn watchdog_diagnoses_a_guaranteed_stall() {
         text.contains("stalled=true"),
         "diagnosis must flag the stall: {text}"
     );
+    // Rank 2's own work is parked until the stall ends, not queued as
+    // events, so the diagnosis must show the backlog and when it wakes.
+    let line = text
+        .lines()
+        .find(|l| l.trim_start().starts_with("rank 2:"))
+        .unwrap_or_else(|| panic!("no per-rank line for rank 2: {text}"));
+    let parked: usize = line
+        .split("parked=")
+        .nth(1)
+        .and_then(|s| s.split_whitespace().next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("rank 2's line lacks parked=N: {line}"));
+    assert!(parked >= 1, "the stalled rank's start is parked: {line}");
+    assert!(
+        line.contains("next_wake=3600000000000ns"),
+        "the backlog wakes when the stall ends: {line}"
+    );
 }
 
 /// Assert every *surviving* rank assembled exactly `data` (dead ranks

@@ -81,6 +81,27 @@ fn noop_prediction_is_bit_exact_for_reduce() {
     assert_eq!(p.per_rank_finish_ns, data.per_rank_finish_ns);
 }
 
+/// `adapt-cli --machine stampede2 --nodes 1 --op reduce --lib intel
+/// --msg 65536`: several of the hierarchical reduce's ranks have
+/// completions parked behind busy CPUs at the same instant, so the
+/// order in which their wakes fire decides who finishes first. A replay
+/// that re-queued each parked item instead of banding it like the
+/// simulator predicts ranks 4 and 12 with their finish times swapped.
+#[test]
+fn noop_prediction_is_bit_exact_across_parked_band_ties() {
+    let machine = profiles::stampede2(1);
+    let case = CollectiveCase {
+        nranks: machine.cpu_job_size(),
+        machine,
+        op: OpKind::Reduce,
+        library: Library::IntelMpi,
+        msg_bytes: 65536,
+    };
+    let data = record(&case, 0.0, 1);
+    let p = predict(&data, &Intervention::Noop).unwrap();
+    assert_eq!(p.per_rank_finish_ns, data.per_rank_finish_ns);
+}
+
 #[test]
 fn noise_off_prediction_matches_real_rerun_bit_exactly() {
     let case = mini_case(256 * 1024);
