@@ -19,14 +19,14 @@
 //! * **Ledger** — `results/barometer.jsonl`, append-only, one flat JSON
 //!   object per line. Committed to the repo so every checkout carries
 //!   the full measurement history.
-//! * **CLI** — `bench record | diff | rank | import` (see
+//! * **CLI** — `bench record | diff | rank` (see
 //!   `src/bin/bench.rs`), with `diff --gate <pct>` as the CI tripwire
 //!   that fails the build on a wall-time rise (events/sec stays as a
 //!   secondary column: it rewards redundant events).
 
 use crate::perf::{
-    bench_fig8_with, bench_flow_churn_with, bench_matching_posted_with,
-    bench_matching_unexpected_with, ChurnParams, Fig8Mode, Fig8Params, MatchingParams, PerfResult,
+    bench_fig8, bench_flow_churn, bench_matching_posted, bench_matching_unexpected, ChurnParams,
+    Fig8Mode, Fig8Params, MatchingParams, PerfResult,
 };
 use crate::Scale;
 use std::collections::BTreeMap;
@@ -153,22 +153,22 @@ pub struct Scenario {
 /// variants; the choice is made at `record` time.
 #[derive(Clone, Debug)]
 pub enum Kind {
-    /// Posted-receive matching stress ([`bench_matching_posted_with`]).
+    /// Posted-receive matching stress ([`bench_matching_posted`]).
     MatchingPosted {
         quick: MatchingParams,
         full: MatchingParams,
     },
-    /// Unexpected-queue matching stress ([`bench_matching_unexpected_with`]).
+    /// Unexpected-queue matching stress ([`bench_matching_unexpected`]).
     MatchingUnexpected {
         quick: MatchingParams,
         full: MatchingParams,
     },
-    /// Fair-share churn on a congested backbone ([`bench_flow_churn_with`]).
+    /// Fair-share churn on a congested backbone ([`bench_flow_churn`]).
     FlowChurn {
         quick: ChurnParams,
         full: ChurnParams,
     },
-    /// End-to-end fig8 sweep ([`bench_fig8_with`]); same at either scale.
+    /// End-to-end fig8 sweep ([`bench_fig8`]); same at either scale.
     Fig8(Fig8Params),
 }
 
@@ -315,16 +315,11 @@ impl Scenario {
         Ok(Scenario { name, kind })
     }
 
-    /// Run the scenario at the given scale.
-    pub fn run(&self, scale: Scale) -> PerfResult {
-        self.run_with_threads(scale, None)
-    }
-
     /// Run the scenario at the given scale, optionally overriding the
     /// worker-pool width. Only the fig8 sweep has independent per-size
     /// runs to fan out; the other kinds are single-world hot-path probes
     /// and ignore the override.
-    pub fn run_with_threads(&self, scale: Scale, threads: Option<usize>) -> PerfResult {
+    pub fn run(&self, scale: Scale, threads: Option<usize>) -> PerfResult {
         fn pick<T>(scale: Scale, q: T, f: T) -> T {
             match scale {
                 Scale::Quick => q,
@@ -332,19 +327,17 @@ impl Scenario {
             }
         }
         let mut r = match &self.kind {
-            Kind::MatchingPosted { quick, full } => {
-                bench_matching_posted_with(pick(scale, quick, full))
-            }
+            Kind::MatchingPosted { quick, full } => bench_matching_posted(pick(scale, quick, full)),
             Kind::MatchingUnexpected { quick, full } => {
-                bench_matching_unexpected_with(pick(scale, quick, full))
+                bench_matching_unexpected(pick(scale, quick, full))
             }
-            Kind::FlowChurn { quick, full } => bench_flow_churn_with(pick(scale, quick, full)),
+            Kind::FlowChurn { quick, full } => bench_flow_churn(pick(scale, quick, full)),
             Kind::Fig8(p) => {
                 let mut p = *p;
                 if let Some(t) = threads {
                     p.threads = t.max(1);
                 }
-                bench_fig8_with(&self.name, &p)
+                bench_fig8(&self.name, &p)
             }
         };
         r.name = self.name.clone();
@@ -526,7 +519,7 @@ impl LedgerEntry {
                 .parse()
                 .map_err(|e| format!("field `events`: {e}"))?,
             events_per_sec: num("events_per_sec")?,
-            // Absent on ledger lines written before the sharded core:
+            // Absent on ledger lines older than the worker pool:
             // those were all sequential runs on unrecorded hardware.
             threads: match fields.get("threads") {
                 Some(v) => v.parse().map_err(|e| format!("field `threads`: {e}"))?,
@@ -775,61 +768,6 @@ pub fn render_rank(ledger: &[LedgerEntry], scale: Option<&str>) -> String {
     s
 }
 
-// ---------------------------------------------------------------------
-// Backfill import from the legacy BENCH_PR*.json snapshots.
-// ---------------------------------------------------------------------
-
-/// Extract absolute measurements from a legacy `BENCH_PRn.json` and
-/// stamp them with the given provenance. Only the file's *own* numbers
-/// are imported — its folded-in `before_*` baseline is exactly the
-/// chained-ratio mistake the ledger exists to kill, so it is ignored.
-pub fn import_legacy(text: &str, pr: u32, rev: &str) -> Result<Vec<LedgerEntry>, String> {
-    let field = |line: &str, key: &str| -> Option<String> {
-        let rest = line.trim().strip_prefix(&format!("\"{key}\": "))?;
-        Some(rest.trim_end_matches(',').trim_matches('"').to_string())
-    };
-    let mut scale = String::from("full");
-    let mut out: Vec<LedgerEntry> = Vec::new();
-    for line in text.lines() {
-        if let Some(v) = field(line, "scale") {
-            scale = v;
-        } else if let Some(name) = field(line, "name") {
-            out.push(LedgerEntry {
-                scenario: name,
-                pr,
-                rev: rev.to_string(),
-                scale: scale.clone(),
-                wall_ms: 0.0,
-                wall_min_ms: 0.0,
-                wall_max_ms: 0.0,
-                events: 0,
-                events_per_sec: 0.0,
-                threads: 1,
-                host_cores: 0,
-            });
-        } else if let Some(e) = out.last_mut() {
-            if let Some(v) = field(line, "wall_ms") {
-                e.wall_ms = v.parse().unwrap_or(0.0);
-                // Legacy snapshots are single-number: no recorded spread.
-                e.wall_min_ms = e.wall_ms;
-                e.wall_max_ms = e.wall_ms;
-            } else if let Some(v) = field(line, "wall_min_ms") {
-                e.wall_min_ms = v.parse().unwrap_or(0.0);
-            } else if let Some(v) = field(line, "wall_max_ms") {
-                e.wall_max_ms = v.parse().unwrap_or(0.0);
-            } else if let Some(v) = field(line, "events") {
-                e.events = v.parse().unwrap_or(0);
-            } else if let Some(v) = field(line, "events_per_sec") {
-                e.events_per_sec = v.parse().unwrap_or(0.0);
-            }
-        }
-    }
-    if out.is_empty() {
-        return Err("no scenarios found in legacy file".to_string());
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -943,7 +881,7 @@ cout_quick = 300
 
     #[test]
     fn ledger_lines_without_thread_fields_parse_as_sequential() {
-        // A line written before the sharded core existed: no `threads`,
+        // A line older than the worker pool: no `threads`,
         // no `host_cores`. It must still load, as a 1-thread entry.
         let line = "{\"scenario\": \"s1\", \"pr\": 5, \"rev\": \"abcd\", \"scale\": \"quick\", \
                     \"wall_ms\": 100.000, \"wall_min_ms\": 95.000, \"wall_max_ms\": 112.500, \
@@ -1062,39 +1000,6 @@ cout_quick = 300
         assert_eq!(Sel::parse("pr:4").unwrap(), Sel::Pr(4));
         assert_eq!(Sel::parse("rev:ab12").unwrap(), Sel::Rev("ab12".into()));
         assert!(Sel::parse("pr4").is_err());
-    }
-
-    #[test]
-    fn legacy_import_takes_absolutes_and_ignores_before_fields() {
-        let legacy = r#"{
-  "pr": 3,
-  "scale": "quick",
-  "scenarios": [
-    {
-      "name": "matching_posted",
-      "wall_ms": 94.917,
-      "events": 716243,
-      "events_per_sec": 7546014.3,
-      "match_probes": 2000,
-      "share_recomputes": 2000,
-      "before_wall_ms": 68.331,
-      "before_events_per_sec": 10482280.5,
-      "speedup": 0.72
-    }
-  ]
-}"#;
-        let entries = import_legacy(legacy, 3, "59a1778").unwrap();
-        assert_eq!(entries.len(), 1);
-        let e = &entries[0];
-        assert_eq!(e.scenario, "matching_posted");
-        assert_eq!(e.pr, 3);
-        assert_eq!(e.scale, "quick");
-        assert_eq!(e.events, 716243);
-        assert!((e.wall_ms - 94.917).abs() < 1e-9);
-        // Single-number snapshot: spread collapses onto the median, and
-        // the chained `before_*` baseline is dropped on the floor.
-        assert!((e.wall_min_ms - e.wall_ms).abs() < 1e-9);
-        assert!((e.events_per_sec - 7546014.3).abs() < 1e-6);
     }
 
     #[test]

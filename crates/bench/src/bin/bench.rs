@@ -5,7 +5,6 @@
 //!              [--ledger results/barometer.jsonl] [--scenarios DIR]
 //! bench diff   [--from SEL] [--to SEL] [--scale quick|full] [--gate PCT]
 //! bench rank   [--scale quick|full]
-//! bench import FILE --pr N [--rev R]
 //! ```
 //!
 //! Selectors are `latest`, `prev`, `pr:N`, or `rev:PREFIX`; `diff`
@@ -14,18 +13,14 @@
 //! committed one. `--gate PCT` makes `diff` exit non-zero when any
 //! scenario's wall time rises more than PCT percent.
 //!
-//! `import` backfills the ledger from a legacy `BENCH_PRn.json`
-//! snapshot, taking only its absolute numbers (the folded-in `before_*`
-//! baseline is the chained-ratio bug the ledger replaces).
-//!
 //! `record --threads N` fans the fig8 sweeps out over an N-wide worker
 //! pool (other scenario kinds ignore it). The recorded entries carry the
 //! width, and `diff`/`rank` treat each width as its own series — a
 //! threaded measurement is never paired against a sequential one.
 
 use adapt_bench::barometer::{
-    append_entries, diff, gate, import_legacy, load_corpus, load_ledger, render_diff, render_rank,
-    LedgerEntry, Sel, CURRENT_PR, LEDGER_PATH,
+    append_entries, diff, gate, load_corpus, load_ledger, render_diff, render_rank, LedgerEntry,
+    Sel, CURRENT_PR, LEDGER_PATH,
 };
 use adapt_bench::Scale;
 use std::path::PathBuf;
@@ -33,7 +28,6 @@ use std::process::ExitCode;
 
 struct Cli {
     cmd: String,
-    positional: Vec<String>,
     quick: bool,
     threads: Option<usize>,
     pr: Option<u32>,
@@ -50,7 +44,6 @@ struct Cli {
 fn parse_cli() -> Result<Cli, String> {
     let mut cli = Cli {
         cmd: String::new(),
-        positional: Vec::new(),
         quick: false,
         threads: None,
         pr: None,
@@ -108,11 +101,11 @@ fn parse_cli() -> Result<Cli, String> {
             }
             flag if flag.starts_with("--") => return Err(format!("unknown flag `{flag}`")),
             word if cli.cmd.is_empty() => cli.cmd = word.to_string(),
-            word => cli.positional.push(word.to_string()),
+            word => return Err(format!("unexpected argument `{word}`")),
         }
     }
     if cli.cmd.is_empty() {
-        return Err("usage: bench <record|diff|rank|import> [flags]".to_string());
+        return Err("usage: bench <record|diff|rank> [flags]".to_string());
     }
     Ok(cli)
 }
@@ -145,7 +138,7 @@ fn run(cli: Cli) -> Result<(), String> {
             }
             let mut entries = Vec::new();
             for s in &corpus {
-                let r = s.run_with_threads(scale, cli.threads);
+                let r = s.run(scale, cli.threads);
                 println!(
                     "{:<32} {:>10.2} ms ({:.2}-{:.2})  {:>12.0} events/s  t{}",
                     r.name, r.wall_ms, r.wall_min_ms, r.wall_max_ms, r.events_per_sec, r.threads
@@ -181,23 +174,6 @@ fn run(cli: Cli) -> Result<(), String> {
                 return Err(format!("ledger {} is empty", cli.ledger.display()));
             }
             print!("{}", render_rank(&ledger, cli.scale.as_deref()));
-            Ok(())
-        }
-        "import" => {
-            let file = cli
-                .positional
-                .first()
-                .ok_or("import needs a legacy BENCH_PRn.json path")?;
-            let pr = cli.pr.ok_or("import needs --pr N (the snapshot's PR)")?;
-            let rev = cli.rev.unwrap_or_else(|| "unknown".to_string());
-            let text = std::fs::read_to_string(file).map_err(|e| format!("read {file}: {e}"))?;
-            let entries = import_legacy(&text, pr, &rev)?;
-            append_entries(&cli.ledger, &entries)?;
-            println!(
-                "imported {} entries from {file} (pr{pr}, {rev}) into {}",
-                entries.len(),
-                cli.ledger.display()
-            );
             Ok(())
         }
         other => Err(format!("unknown subcommand `{other}`")),

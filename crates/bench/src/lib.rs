@@ -29,8 +29,7 @@ use std::collections::HashMap;
 /// order. Every cell builds its own world inside the job, so the grid is
 /// embarrassingly parallel and the results are identical to the
 /// sequential nest at any pool width (the pool preserves submission
-/// order). This replaces the old `rayon::par_iter` nests in the figure
-/// binaries — the vendored rayon is a sequential stub.
+/// order).
 pub fn pool_grid<R, C, T, F>(rows: &[R], cols: &[C], f: F) -> Vec<Vec<T>>
 where
     R: Clone + Send + 'static,

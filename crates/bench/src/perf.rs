@@ -19,17 +19,12 @@
 //! | `fig8_quick_bcast_lossy1pct` | the sweep at 1% per-hop loss through the reliability layer |
 //! | `fig8_quick_bcast_256_monitored` | the sweep with the online health monitor snapshotting every 10 µs |
 //!
-//! The repo's recorded trajectory lives in the barometer ledger
-//! (`results/barometer.jsonl`, absolute numbers only — see
-//! [`crate::barometer`] and the `bench` binary), which drives these
-//! scenarios from a declarative TOML corpus. The older
-//! `cargo run --release -p adapt-bench --bin perf` flow that chained
-//! `--baseline old.json` into `before_*` fields is kept for one-off local
-//! comparisons, but its chained speedups are no longer the record: a
-//! regressed PR used as the next PR's baseline silently compounds, which
-//! is exactly the failure mode the ledger exists to prevent.
+//! Every scenario's parameters come from the declarative TOML corpus
+//! (`crates/bench/scenarios/*.toml`); the `bench` binary runs them and
+//! records absolute numbers in the barometer ledger
+//! (`results/barometer.jsonl`, see [`crate::barometer`]).
 
-use crate::{CpuMachine, Scale, FIG89_SIZES};
+use crate::FIG89_SIZES;
 use adapt_collectives::{run_once, world_for_case, CollectiveCase, Library, NoiseScope, OpKind};
 use adapt_faults::FaultPlan;
 use adapt_mpi::{Completion, Op, Payload, ProgramCtx, RankProgram, Token, World, WorldStats};
@@ -238,28 +233,9 @@ pub struct MatchingParams {
     pub iters: usize,
 }
 
-impl MatchingParams {
-    fn defaults(scale: Scale) -> MatchingParams {
-        MatchingParams {
-            count: match scale {
-                Scale::Quick => 2_000,
-                Scale::Full => 6_000,
-            },
-            bytes: 1024,
-            warmup: 1,
-            iters: 5,
-        }
-    }
-}
-
 /// Posted-receive matching throughput (descending arrivals vs a long
 /// pre-posted list).
-pub fn bench_matching_posted(scale: Scale) -> PerfResult {
-    bench_matching_posted_with(&MatchingParams::defaults(scale))
-}
-
-/// [`bench_matching_posted`] with explicit parameters.
-pub fn bench_matching_posted_with(p: &MatchingParams) -> PerfResult {
+pub fn bench_matching_posted(p: &MatchingParams) -> PerfResult {
     let count = p.count;
     let (t, stats) = time_median(p.warmup, p.iters, || {
         matching_world(count, p.bytes, Box::new(PrePoster { count, done: 0 }))
@@ -269,12 +245,7 @@ pub fn bench_matching_posted_with(p: &MatchingParams) -> PerfResult {
 
 /// Unexpected-queue matching throughput (late posts vs a long unexpected
 /// queue).
-pub fn bench_matching_unexpected(scale: Scale) -> PerfResult {
-    bench_matching_unexpected_with(&MatchingParams::defaults(scale))
-}
-
-/// [`bench_matching_unexpected`] with explicit parameters.
-pub fn bench_matching_unexpected_with(p: &MatchingParams) -> PerfResult {
+pub fn bench_matching_unexpected(p: &MatchingParams) -> PerfResult {
     let count = p.count;
     let (t, stats) = time_median(p.warmup, p.iters, || {
         matching_world(
@@ -318,30 +289,11 @@ pub struct ChurnParams {
     pub iters: usize,
 }
 
-impl ChurnParams {
-    fn defaults(scale: Scale) -> ChurnParams {
-        ChurnParams {
-            lanes: 64,
-            flows: match scale {
-                Scale::Quick => 6_000,
-                Scale::Full => 20_000,
-            },
-            warmup: 1,
-            iters: 5,
-        }
-    }
-}
-
 /// Start `flows` staggered flows over `lanes` endpoint lanes that all
 /// funnel through one backbone link, and drive the engine dry. This is the
 /// fan-in congestion pattern of a large reduce: every start and drain
 /// perturbs the shared bottleneck.
-pub fn bench_flow_churn(scale: Scale) -> PerfResult {
-    bench_flow_churn_with(&ChurnParams::defaults(scale))
-}
-
-/// [`bench_flow_churn`] with explicit parameters.
-pub fn bench_flow_churn_with(p: &ChurnParams) -> PerfResult {
+pub fn bench_flow_churn(p: &ChurnParams) -> PerfResult {
     let (lanes, flows) = (p.lanes, p.flows);
     let (t, (events, perf)) = time_median(p.warmup, p.iters, || {
         let mut links = vec![Link {
@@ -472,92 +424,6 @@ pub struct Fig8Params {
     pub threads: usize,
 }
 
-impl Fig8Params {
-    fn defaults(mode: Fig8Mode) -> Fig8Params {
-        Fig8Params {
-            nodes: 8, // 8 nodes x 2 sockets x 16 cores = 256
-            nranks: 256,
-            warmup: 1,
-            iters: 3,
-            mode,
-            threads: 1,
-        }
-    }
-}
-
-/// The acceptance scenario: OMPI-adapt broadcast over the fig8 message
-/// sizes on a 256-rank Cori slice, one run per size, total wall-clock.
-pub fn bench_fig8_quick(scale: Scale) -> PerfResult {
-    let _ = scale; // the sweep sizes are the figure's, at either scale
-    bench_fig8_with(
-        "fig8_quick_bcast_256",
-        &Fig8Params::defaults(Fig8Mode::Plain),
-    )
-}
-
-/// The same sweep with full observability recording attached, measuring
-/// the cost of instrumentation on the end-to-end hot path. Compare
-/// against `fig8_quick_bcast_256` to read the recording overhead.
-pub fn bench_fig8_quick_traced(scale: Scale) -> PerfResult {
-    let _ = scale;
-    bench_fig8_with(
-        "fig8_quick_bcast_256_traced",
-        &Fig8Params::defaults(Fig8Mode::Traced),
-    )
-}
-
-/// The sweep with the bounded-memory streaming recorder attached. The
-/// recorder aggregates every probe online (histograms, heatmap, busy
-/// accounting) instead of buffering spans, and samples no gauges, so its
-/// overhead against `fig8_quick_bcast_256` should stay within the
-/// standard 5% gate — the number that makes always-on telemetry viable
-/// at production scale.
-pub fn bench_fig8_streaming(scale: Scale) -> PerfResult {
-    let _ = scale;
-    bench_fig8_with(
-        "fig8_quick_bcast_256_streaming",
-        &Fig8Params::defaults(Fig8Mode::Streaming),
-    )
-}
-
-/// Zero-overhead guard for the reliability layer: the same fig8 sweep
-/// with an **inert** fault plan attached. `World::with_faults` must
-/// refuse to arm anything for an inert plan, so every counter is
-/// asserted bit-identical to an unfaulted run and the recorded wall
-/// clock should sit on top of `fig8_quick_bcast_256`'s.
-pub fn bench_fig8_inert_faults(scale: Scale) -> PerfResult {
-    let _ = scale;
-    bench_fig8_with(
-        "fig8_quick_bcast_inert_faults",
-        &Fig8Params::defaults(Fig8Mode::InertFaults),
-    )
-}
-
-/// The reliability layer under fire: the fig8 sweep at 1% per-hop loss.
-/// Measures the simulation cost of drops, retransmission timers, acks,
-/// and duplicate suppression on the end-to-end hot path; asserts the
-/// recovery actually happened (retransmits > 0, audit clean).
-pub fn bench_fig8_lossy(scale: Scale) -> PerfResult {
-    let _ = scale;
-    bench_fig8_with(
-        "fig8_quick_bcast_lossy1pct",
-        &Fig8Params::defaults(Fig8Mode::Lossy(0.01)),
-    )
-}
-
-/// The sweep with the online health monitor attached (10 µs snapshot
-/// cadence). The monitor's snapshot timer adds events to the hot loop
-/// and the detectors scan every rank and link per snapshot; its overhead
-/// against `fig8_quick_bcast_256` must clear the standard 5% gate for
-/// always-on health monitoring to be the default posture.
-pub fn bench_fig8_monitored(scale: Scale) -> PerfResult {
-    let _ = scale;
-    bench_fig8_with(
-        "fig8_quick_bcast_256_monitored",
-        &Fig8Params::defaults(Fig8Mode::Monitored),
-    )
-}
-
 /// One size of the fig8 sweep under `mode`'s attachment.
 fn run_fig8_size(case: &CollectiveCase, mode: Fig8Mode) -> WorldStats {
     match mode {
@@ -628,7 +494,7 @@ fn run_fig8_size(case: &CollectiveCase, mode: Fig8Mode) -> WorldStats {
 /// [`WorkerPool`] (largest sizes first, so the longest run starts
 /// earliest); the summed counters are commutative, so the recorded totals
 /// are identical at any width — only the wall clock moves.
-pub fn bench_fig8_with(name: &str, p: &Fig8Params) -> PerfResult {
+pub fn bench_fig8(name: &str, p: &Fig8Params) -> PerfResult {
     let sizes: &[u64] = &FIG89_SIZES;
     let spec = profiles::cori(p.nodes);
     let nranks = p.nranks;
@@ -733,126 +599,6 @@ fn result(name: &str, t: Timing, stats: WorldStats) -> PerfResult {
     }
 }
 
-/// Run the whole suite at the given scale.
-pub fn run_suite(scale: Scale, machine: CpuMachine) -> Vec<PerfResult> {
-    let _ = machine; // the end-to-end scenario pins Cori for comparability
-    vec![
-        bench_matching_posted(scale),
-        bench_matching_unexpected(scale),
-        bench_flow_churn(scale),
-        bench_fig8_quick(scale),
-        bench_fig8_quick_traced(scale),
-        bench_fig8_streaming(scale),
-        bench_fig8_inert_faults(scale),
-        bench_fig8_lossy(scale),
-    ]
-}
-
-// ---------------------------------------------------------------------
-// JSON trajectory emission (hand-rolled; one key per line so a previous
-// file can be folded back in without a JSON parser).
-// ---------------------------------------------------------------------
-
-/// Baseline numbers extracted from a previous harness output.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Baseline {
-    wall_ms: f64,
-    events_per_sec: f64,
-    match_probes: u64,
-    share_recomputes: u64,
-}
-
-/// Extract per-scenario baseline numbers from a previous output of this
-/// harness. Line-oriented: relies on the emitter writing one key per line.
-pub fn parse_baseline(text: &str) -> Vec<(String, Baseline)> {
-    let mut out: Vec<(String, Baseline)> = Vec::new();
-    let field = |line: &str, key: &str| -> Option<String> {
-        let rest = line.trim().strip_prefix(&format!("\"{key}\": "))?;
-        Some(rest.trim_end_matches(',').trim_matches('"').to_string())
-    };
-    for line in text.lines() {
-        if let Some(name) = field(line, "name") {
-            out.push((name, Baseline::default()));
-        } else if let Some((_, b)) = out.last_mut() {
-            if let Some(v) = field(line, "wall_ms") {
-                b.wall_ms = v.parse().unwrap_or(0.0);
-            } else if let Some(v) = field(line, "events_per_sec") {
-                b.events_per_sec = v.parse().unwrap_or(0.0);
-            } else if let Some(v) = field(line, "match_probes") {
-                b.match_probes = v.parse().unwrap_or(0);
-            } else if let Some(v) = field(line, "share_recomputes") {
-                b.share_recomputes = v.parse().unwrap_or(0);
-            }
-        }
-    }
-    out
-}
-
-/// Render the suite results (optionally with fold-in baselines) as the
-/// `BENCH_PR2.json` trajectory document.
-pub fn to_json(scale: Scale, results: &[PerfResult], baselines: &[(String, Baseline)]) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"pr\": 4,\n");
-    s.push_str(&format!(
-        "  \"scale\": \"{}\",\n",
-        match scale {
-            Scale::Quick => "quick",
-            Scale::Full => "full",
-        }
-    ));
-    s.push_str("  \"scenarios\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        s.push_str("    {\n");
-        s.push_str(&format!("      \"name\": \"{}\",\n", r.name));
-        s.push_str(&format!("      \"wall_ms\": {:.3},\n", r.wall_ms));
-        s.push_str(&format!("      \"wall_min_ms\": {:.3},\n", r.wall_min_ms));
-        s.push_str(&format!("      \"wall_max_ms\": {:.3},\n", r.wall_max_ms));
-        s.push_str(&format!("      \"events\": {},\n", r.events));
-        s.push_str(&format!(
-            "      \"events_per_sec\": {:.1},\n",
-            r.events_per_sec
-        ));
-        s.push_str(&format!("      \"threads\": {},\n", r.threads));
-        s.push_str(&format!("      \"match_probes\": {},\n", r.match_probes));
-        s.push_str(&format!(
-            "      \"share_recomputes\": {}",
-            r.share_recomputes
-        ));
-        if let Some((_, b)) = baselines.iter().find(|(n, _)| *n == r.name) {
-            s.push_str(",\n");
-            s.push_str(&format!("      \"before_wall_ms\": {:.3},\n", b.wall_ms));
-            s.push_str(&format!(
-                "      \"before_events_per_sec\": {:.1},\n",
-                b.events_per_sec
-            ));
-            s.push_str(&format!(
-                "      \"before_match_probes\": {},\n",
-                b.match_probes
-            ));
-            s.push_str(&format!(
-                "      \"before_share_recomputes\": {},\n",
-                b.share_recomputes
-            ));
-            let speedup = if r.wall_ms > 0.0 {
-                b.wall_ms / r.wall_ms
-            } else {
-                0.0
-            };
-            s.push_str(&format!("      \"speedup\": {speedup:.2}\n"));
-        } else {
-            s.push('\n');
-        }
-        s.push_str("    }");
-        if i + 1 < results.len() {
-            s.push(',');
-        }
-        s.push('\n');
-    }
-    s.push_str("  ]\n}\n");
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -874,30 +620,6 @@ mod tests {
         // The outlier still shows up in the spread.
         assert!(t.max_ms >= 5.0);
         assert!(t.min_ms <= t.median_ms && t.median_ms <= t.max_ms);
-    }
-
-    #[test]
-    fn json_roundtrips_through_baseline_parser() {
-        let results = vec![PerfResult {
-            name: "matching_posted".into(),
-            wall_ms: 12.5,
-            wall_min_ms: 12.0,
-            wall_max_ms: 13.0,
-            events: 1000,
-            events_per_sec: 80_000.0,
-            match_probes: 42,
-            share_recomputes: 7,
-            threads: 1,
-        }];
-        let json = to_json(Scale::Quick, &results, &[]);
-        let parsed = parse_baseline(&json);
-        assert_eq!(parsed.len(), 1);
-        assert_eq!(parsed[0].0, "matching_posted");
-        assert!((parsed[0].1.wall_ms - 12.5).abs() < 1e-9);
-        assert_eq!(parsed[0].1.match_probes, 42);
-        // And the fold-in path emits speedups.
-        let merged = to_json(Scale::Quick, &results, &parsed);
-        assert!(merged.contains("\"speedup\": 1.00"));
     }
 
     #[test]
@@ -948,8 +670,8 @@ mod tests {
             mode: Fig8Mode::Plain,
             threads,
         };
-        let seq = bench_fig8_with("fig8_width_probe", &mk(1));
-        let par = bench_fig8_with("fig8_width_probe", &mk(4));
+        let seq = bench_fig8("fig8_width_probe", &mk(1));
+        let par = bench_fig8("fig8_width_probe", &mk(4));
         assert_eq!(seq.events, par.events);
         assert_eq!(seq.match_probes, par.match_probes);
         assert_eq!(seq.share_recomputes, par.share_recomputes);

@@ -577,7 +577,7 @@ pub fn run_once_faulted(
     seed: u64,
     plan: FaultPlan,
 ) -> RunResult {
-    match try_run_once_faulted(case, scope, noise_percent, seed, plan, 1) {
+    match try_run_once_faulted(case, scope, noise_percent, seed, plan) {
         Ok(res) => res,
         Err(e) => panic!(
             "{} {:?} {}B (faulted): {e}",
@@ -594,21 +594,16 @@ pub fn run_once_faulted(
 /// live ranks delivered exactly once, dead ranks' bytes accounted in the
 /// failed columns*); an unsurvivable schedule comes back as the
 /// structured [`RunError`](adapt_mpi::RunError) instead of a panic or a
-/// hang. `threads` selects the sharded core (1 = single-queue); results
-/// are byte-identical across thread counts.
+/// hang.
 pub fn try_run_once_faulted(
     case: &CollectiveCase,
     scope: NoiseScope,
     noise_percent: f64,
     seed: u64,
     plan: FaultPlan,
-    threads: usize,
 ) -> Result<RunResult, Box<adapt_mpi::RunError>> {
     let (world, programs) = world_for_case(case, scope, noise_percent, seed);
-    let res = world
-        .with_threads(threads)
-        .with_faults(plan)
-        .try_run(programs)?;
+    let res = world.with_faults(plan).try_run(programs)?;
     assert!(
         res.audit.is_clean(),
         "{} {:?} {}B (faulted): {}",

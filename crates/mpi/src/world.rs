@@ -29,9 +29,7 @@ use crate::matching::{PostedQueue, PostedRecv, UnexpQueue};
 use crate::payload::Payload;
 use crate::program::{Completion, Op, ProgramCtx, RankProgram, Tag, Token};
 use adapt_faults::{FaultPlan, Schedule};
-use adapt_net::{
-    min_cross_node_latency, Fabric, FlowId, FlowScheduler, FlowSpec, NetStep, Network, Path,
-};
+use adapt_net::{Fabric, FlowId, FlowScheduler, FlowSpec, NetStep, Network, Path};
 use adapt_noise::ClusterNoise;
 use adapt_obs::{
     AnyRecorder, FlowClass, FlowStart, GaugeMetric, HealthReport, Monitor, MsgEvent, NullRecorder,
@@ -42,7 +40,6 @@ use adapt_sim::fxhash::{FxHashMap, FxHashSet};
 use adapt_sim::park::ParkedBands;
 use adapt_sim::queue::{EventKey, EventQueue};
 use adapt_sim::rng::{MasterSeed, StreamTag};
-use adapt_sim::shard::{ShardCounters, ShardedQueue};
 use adapt_sim::time::{Duration, Time};
 use adapt_topology::{MachineSpec, MemSpace, Placement, Rank};
 use rand::rngs::SmallRng;
@@ -611,16 +608,6 @@ world_stats! {
     /// Events addressed to already-finished ranks and dropped. The audit
     /// flags these in fault-free runs.
     stray_events,
-    /// Conservative LBTS epochs (lookahead-wide windows) the event stream
-    /// partitioned into — zero on the default single-queue path. The
-    /// average events-per-epoch (`events / par_epochs`) is the work a
-    /// parallel executor could run between barriers.
-    par_epochs,
-    /// Events scheduled from one shard's execution context into another
-    /// shard — zero on the default single-queue path. High cross-shard
-    /// traffic relative to `events` means the shard boundary cuts through
-    /// chatty state.
-    cross_shard_events,
     /// Ranks killed by the fault plan (the failure model's ground truth).
     ranks_killed,
     /// Rank failures the heartbeat detector converged on and announced
@@ -664,7 +651,7 @@ pub struct RunResult {
     pub health: Option<HealthReport>,
 }
 
-struct QueueSched<'a>(&'a mut Queues);
+struct QueueSched<'a>(&'a mut EventQueue<Ev>);
 
 impl FlowScheduler for QueueSched<'_> {
     fn schedule(&mut self, at: Time, flow: FlowId) -> EventKey {
@@ -672,98 +659,6 @@ impl FlowScheduler for QueueSched<'_> {
     }
     fn cancel(&mut self, key: EventKey) {
         self.0.cancel(key);
-    }
-}
-
-/// The world's event queue: a single slab-indirect queue by default, or —
-/// once [`World::with_threads`]/[`World::with_shards`] activates the
-/// parallel core — per-node shard queues merged by the global
-/// `(time, seq)` key ([`ShardedQueue`]).
-///
-/// The merge is *exact*: one global sequence counter across all shards
-/// makes the sharded pop order byte-identical to the single queue, so
-/// every golden fixture holds at any shard count. The sharded form
-/// additionally does the conservative-PDES epoch accounting
-/// (`par_epochs`, `cross_shard_events`) that sizes how much work an
-/// LBTS-synchronized executor could hand to worker threads per lookahead
-/// window. The world's event loop itself always executes the merged
-/// stream sequentially: the max-min fair-share network couples all nodes
-/// with zero lookahead (any flow launch instantly changes every
-/// contending flow's share), so intra-run thread parallelism would break
-/// exactness — run-level parallelism lives in the bench harness's
-/// [`adapt_sim::WorkerPool`] instead, and positive-lookahead models get
-/// [`adapt_sim::ShardSim`].
-enum Queues {
-    Single(EventQueue<Ev>),
-    Sharded(ShardedQueue<Ev>),
-}
-
-impl Queues {
-    // The event loop runs ~10M events/s on the matching microbenches, so
-    // the dispatch below sits on a ~100ns/event hot path: every method is
-    // `#[inline]` so the Single arm keeps inlining into `try_run` exactly
-    // as the bare `EventQueue` did before the enum existed.
-    #[inline]
-    fn schedule(&mut self, at: Time, ev: Ev) -> EventKey {
-        match self {
-            Queues::Single(q) => q.schedule(at, ev),
-            Queues::Sharded(q) => q.schedule(at, ev),
-        }
-    }
-
-    #[inline]
-    fn schedule_untracked(&mut self, at: Time, ev: Ev) {
-        match self {
-            Queues::Single(q) => q.schedule_untracked(at, ev),
-            Queues::Sharded(q) => q.schedule_untracked(at, ev),
-        }
-    }
-
-    #[inline]
-    fn cancel(&mut self, key: EventKey) {
-        match self {
-            Queues::Single(q) => {
-                q.cancel(key);
-            }
-            Queues::Sharded(q) => {
-                q.cancel(key);
-            }
-        }
-    }
-
-    #[inline]
-    fn pop(&mut self) -> Option<(Time, Ev)> {
-        match self {
-            Queues::Single(q) => q.pop(),
-            Queues::Sharded(q) => q.pop(),
-        }
-    }
-
-    #[inline]
-    fn len(&self) -> usize {
-        match self {
-            Queues::Single(q) => q.len(),
-            Queues::Sharded(q) => q.len(),
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    fn audit(&self) -> adapt_sim::queue::QueueAudit {
-        match self {
-            Queues::Single(q) => q.audit(),
-            Queues::Sharded(q) => q.audit(),
-        }
-    }
-
-    /// Epoch/cross-shard counters — `None` on the single-queue path.
-    fn shard_counters(&self) -> Option<ShardCounters> {
-        match self {
-            Queues::Single(_) => None,
-            Queues::Sharded(q) => Some(q.counters()),
-        }
     }
 }
 
@@ -811,7 +706,12 @@ pub struct World {
     fabric: Fabric,
     net: Network,
     noise: ClusterNoise,
-    queue: Queues,
+    /// The one event queue. The max-min fair-share network couples every
+    /// node with zero lookahead (a flow launch instantly changes every
+    /// contending flow's share), so the event stream is inherently
+    /// sequential; parallelism lives one level up, across independent
+    /// runs ([`adapt_sim::WorkerPool`]).
+    queue: EventQueue<Ev>,
     ranks: Vec<RankState>,
     /// Start/Deliver/CTS items waiting for their rank's busy CPU, in
     /// per-rank bands woken by one [`Ev::Wake`] each.
@@ -894,7 +794,7 @@ impl World {
             fabric,
             net: Network::new(links),
             noise,
-            queue: Queues::Single(EventQueue::new()),
+            queue: EventQueue::new(),
             ranks: (0..nranks).map(|_| RankState::default()).collect(),
             parked: ParkedBands::new(nranks),
             msgs: FxHashMap::default(),
@@ -986,65 +886,9 @@ impl World {
     /// [`Monitor::view`]) to query alerts live, mid-run. Snapshots read
     /// state the simulation maintains anyway and never perturb an event,
     /// so the monitored run's makespan and audit are byte-identical to
-    /// the unmonitored run — and the alert stream itself is
-    /// thread-count invariant.
+    /// the unmonitored run.
     pub fn with_monitor(mut self, monitor: Monitor) -> World {
         self.monitor = Some(Box::new(monitor));
-        self
-    }
-
-    /// Activate the sharded parallel simulation core (see [`Queues`]):
-    /// one event-queue shard per node, merged by the global `(time, seq)`
-    /// key, with conservative epoch accounting against the fabric's
-    /// minimum cross-node latency as lookahead.
-    ///
-    /// Results are byte-identical at every `threads` value — including
-    /// the per-epoch/cross-shard counters, which are pure functions of
-    /// the event stream. Not calling this at all keeps the original
-    /// single-queue path, byte-identical to every pre-existing fixture.
-    pub fn with_threads(self, threads: usize) -> World {
-        assert!(threads >= 1, "at least one thread");
-        let shards = (self.spec.shape.nodes as usize).max(1);
-        self.with_shards(shards)
-    }
-
-    /// Like [`World::with_threads`], but with an explicit shard count
-    /// (normally one shard per node) — the seeded
-    /// shard-count-≠-thread-count determinism case.
-    pub fn with_shards(mut self, shards: usize) -> World {
-        assert!(shards >= 1, "at least one shard");
-        assert!(
-            self.queue.is_empty(),
-            "shard the queue before scheduling anything"
-        );
-        // Conservative lookahead: nothing on one node can affect another
-        // node sooner than the cheapest NIC/backbone hop. A single-node
-        // fabric has no such hop; any positive bound is then valid for
-        // epoch accounting (all shards share the node), so use the
-        // control overhead as a floor.
-        let lookahead = min_cross_node_latency(self.net.links())
-            .filter(|l| !l.is_zero())
-            .unwrap_or(CTRL_OVERHEAD);
-        // Rank events belong to the node hosting the rank; everything
-        // else (network steps, flow launches, timers, fault commands)
-        // is globally coupled state owned by shard 0.
-        let node_of: Vec<usize> = (0..self.placement.len())
-            .map(|r| self.placement.location(r).node as usize)
-            .collect();
-        self.queue = Queues::Sharded(ShardedQueue::new(
-            shards,
-            lookahead,
-            move |ev: &Ev| match ev {
-                Ev::Rank { rank, .. } | Ev::Wake { rank } => node_of[*rank as usize],
-                Ev::Net(_)
-                | Ev::Launch { .. }
-                | Ev::Timer { .. }
-                | Ev::FaultCmd { .. }
-                | Ev::Kill { .. }
-                | Ev::Detect { .. }
-                | Ev::Snapshot => 0,
-            },
-        ));
         self
     }
 
@@ -1338,10 +1182,6 @@ impl World {
             .unwrap_or(Time::ZERO)
             .saturating_since(Time::ZERO);
         self.stats.delivered_bytes = self.net.delivered_bytes();
-        if let Some(c) = self.queue.shard_counters() {
-            self.stats.par_epochs = c.par_epochs;
-            self.stats.cross_shard_events = c.cross_shard_events;
-        }
         let net_perf = self.net.perf_counters();
         self.stats.net_refreshes = net_perf.refreshes;
         self.stats.net_reschedules = net_perf.reschedules;
@@ -2090,18 +1930,6 @@ impl World {
         );
         self.obs
             .gauge(t_ns, GaugeMetric::EventQueueLen, 0, self.queue.len() as f64);
-        // Sharded core only: on the single-queue path these gauges do not
-        // exist at all, keeping default metric exports byte-identical.
-        if let Some(c) = self.queue.shard_counters() {
-            self.obs
-                .gauge(t_ns, GaugeMetric::ParEpochs, 0, c.par_epochs as f64);
-            self.obs.gauge(
-                t_ns,
-                GaugeMetric::CrossShardEvents,
-                0,
-                c.cross_shard_events as f64,
-            );
-        }
         let obs = &mut self.obs;
         self.net.for_each_link_load(|link, count, util| {
             obs.gauge(t_ns, GaugeMetric::LinkFlows, link, count as f64);

@@ -19,4 +19,4 @@ pub mod links;
 
 pub use fabric::Fabric;
 pub use flow::{Delivery, FlowId, FlowScheduler, FlowSpec, NetPerf, NetStep, Network};
-pub use links::{min_cross_node_latency, Link, LinkClass, LinkId, Path, MAX_PATH};
+pub use links::{Link, LinkClass, LinkId, Path, MAX_PATH};

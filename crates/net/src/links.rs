@@ -104,24 +104,6 @@ impl Path {
     }
 }
 
-/// Minimum latency of any cross-node link (NIC transmit/receive sides and
-/// the fabric backbone) — the conservative lookahead of a node-sharded
-/// parallel simulation: no event on one node can affect another node
-/// sooner than this. `None` for a fabric with no cross-node links (a
-/// single-node machine), where the caller must pick its own bound.
-pub fn min_cross_node_latency(links: &[Link]) -> Option<Duration> {
-    links
-        .iter()
-        .filter(|l| {
-            matches!(
-                l.class,
-                LinkClass::NicTx(_) | LinkClass::NicRx(_) | LinkClass::Backbone
-            )
-        })
-        .map(|l| l.latency)
-        .min()
-}
-
 impl<'a> IntoIterator for &'a Path {
     type Item = LinkId;
     type IntoIter = std::iter::Copied<std::slice::Iter<'a, LinkId>>;
@@ -150,27 +132,6 @@ mod tests {
     fn path_new_roundtrip() {
         let p = Path::new(&[LinkId(1), LinkId(2), LinkId(3)]);
         assert_eq!(p.as_slice().len(), 3);
-    }
-
-    #[test]
-    fn min_cross_node_latency_picks_the_smallest_nic_or_backbone() {
-        let mk = |class, lat| Link {
-            class,
-            capacity: 1e9,
-            latency: Duration::from_nanos(lat),
-        };
-        let links = vec![
-            mk(LinkClass::Shm(0), 10),
-            mk(LinkClass::NicTx(0), 900),
-            mk(LinkClass::NicRx(1), 700),
-            mk(LinkClass::Backbone, 1200),
-        ];
-        assert_eq!(
-            min_cross_node_latency(&links),
-            Some(Duration::from_nanos(700))
-        );
-        // Intra-node lanes alone give no cross-node bound.
-        assert_eq!(min_cross_node_latency(&links[..1]), None);
     }
 
     #[test]

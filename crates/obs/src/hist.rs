@@ -6,7 +6,7 @@
 //! unit buckets; above that each power-of-two decade is split into 16
 //! sub-buckets, bounding the relative quantile error at 1/16 (6.25%)
 //! while keeping the footprint a compile-time constant. Everything is
-//! integer arithmetic on `u64`, so merging shards or replaying the same
+//! integer arithmetic on `u64`, so merging histograms or replaying the same
 //! event stream in any order yields byte-identical state.
 
 /// log2 of the sub-buckets per power-of-two decade.
@@ -42,7 +42,7 @@ fn bucket_low(i: usize) -> u64 {
 /// A mergeable log-bucketed histogram with exact integer summary
 /// counters. `O(HIST_BUCKETS)` memory regardless of how many values are
 /// recorded; all state is `u64`, so it is deterministic under any
-/// recording order and under shard merges.
+/// recording order and under merges.
 #[derive(Clone, PartialEq, Eq)]
 pub struct Hist {
     counts: Box<[u64; HIST_BUCKETS]>,
@@ -81,7 +81,7 @@ impl Hist {
     }
 
     /// Fold another histogram in, elementwise. Merging is commutative
-    /// and associative, so shard order never shows in the result.
+    /// and associative, so merge order never shows in the result.
     pub fn merge(&mut self, other: &Hist) {
         for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
             *a += *b;

@@ -386,8 +386,6 @@ fn parse_gauge_metric(s: &str) -> Result<GaugeMetric, String> {
         "event_queue_len" => GaugeMetric::EventQueueLen,
         "link_util" => GaugeMetric::LinkUtil,
         "link_flows" => GaugeMetric::LinkFlows,
-        "par_epochs" => GaugeMetric::ParEpochs,
-        "cross_shard_events" => GaugeMetric::CrossShardEvents,
         other => return Err(format!("unknown gauge metric {other:?}")),
     })
 }

@@ -275,12 +275,6 @@ pub enum GaugeMetric {
     LinkUtil,
     /// One link's active-flow count; `index` is the link id.
     LinkFlows,
-    /// Cumulative conservative-PDES epochs crossed by the sharded
-    /// simulation core. Sampled only when sharding is active.
-    ParEpochs,
-    /// Cumulative events scheduled across a shard boundary. Sampled only
-    /// when sharding is active.
-    CrossShardEvents,
 }
 
 impl GaugeMetric {
@@ -293,8 +287,6 @@ impl GaugeMetric {
             GaugeMetric::EventQueueLen => "event_queue_len",
             GaugeMetric::LinkUtil => "link_util",
             GaugeMetric::LinkFlows => "link_flows",
-            GaugeMetric::ParEpochs => "par_epochs",
-            GaugeMetric::CrossShardEvents => "cross_shard_events",
         }
     }
 }

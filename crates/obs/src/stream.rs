@@ -8,14 +8,11 @@
 //! state is O(ranks + links + histogram buckets) plus the in-flight
 //! working set (open messages and occupied network slots), which is
 //! bounded by simulation concurrency, never by run length — so
-//! recording can stay on for the 10k–100k-rank runs the sharded core
-//! targets.
+//! recording can stay on for long, large runs.
 //!
 //! Every aggregate is integer arithmetic over the deterministic probe
-//! stream, and the sharded core delivers that stream in byte-identical
-//! order at every thread count, so the exported [`ObsSummary`] JSON is
-//! byte-identical too (`tests/par_determinism.rs` holds this to
-//! account).
+//! stream, so the exported [`ObsSummary`] JSON is byte-identical across
+//! re-runs of the same seed.
 
 use crate::flight::{FlightRecorder, FlightSpan};
 use crate::hist::{percentile, Hist};

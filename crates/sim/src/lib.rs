@@ -16,7 +16,6 @@ pub mod park;
 pub mod pool;
 pub mod queue;
 pub mod rng;
-pub mod shard;
 pub mod stats;
 pub mod time;
 
@@ -25,6 +24,5 @@ pub use park::ParkedBands;
 pub use pool::WorkerPool;
 pub use queue::{EventKey, EventQueue, QueueAudit};
 pub use rng::{MasterSeed, StreamTag};
-pub use shard::{Outbox, ShardCounters, ShardModel, ShardRunStats, ShardSim, ShardedQueue};
 pub use stats::Summary;
 pub use time::{Duration, Time};

@@ -1,15 +1,14 @@
-//! A hand-rolled spawn-once worker pool for the parallel simulation core.
+//! A hand-rolled spawn-once worker pool for run-level sweeps.
 //!
-//! The vendored `rayon` is a sequential stub, so parallel work in this
-//! workspace runs on this pool instead. It is deliberately small:
+//! One simulation is sequential by construction (its fair-share network
+//! has zero lookahead), so the only parallelism in this workspace is
+//! across independent runs: figure grids and barometer sweeps hand each
+//! run to this pool. It is deliberately small:
 //!
 //! - **Spawn-once.** Workers are OS threads created in [`WorkerPool::new`]
-//!   and reused for every batch; an epoch-synchronized simulation submits
-//!   thousands of small batches and cannot afford a `thread::spawn` per
-//!   epoch.
+//!   and reused for every batch.
 //! - **Batch barrier.** [`WorkerPool::run_batch`] returns only when every
-//!   job of the batch has finished — exactly the epoch barrier a
-//!   conservatively synchronized PDES needs between lookahead windows.
+//!   job of the batch has finished.
 //! - **Deterministic results.** Results come back in submission order
 //!   regardless of which worker ran which job or in what order they
 //!   finished.
@@ -31,7 +30,6 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 
 /// A spawn-once thread pool executing batches of jobs with a barrier.
 pub struct WorkerPool {
-    threads: usize,
     /// Shared injector; `None` after shutdown begins (in `Drop`).
     tx: Option<Sender<Job>>,
     workers: Vec<JoinHandle<()>>,
@@ -44,7 +42,6 @@ impl WorkerPool {
         let threads = threads.max(1);
         if threads == 1 {
             return WorkerPool {
-                threads,
                 tx: None,
                 workers: Vec::new(),
             };
@@ -61,15 +58,9 @@ impl WorkerPool {
             })
             .collect();
         WorkerPool {
-            threads,
             tx: Some(tx),
             workers,
         }
-    }
-
-    /// Pool width (1 means inline execution, no worker threads).
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// The host's available hardware parallelism (fallback 1).
@@ -239,18 +230,15 @@ mod tests {
     #[test]
     fn panic_propagates_and_pool_survives() {
         let pool = WorkerPool::new(3);
-        let jobs: Vec<Box<dyn FnOnce() -> u32 + Send>> = vec![
-            boxed(|| 1),
-            boxed(|| panic!("shard 1 exploded")),
-            boxed(|| 3),
-        ];
+        let jobs: Vec<Box<dyn FnOnce() -> u32 + Send>> =
+            vec![boxed(|| 1), boxed(|| panic!("job 1 exploded")), boxed(|| 3)];
         let err = catch_unwind(AssertUnwindSafe(|| pool.run_batch(jobs)))
             .expect_err("panic must propagate to the caller");
         let msg = err
             .downcast_ref::<&str>()
             .copied()
             .unwrap_or("<non-str payload>");
-        assert!(msg.contains("shard 1 exploded"), "{msg}");
+        assert!(msg.contains("job 1 exploded"), "{msg}");
         // The pool is still fully usable afterwards.
         let out = pool.map((0..16u32).collect(), |i| i + 1);
         assert_eq!(out, (1..=16u32).collect::<Vec<_>>());

@@ -67,20 +67,6 @@ impl Default for EventKey {
     }
 }
 
-impl EventKey {
-    /// Rebuild a key from a raw sequence number. Used by the sharded
-    /// queue, which hands out sequence numbers from one global counter
-    /// shared by all sub-queues.
-    pub(crate) fn from_seq(seq: u64) -> EventKey {
-        EventKey { seq }
-    }
-
-    /// The raw sequence number behind this key.
-    pub(crate) fn seq(&self) -> u64 {
-        self.seq
-    }
-}
-
 /// One heap entry: ordering key plus the slab slot holding the payload.
 ///
 /// The payload itself lives out-of-line in [`EventQueue`]'s slab, so heap
@@ -363,18 +349,15 @@ impl<E> EventQueue<E> {
         self.push_entry(time, payload, false);
     }
 
-    /// Insert an entry whose sequence number was assigned externally.
-    ///
-    /// The sharded queue owns one global counter and routes each event to
-    /// the sub-queue of its destination shard; merging sub-queues by
-    /// `(time, seq)` then reproduces the exact single-queue pop order.
-    /// The caller is responsible for the global causality clamp — `time`
-    /// must already be at or after the merged queue's "now" (which is
-    /// always >= this sub-queue's `last_popped`).
     #[inline]
-    pub(crate) fn push_with_seq(&mut self, time: Time, seq: u64, payload: E, tracked: bool) {
-        debug_assert!(time >= self.last_popped, "sharded clamp happens upstream");
+    fn push_entry(&mut self, time: Time, payload: E, tracked: bool) -> u64 {
+        if time < self.last_popped {
+            self.causality_violations += 1;
+        }
+        let time = time.max(self.last_popped);
+        let seq = self.next_seq;
         assert!(seq != SENTINEL_SEQ, "event sequence space exhausted");
+        self.next_seq += 1;
         let slot = match self.free.pop() {
             Some(s) => {
                 self.slab[s as usize] = Some(payload);
@@ -397,17 +380,6 @@ impl<E> EventQueue<E> {
             self.pending.insert(seq);
         }
         self.live += 1;
-    }
-
-    #[inline]
-    fn push_entry(&mut self, time: Time, payload: E, tracked: bool) -> u64 {
-        if time < self.last_popped {
-            self.causality_violations += 1;
-        }
-        let time = time.max(self.last_popped);
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.push_with_seq(time, seq, payload, tracked);
         seq
     }
 
@@ -427,14 +399,6 @@ impl<E> EventQueue<E> {
     /// Remove and return the earliest live event.
     #[inline]
     pub fn pop(&mut self) -> Option<(Time, E)> {
-        self.pop_full().map(|(t, _, _, e)| (t, e))
-    }
-
-    /// [`EventQueue::pop`] plus the entry's sequence number and tracked
-    /// flag — the sharded queue needs both to keep its seq→shard map in
-    /// sync without a hash lookup on the untracked fast path.
-    #[inline]
-    pub(crate) fn pop_full(&mut self) -> Option<(Time, u64, bool, E)> {
         self.maybe_compact();
         while let Some(entry) = self.heap.pop() {
             let payload = self.slab[entry.slot as usize]
@@ -446,25 +410,17 @@ impl<E> EventQueue<E> {
             }
             self.live -= 1;
             self.last_popped = entry.time;
-            return Some((entry.time, entry.seq, entry.tracked, payload));
+            return Some((entry.time, payload));
         }
         None
     }
 
     /// Time of the earliest live event without removing it.
     pub fn peek_time(&mut self) -> Option<Time> {
-        self.peek_key().map(|(t, _)| t)
-    }
-
-    /// Full `(time, seq)` ordering key of the earliest live event without
-    /// removing it. The sharded queue merges sub-queues on this key: with
-    /// one global sequence counter, the merged pop order is exactly the
-    /// single-queue pop order.
-    pub fn peek_key(&mut self) -> Option<(Time, u64)> {
         self.maybe_compact();
         while let Some(entry) = self.heap.peek() {
             if !entry.tracked || self.pending.contains(&entry.seq) {
-                return Some((entry.time, entry.seq));
+                return Some(entry.time);
             }
             let entry = self.heap.pop().expect("peeked entry pops");
             self.slab[entry.slot as usize] = None;

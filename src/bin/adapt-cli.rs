@@ -4,7 +4,7 @@
 //! adapt-cli --machine cori --nodes 8 --op bcast --lib adapt --msg 4194304 --noise 10 --seed 3
 //! adapt-cli --machine psg --nodes 4 --op reduce --lib adapt --msg 33554432 --gpu
 //! adapt-cli --machine mini --obs-out run.json --whatif noise-off,scale-link=NicTx:2
-//! adapt-sim --op allreduce --nodes 4 --msg 1048576
+//! adapt-cli --op allreduce --nodes 4 --msg 1048576
 //! ```
 
 use adapt::collectives::{
@@ -50,14 +50,12 @@ const FLAGS: &[(&str, &str, &str)] = &[
         "library preset (default adapt)",
     ),
     ("msg", "BYTES", "message size (default 4 MiB)"),
-    ("noise", "PCT", "noise intensity percent (default 0)"),
-    ("seed", "S", "master seed (default 1)"),
     (
-        "threads",
-        "N",
-        "activate the sharded event core with N worker threads \
-(byte-identical results; default: the pristine sequential core)",
+        "noise",
+        "PCT",
+        "noise intensity percent, 0 to <50 (default 0)",
     ),
+    ("seed", "S", "master seed (default 1)"),
     ("gpu", "", "run the GPU path (bcast/reduce only)"),
     ("trace", "FILE.csv", "write the event trace as CSV"),
     ("describe", "", "print the machine topology and exit"),
@@ -144,6 +142,45 @@ fn known(key: &str) -> bool {
     FLAGS.iter().any(|&(name, _, _)| name == key)
 }
 
+/// Exit code for bad input (unknown flag, missing or malformed value,
+/// incompatible flags): the reason and the usage go to stderr.
+const EXIT_USAGE: i32 = 2;
+
+/// Reject the command line with a one-line reason plus usage.
+fn usage_error(reason: impl std::fmt::Display) -> ! {
+    eprint!("adapt-cli: {reason}\n{}", usage());
+    std::process::exit(EXIT_USAGE);
+}
+
+/// Check the command line's shape before anything reads it: every token
+/// is a known `--flag`, each valued flag is followed by its value, and no
+/// flag is given twice. [`arg`]/[`flag`] can then trust what they find.
+fn check_args(args: &[String]) -> Result<(), String> {
+    let mut seen: Vec<&str> = Vec::new();
+    let mut i = 0;
+    while i < args.len() {
+        let tok = &args[i];
+        let Some(name) = tok.strip_prefix("--") else {
+            return Err(format!("unexpected argument `{tok}`"));
+        };
+        let Some(&(_, value, _)) = FLAGS.iter().find(|&&(n, _, _)| n == name) else {
+            return Err(format!("unknown flag `{tok}`"));
+        };
+        if seen.contains(&name) {
+            return Err(format!("`{tok}` given twice"));
+        }
+        seen.push(name);
+        if !value.is_empty() {
+            match args.get(i + 1) {
+                Some(v) if !v.starts_with("--") => i += 1,
+                _ => return Err(format!("`{tok}` needs a value ({value})")),
+            }
+        }
+        i += 1;
+    }
+    Ok(())
+}
+
 fn arg(args: &[String], key: &str) -> Option<String> {
     assert!(known(key), "flag --{key} is missing from the FLAGS table");
     args.iter()
@@ -154,6 +191,17 @@ fn arg(args: &[String], key: &str) -> Option<String> {
 fn flag(args: &[String], key: &str) -> bool {
     assert!(known(key), "flag --{key} is missing from the FLAGS table");
     args.iter().any(|a| a == &format!("--{key}"))
+}
+
+/// `--key`'s value parsed as `T`, or a usage error naming the bad value.
+fn parsed<T: std::str::FromStr>(args: &[String], key: &str) -> Option<T>
+where
+    T::Err: std::fmt::Display,
+{
+    arg(args, key).map(|s| {
+        s.parse()
+            .unwrap_or_else(|e| usage_error(format!("--{key} `{s}`: {e}")))
+    })
 }
 
 /// Observability flags: where to write the Chrome trace and metrics CSV,
@@ -174,21 +222,22 @@ impl ObsArgs {
             trace_out: arg(args, "trace-out"),
             metrics_out: arg(args, "metrics-out"),
             critical: flag(args, "critical-path"),
-            interval_ns: arg(args, "metrics-interval")
-                .map(|s| s.parse().expect("metrics-interval"))
-                .unwrap_or(10_000),
+            interval_ns: parsed(args, "metrics-interval").unwrap_or(10_000),
             summary_out: arg(args, "summary-out"),
-            flight: arg(args, "flight").map(|s| {
-                let n: usize = s.parse().expect("flight");
-                assert!(n >= 1, "--flight needs at least 1 span");
-                n
-            }),
+            flight: parsed(args, "flight"),
         };
-        assert!(
-            !(o.streaming() && (o.trace_out.is_some() || o.metrics_out.is_some() || o.critical)),
-            "--summary-out/--flight use the bounded-memory streaming recorder; \
-             --trace-out/--metrics-out/--critical-path need the full recorder — pick one side"
-        );
+        if o.interval_ns == 0 {
+            usage_error("--metrics-interval needs a positive interval");
+        }
+        if o.flight == Some(0) {
+            usage_error("--flight needs at least 1 span");
+        }
+        if o.streaming() && (o.trace_out.is_some() || o.metrics_out.is_some() || o.critical) {
+            usage_error(
+                "--summary-out/--flight use the bounded-memory streaming recorder; \
+                 --trace-out/--metrics-out/--critical-path need the full recorder — pick one side",
+            );
+        }
         o
     }
 
@@ -267,11 +316,10 @@ struct MonitorArgs {
 
 impl MonitorArgs {
     fn parse(args: &[String]) -> MonitorArgs {
-        let interval_ns = arg(args, "monitor").map(|s| {
-            let iv: u64 = s.parse().expect("monitor");
-            assert!(iv >= 1, "--monitor needs a positive interval");
-            iv
-        });
+        let interval_ns = parsed(args, "monitor");
+        if interval_ns == Some(0) {
+            usage_error("--monitor needs a positive interval");
+        }
         MonitorArgs {
             interval_ns,
             health_out: arg(args, "health-out"),
@@ -338,7 +386,7 @@ impl WhatIfArgs {
                     list.split(',')
                         .map(|s| {
                             Intervention::parse(s.trim())
-                                .unwrap_or_else(|e| panic!("--whatif {s}: {e}"))
+                                .unwrap_or_else(|e| usage_error(format!("--whatif {s}: {e}")))
                         })
                         .collect()
                 })
@@ -350,6 +398,17 @@ impl WhatIfArgs {
 
     fn wanted(&self) -> bool {
         !self.ivs.is_empty() || self.diff_against.is_some() || self.obs_out.is_some()
+    }
+
+    /// What-if needs the full recording; the streaming recorder keeps only
+    /// aggregates.
+    fn check_recorder(&self, obs: &ObsArgs) {
+        if self.wanted() && obs.streaming() {
+            usage_error(
+                "--whatif/--diff-against/--obs-out need the full recorder; \
+                 drop --summary-out/--flight",
+            );
+        }
     }
 
     /// Emit everything what-if-related from a recorded run. `rerun`
@@ -376,8 +435,9 @@ impl WhatIfArgs {
         }
         if let Some(base) = &self.diff_against {
             let text = std::fs::read_to_string(base)
-                .unwrap_or_else(|e| panic!("--diff-against {base}: {e}"));
-            let a = from_json(&text).unwrap_or_else(|e| panic!("--diff-against {base}: {e}"));
+                .unwrap_or_else(|e| usage_error(format!("--diff-against {base}: {e}")));
+            let a = from_json(&text)
+                .unwrap_or_else(|e| usage_error(format!("--diff-against {base}: {e}")));
             print!("{}", diff_runs(&a, obs).render());
         }
     }
@@ -394,11 +454,12 @@ impl FaultArgs {
     fn parse(args: &[String], seed: u64) -> FaultArgs {
         FaultArgs {
             plan: arg(args, "faults").map(|s| {
-                FaultPlan::parse(&s, seed).unwrap_or_else(|e| panic!("--faults {s}: {e}"))
+                FaultPlan::parse(&s, seed)
+                    .unwrap_or_else(|e| usage_error(format!("--faults {s}: {e}")))
             }),
             watchdog: arg(args, "watchdog-horizon").map(|s| {
                 adapt::faults::parse_duration(&s)
-                    .unwrap_or_else(|e| panic!("--watchdog-horizon {s}: {e}"))
+                    .unwrap_or_else(|e| usage_error(format!("--watchdog-horizon {s}: {e}")))
             }),
         }
     }
@@ -470,77 +531,62 @@ impl FaultArgs {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Err(reason) = check_args(&args) {
+        usage_error(reason);
+    }
     if flag(&args, "help") || args.is_empty() {
         eprint!("{}", usage());
         return;
     }
-    let nodes: u32 = arg(&args, "nodes")
-        .map(|s| s.parse().expect("nodes"))
-        .unwrap_or(4);
+    let nodes: u32 = parsed(&args, "nodes").unwrap_or(4);
+    if nodes == 0 {
+        usage_error("--nodes must be at least 1");
+    }
     let machine = match arg(&args, "machine").as_deref() {
         Some("stampede2") => profiles::stampede2(nodes),
         Some("psg") => profiles::psg(nodes),
         Some("mini") | None => profiles::minicluster(nodes, 2, 8),
         Some("cori") => profiles::cori(nodes),
-        Some(other) => panic!("unknown machine {other}"),
+        Some(other) => usage_error(format!("unknown machine `{other}`")),
     };
-    let gpu = flag(&args, "gpu") || machine.shape.gpus_per_socket > 0;
-    let msg: u64 = arg(&args, "msg")
-        .map(|s| s.parse().expect("msg"))
-        .unwrap_or(4 << 20);
-    let noise: f64 = arg(&args, "noise")
-        .map(|s| s.parse().expect("noise"))
-        .unwrap_or(0.0);
-    let seed: u64 = arg(&args, "seed")
-        .map(|s| s.parse().expect("seed"))
-        .unwrap_or(1);
+    if flag(&args, "gpu") && machine.shape.gpus_per_socket == 0 {
+        usage_error("--gpu needs a machine with GPUs (--machine psg)");
+    }
+    let gpu = machine.shape.gpus_per_socket > 0;
+    let msg: u64 = parsed(&args, "msg").unwrap_or(4 << 20);
+    let noise: f64 = parsed(&args, "noise").unwrap_or(0.0);
+    if !(0.0..50.0).contains(&noise) {
+        usage_error(format!("--noise {noise}: must be at least 0 and below 50"));
+    }
+    let seed: u64 = parsed(&args, "seed").unwrap_or(1);
     let op = arg(&args, "op").unwrap_or_else(|| "bcast".into());
     let lib = arg(&args, "lib").unwrap_or_else(|| "adapt".into());
-    let threads: Option<usize> = arg(&args, "threads").map(|s| {
-        let t: usize = s.parse().expect("threads");
-        assert!(t >= 1, "--threads must be at least 1");
-        t
-    });
-    // Route every CPU world through the sharded core when asked. The
-    // results are byte-identical either way; the sharded run additionally
-    // reports the par_epochs / cross_shard_events counters.
-    let shard = move |world: World| -> World {
-        match threads {
-            Some(t) => world.with_threads(t),
-            None => world,
-        }
-    };
     let faults = FaultArgs::parse(&args, seed);
     let whatif = WhatIfArgs::parse(&args);
     let monitor = MonitorArgs::parse(&args);
 
     if gpu {
-        assert!(
-            !faults.active(),
-            "--faults/--watchdog-horizon run on the CPU path; drop --gpu"
-        );
-        assert!(
-            !whatif.wanted(),
-            "--whatif/--diff-against/--obs-out run on the CPU path"
-        );
-        assert!(
-            !monitor.active(),
-            "--monitor/--health-out snapshot the CPU event loop; drop --gpu"
-        );
-        assert!(
-            threads.is_none(),
-            "--threads shards the CPU event core; drop --gpu"
-        );
+        if faults.active() {
+            usage_error("--faults/--watchdog-horizon run on the CPU path; drop --gpu");
+        }
+        if whatif.wanted() {
+            usage_error("--whatif/--diff-against/--obs-out run on the CPU path");
+        }
+        if monitor.active() {
+            usage_error("--monitor/--health-out snapshot the CPU event loop; drop --gpu");
+        }
         let library = match lib.as_str() {
             "adapt" => GpuLibrary::OmpiAdapt,
             "default" => GpuLibrary::OmpiDefault,
             "mvapich" => GpuLibrary::Mvapich,
-            other => panic!("unknown GPU library {other}"),
+            other => usage_error(format!("unknown GPU library `{other}`")),
         };
         let opk = match op.as_str() {
             "bcast" => OpKind::Bcast,
             "reduce" => OpKind::Reduce,
-            other => panic!("GPU runner supports bcast/reduce, not {other}"),
+            other => usage_error(format!(
+                "the GPU runner supports bcast/reduce, not `{other}`"
+            )),
         };
         let case = GpuCase {
             nranks: machine.gpu_job_size(),
@@ -562,6 +608,18 @@ fn main() {
         println!("  audit: clean (invariants asserted by the runner)");
         return;
     }
+
+    // Checked for every op, although only bcast/reduce read it: a typo'd
+    // library must not silently run ADAPT.
+    let library = match lib.as_str() {
+        "adapt" => Library::OmpiAdapt,
+        "default" => Library::OmpiDefault,
+        "default-topo" => Library::OmpiDefaultTopo,
+        "intel" => Library::IntelMpi,
+        "cray" => Library::CrayMpi,
+        "mvapich" => Library::Mvapich,
+        other => usage_error(format!("unknown library `{other}`")),
+    };
 
     if flag(&args, "describe") {
         print!("{}", adapt::topology::describe_machine(&machine));
@@ -624,12 +682,8 @@ fn main() {
                 ClusterNoise::silent(nranks)
             };
             let obs = ObsArgs::parse(&args);
-            assert!(
-                !(whatif.wanted() && obs.streaming()),
-                "--whatif/--diff-against/--obs-out need the full recorder; \
-                 drop --summary-out/--flight"
-            );
-            let mut world = monitor.attach(shard(World::cpu(machine, nranks, noise_model)));
+            whatif.check_recorder(&obs);
+            let mut world = monitor.attach(World::cpu(machine, nranks, noise_model));
             if obs.wanted() || whatif.wanted() {
                 world = world.with_recorder(obs.recorder());
             }
@@ -657,19 +711,10 @@ fn main() {
         _ => {}
     }
 
-    let library = match lib.as_str() {
-        "adapt" => Library::OmpiAdapt,
-        "default" => Library::OmpiDefault,
-        "default-topo" => Library::OmpiDefaultTopo,
-        "intel" => Library::IntelMpi,
-        "cray" => Library::CrayMpi,
-        "mvapich" => Library::Mvapich,
-        other => panic!("unknown library {other}"),
-    };
     let opk = match op.as_str() {
         "bcast" => OpKind::Bcast,
         "reduce" => OpKind::Reduce,
-        other => panic!("unknown op {other}"),
+        other => usage_error(format!("unknown op `{other}`")),
     };
     let case = CollectiveCase {
         machine,
@@ -683,11 +728,7 @@ fn main() {
         let noise_model =
             adapt::collectives::noise_for_case(&case, NoiseScope::PerNode, noise, seed);
         let world = monitor
-            .attach(shard(World::cpu(
-                case.machine.clone(),
-                case.nranks,
-                noise_model,
-            )))
+            .attach(World::cpu(case.machine.clone(), case.nranks, noise_model))
             .enable_trace();
         let res = faults.run(world, case.programs());
         std::fs::write(&path, adapt::mpi::trace_to_csv(&res.trace)).expect("write trace");
@@ -703,18 +744,14 @@ fn main() {
         return;
     }
     let obs = ObsArgs::parse(&args);
-    assert!(
-        !(whatif.wanted() && obs.streaming()),
-        "--whatif/--diff-against/--obs-out need the full recorder; \
-         drop --summary-out/--flight"
-    );
+    whatif.check_recorder(&obs);
     if obs.wanted() || whatif.wanted() {
         // Recorded run: same world and programs as run_once_scoped, with a
         // recorder attached. Results are identical either way — recording
         // never perturbs the simulation.
         let (world, programs) = world_for_case(&case, NoiseScope::PerNode, noise, seed);
         let res = faults.run(
-            monitor.attach(shard(world)).with_recorder(obs.recorder()),
+            monitor.attach(world).with_recorder(obs.recorder()),
             programs,
         );
         dump_flight_on_dirty_audit(&res);
@@ -750,7 +787,7 @@ fn main() {
     }
     if faults.active() {
         let (world, programs) = world_for_case(&case, NoiseScope::PerNode, noise, seed);
-        let res = faults.run(monitor.attach(shard(world)), programs);
+        let res = faults.run(monitor.attach(world), programs);
         assert!(res.audit.is_clean(), "{}", res.audit);
         println!(
             "{op} ({}) on {nranks} ranks, {msg} bytes, {noise}% noise: {:.1} us",
@@ -763,13 +800,12 @@ fn main() {
         monitor.emit(&res);
         return;
     }
-    if threads.is_some() || monitor.active() {
-        // Same world and programs as run_once_scoped, routed through the
-        // sharded core and/or the health monitor — the printed times must
-        // match the plain run byte for byte; only the epoch counters and
-        // the health block are new.
+    if monitor.active() {
+        // Same world and programs as run_once_scoped, with the health
+        // monitor attached — the printed times must match the plain run
+        // byte for byte; only the health block is new.
         let (world, programs) = world_for_case(&case, NoiseScope::PerNode, noise, seed);
-        let res = monitor.attach(shard(world)).run(programs);
+        let res = monitor.attach(world).run(programs);
         assert!(res.audit.is_clean(), "{}", res.audit);
         println!(
             "{op} ({}) on {nranks} ranks, {msg} bytes, {noise}% noise: {:.1} us",

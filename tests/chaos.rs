@@ -119,21 +119,49 @@ fn lossy_reduce_is_numerically_exact() {
 
 #[test]
 fn same_seed_reproduces_the_same_faulted_run() {
+    // Loss alone, loss plus a rank stall (fault commands and tracked
+    // retransmit timers), and loss plus an early interior kill (detector,
+    // revoke snapshot, recovery resends): each must reproduce every
+    // counter, completion time, busy time, and the audit bit-for-bit.
     let data = payload(200_000);
-    let run = || {
-        let (world, programs) = bcast_world(&data);
-        let plan = FaultPlan::lossy(42, 0.02).with_rto(Duration::from_micros(80));
-        world.with_faults(plan).run(programs)
-    };
-    let a = run();
-    let b = run();
-    assert!(a.stats.drops_injected > 0);
-    assert_eq!(a.stats, b.stats, "same seed must reproduce every counter");
-    assert_eq!(
-        a.per_rank_finish, b.per_rank_finish,
-        "same seed must reproduce per-rank completion times exactly"
-    );
-    assert_eq!(a.makespan, b.makespan);
+    let tree = chaos_tree();
+    let victim = (1u32..16).find(|&r| !tree.children(r).is_empty()).unwrap();
+    let plans = [
+        FaultPlan::lossy(42, 0.02).with_rto(Duration::from_micros(80)),
+        FaultPlan::lossy(7, 0.02)
+            .with_stall(3, t_us(20), t_us(120))
+            .with_rto(Duration::from_micros(60)),
+        FaultPlan::lossy(3, 0.01)
+            .with_kill(victim, t_us(5))
+            .with_rto(Duration::from_micros(5)),
+    ];
+    for plan in plans {
+        let label = plan.render();
+        let run = || {
+            let (world, programs) = bcast_world(&data);
+            world.with_faults(plan.clone()).run(programs)
+        };
+        let a = run();
+        let b = run();
+        assert!(a.stats.drops_injected > 0, "{label}");
+        assert_eq!(
+            a.stats, b.stats,
+            "{label}: same seed must reproduce every counter"
+        );
+        assert_eq!(
+            a.per_rank_finish, b.per_rank_finish,
+            "{label}: same seed must reproduce per-rank completion times exactly"
+        );
+        assert_eq!(a.per_rank_busy, b.per_rank_busy, "{label}");
+        assert_eq!(a.makespan, b.makespan, "{label}");
+        assert_eq!(a.audit.to_string(), b.audit.to_string(), "{label}");
+        if plan.kills.is_empty() {
+            assert_bytes(a, &data);
+        } else {
+            assert_eq!(a.stats.ranks_killed, 1, "{label}");
+            assert_bytes_survivors(a, &data, &[victim]);
+        }
+    }
 }
 
 #[test]
@@ -514,40 +542,6 @@ fn killed_node_is_survivable_when_the_root_lives() {
     assert_eq!(res.stats.ranks_killed, 8);
     assert_eq!(res.stats.failures_detected, 8);
     assert_bytes_survivors(res, &data, &dead);
-}
-
-#[test]
-fn kill_recovery_is_byte_identical_across_thread_counts() {
-    // The failure detector, revoke snapshot, and recovery resends all ride
-    // the deterministic event queue: a kill schedule must produce the same
-    // per-rank finish times and counters at any shard parallelism.
-    let data = payload(200_000);
-    let tree = chaos_tree();
-    let victim = (1u32..16).find(|&r| !tree.children(r).is_empty()).unwrap();
-    let run = |threads: usize| {
-        let (world, programs) = bcast_world(&data);
-        let plan = FaultPlan::lossy(3, 0.01)
-            .with_kill(victim, t_us(5))
-            .with_rto(Duration::from_micros(5));
-        world
-            .with_threads(threads)
-            .with_faults(plan)
-            .try_run(programs)
-            .unwrap_or_else(|e| panic!("{threads} threads: {e}"))
-    };
-    let base = run(1);
-    for threads in [2, 4, 8] {
-        let res = run(threads);
-        assert_eq!(
-            base.per_rank_finish, res.per_rank_finish,
-            "{threads} threads must reproduce single-thread finish times"
-        );
-        assert_eq!(base.makespan, res.makespan);
-        assert_eq!(base.stats.retransmits, res.stats.retransmits);
-        assert_eq!(base.stats.ranks_killed, res.stats.ranks_killed);
-        assert_eq!(base.stats.failures_detected, res.stats.failures_detected);
-    }
-    assert_bytes_survivors(base, &data, &[victim]);
 }
 
 #[test]

@@ -238,17 +238,25 @@ fn async_progress_overlaps_collective_with_compute() {
 
 #[test]
 fn full_stack_determinism() {
-    let run = || {
+    // A 10%-noise reduce on the minicluster, plus a 30%-noise 64-rank
+    // reduce on Cori that stresses preemption and deferral far past the
+    // golden fixtures: the same seed must reproduce the makespan and
+    // every counter.
+    let cases = [
+        (profiles::minicluster(3, 2, 4), 24, 2 << 20, 10.0, 77),
+        (profiles::cori(2), 64, 1 << 19, 30.0, 1234),
+    ];
+    for (machine, nranks, msg_bytes, noise_percent, seed) in cases {
         let case = CollectiveCase {
-            machine: profiles::minicluster(3, 2, 4),
-            nranks: 24,
+            machine,
+            nranks,
             op: OpKind::Reduce,
             library: Library::OmpiAdapt,
-            msg_bytes: 2 << 20,
+            msg_bytes,
         };
-        run_once_scoped(&case, NoiseScope::AllRanks, 10.0, 77).0
-    };
-    assert_eq!(run(), run());
+        let run = || run_once_scoped(&case, NoiseScope::AllRanks, noise_percent, seed);
+        assert_eq!(run(), run(), "{nranks} ranks, {noise_percent}% noise");
+    }
 }
 
 #[test]
