@@ -4,9 +4,9 @@
 
 use adapt_apps::{run_asp, AspConfig};
 use adapt_collectives::{
-    run_once, run_once_scoped, CollectiveCase, IntelAlg, Library, NoiseScope, OpKind,
+    execute, CollectiveCase, IntelAlg, Library, Noise, NoiseScope, OpKind, RunSpec,
 };
-use adapt_gpu::{run_gpu_once, GpuCase, GpuLibrary};
+use adapt_gpu::{GpuCase, GpuLibrary};
 use adapt_sim::time::Duration as SimDuration;
 use adapt_topology::profiles;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -36,7 +36,14 @@ fn fig7_noise_impact(c: &mut Criterion) {
                     let mut seed = 0u64;
                     b.iter(|| {
                         seed += 1;
-                        run_once_scoped(&case, NoiseScope::PerNode, noise, seed)
+                        execute(&RunSpec {
+                            noise: Noise {
+                                percent: noise,
+                                scope: NoiseScope::PerNode,
+                                seed,
+                            },
+                            ..case.spec()
+                        })
                     });
                 },
             );
@@ -58,7 +65,7 @@ fn fig8_topology_aware(c: &mut Criterion) {
     ] {
         g.bench_with_input(BenchmarkId::from_parameter(lib.label()), &lib, |b, &lib| {
             let case = cpu_case(lib, OpKind::Bcast, 4 << 20);
-            b.iter(|| run_once(&case, 0.0, 1));
+            b.iter(|| execute(&case.spec()));
         });
     }
     g.finish();
@@ -75,7 +82,7 @@ fn fig9_message_sizes(c: &mut Criterion) {
                 &(lib, msg_kb),
                 |b, &(lib, kb)| {
                     let case = cpu_case(lib, OpKind::Bcast, kb << 10);
-                    b.iter(|| run_once(&case, 0.0, 1));
+                    b.iter(|| execute(&case.spec()));
                 },
             );
         }
@@ -97,7 +104,7 @@ fn fig10_strong_scaling(c: &mut Criterion) {
                 library: Library::OmpiAdapt,
                 msg_bytes: 4 << 20,
             };
-            b.iter(|| run_once(&case, 0.0, 1));
+            b.iter(|| execute(&case.spec()));
         });
     }
     g.finish();
@@ -121,7 +128,7 @@ fn fig11_gpu(c: &mut Criterion) {
                         library: lib,
                         msg_bytes: 8 << 20,
                     };
-                    b.iter(|| run_gpu_once(&case));
+                    b.iter(|| execute(&case.spec()));
                 },
             );
         }

@@ -8,7 +8,7 @@
 //! ```
 
 use adapt_bench::{parse_args, pool_grid, print_table, Scale};
-use adapt_collectives::{run_once, CollectiveCase, Library, OpKind};
+use adapt_collectives::{execute, CollectiveCase, Library, OpKind};
 use adapt_topology::profiles;
 
 fn main() {
@@ -39,7 +39,11 @@ fn main() {
                 library,
                 msg_bytes: 4 << 20,
             };
-            run_once(&case, 0.0, 1).0 / 1000.0
+            execute(&case.spec())
+                .expect("plain runs complete audit-clean")
+                .makespan
+                .as_micros_f64()
+                / 1000.0
         });
 
         let header: Vec<String> = node_counts.iter().map(|n| format!("{}p", n * 32)).collect();

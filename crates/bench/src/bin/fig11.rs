@@ -9,8 +9,8 @@
 //! ```
 
 use adapt_bench::{parse_args, pool_grid, print_table};
-use adapt_collectives::OpKind;
-use adapt_gpu::{run_gpu_once, GpuCase, GpuLibrary};
+use adapt_collectives::{execute, OpKind};
+use adapt_gpu::{GpuCase, GpuLibrary};
 use adapt_topology::profiles;
 
 const LIBS: [GpuLibrary; 3] = [
@@ -31,7 +31,11 @@ fn sweep() {
                 library,
                 msg_bytes,
             };
-            run_gpu_once(&case).0 / 1000.0
+            execute(&case.spec())
+                .expect("plain runs complete audit-clean")
+                .makespan
+                .as_micros_f64()
+                / 1000.0
         });
         let header: Vec<String> = sizes.iter().map(|s| format!("{}MB", s >> 20)).collect();
         let rows: Vec<(String, Vec<String>)> = LIBS
@@ -76,7 +80,11 @@ fn scaling() {
                 library,
                 msg_bytes: 32 << 20,
             };
-            run_gpu_once(&case).0 / 1000.0
+            execute(&case.spec())
+                .expect("plain runs complete audit-clean")
+                .makespan
+                .as_micros_f64()
+                / 1000.0
         });
         let header: Vec<String> = node_counts
             .iter()

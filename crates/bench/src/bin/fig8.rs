@@ -7,7 +7,7 @@
 //! ```
 
 use adapt_bench::{parse_args, pool_grid, print_table, size_label, CpuMachine, Scale, FIG89_SIZES};
-use adapt_collectives::{run_once, CollectiveCase, IntelAlg, Library, OpKind};
+use adapt_collectives::{execute, CollectiveCase, IntelAlg, Library, OpKind};
 
 fn main() {
     let args = parse_args();
@@ -47,7 +47,11 @@ fn main() {
                 library,
                 msg_bytes,
             };
-            run_once(&case, 0.0, 1).0 / 1000.0
+            execute(&case.spec())
+                .expect("plain runs complete audit-clean")
+                .makespan
+                .as_micros_f64()
+                / 1000.0
         });
 
         let header: Vec<String> = FIG89_SIZES.iter().map(|&s| size_label(s)).collect();

@@ -5,7 +5,7 @@
 //! ```
 
 use adapt_bench::{parse_args, pool_grid, print_table, size_label, CpuMachine, Scale, FIG89_SIZES};
-use adapt_collectives::{run_once, CollectiveCase, Library, OpKind};
+use adapt_collectives::{execute, CollectiveCase, Library, OpKind};
 
 fn main() {
     let args = parse_args();
@@ -40,7 +40,11 @@ fn main() {
                 library,
                 msg_bytes,
             };
-            run_once(&case, 0.0, 1).0 / 1000.0 // ms
+            execute(&case.spec())
+                .expect("plain runs complete audit-clean")
+                .makespan
+                .as_micros_f64()
+                / 1000.0 // ms
         });
 
         let header: Vec<String> = FIG89_SIZES.iter().map(|&s| size_label(s)).collect();

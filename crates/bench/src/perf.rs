@@ -25,16 +25,15 @@
 //! (`results/barometer.jsonl`, see [`crate::barometer`]).
 
 use crate::FIG89_SIZES;
-use adapt_collectives::{run_once, world_for_case, CollectiveCase, Library, NoiseScope, OpKind};
+use adapt_collectives::{execute, CollectiveCase, Library, OpKind, Recording, RunSpec};
 use adapt_faults::FaultPlan;
-use adapt_mpi::{Completion, Op, Payload, ProgramCtx, RankProgram, Token, World, WorldStats};
+use adapt_mpi::{Completion, Op, Payload, ProgramCtx, RankProgram, RunResult, Token, WorldStats};
 use adapt_net::{FlowId, FlowScheduler, FlowSpec, Link, LinkClass, LinkId, NetStep, Network, Path};
-use adapt_noise::ClusterNoise;
-use adapt_obs::{MemRecorder, Monitor, StreamRecorder};
 use adapt_sim::queue::{EventKey, EventQueue};
 use adapt_sim::time::{Duration as SimDuration, Time};
 use adapt_sim::WorkerPool;
 use adapt_topology::profiles;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// One measured scenario.
@@ -204,19 +203,26 @@ impl RankProgram for LatePoster {
     }
 }
 
-fn matching_world(count: u32, bytes: u64, receiver: Box<dyn RankProgram>) -> WorldStats {
-    let spec = profiles::minicluster(1, 1, 2);
-    let world = World::cpu(spec, 2, ClusterNoise::silent(2));
-    let sender = Box::new(FloodSender {
-        count,
-        window: 32,
-        bytes,
-        next: 0,
-        inflight: 0,
+/// Rank 0 floods `count` messages of `bytes` at rank 1, which runs the
+/// program `receiver` builds.
+fn matching_world(
+    count: u32,
+    bytes: u64,
+    receiver: impl Fn() -> Box<dyn RankProgram> + Send + Sync + 'static,
+) -> WorldStats {
+    let programs = Arc::new(move || {
+        let sender = Box::new(FloodSender {
+            count,
+            window: 32,
+            bytes,
+            next: 0,
+            inflight: 0,
+        });
+        vec![sender, receiver()]
     });
-    let res = world.run(vec![sender, receiver]);
-    assert!(res.audit.is_clean(), "{}", res.audit);
-    res.stats
+    execute(&RunSpec::new(profiles::minicluster(1, 1, 2), 2, programs))
+        .expect("a matching scenario completes audit-clean")
+        .stats
 }
 
 /// Parameters of the two matching scenarios, normally loaded from the
@@ -238,7 +244,9 @@ pub struct MatchingParams {
 pub fn bench_matching_posted(p: &MatchingParams) -> PerfResult {
     let count = p.count;
     let (t, stats) = time_median(p.warmup, p.iters, || {
-        matching_world(count, p.bytes, Box::new(PrePoster { count, done: 0 }))
+        matching_world(count, p.bytes, move || {
+            Box::new(PrePoster { count, done: 0 })
+        })
     });
     result("matching_posted", t, stats)
 }
@@ -248,15 +256,13 @@ pub fn bench_matching_posted(p: &MatchingParams) -> PerfResult {
 pub fn bench_matching_unexpected(p: &MatchingParams) -> PerfResult {
     let count = p.count;
     let (t, stats) = time_median(p.warmup, p.iters, || {
-        matching_world(
-            count,
-            p.bytes,
+        matching_world(count, p.bytes, move || {
             Box::new(LatePoster {
                 count,
                 delay: SimDuration::from_millis(500),
                 done: 0,
-            }),
-        )
+            })
+        })
     });
     result("matching_unexpected", t, stats)
 }
@@ -384,7 +390,7 @@ pub enum Fig8Mode {
     Plain,
     /// Full observability recording (spans + 10 µs gauge sampling).
     Traced,
-    /// Bounded-memory streaming telemetry ([`StreamRecorder`]): online
+    /// Bounded-memory streaming telemetry ([`adapt_obs::StreamRecorder`]): online
     /// aggregation only, no span buffers, no gauge sampling.
     Streaming,
     /// Inert fault plan attached — the reliability layer's zero-overhead
@@ -424,58 +430,67 @@ pub struct Fig8Params {
     pub threads: usize,
 }
 
-/// One size of the fig8 sweep under `mode`'s attachment.
-fn run_fig8_size(case: &CollectiveCase, mode: Fig8Mode) -> WorldStats {
+/// The spec of one fig8 size with `mode`'s attachment.
+fn fig8_spec(case: &CollectiveCase, mode: Fig8Mode) -> RunSpec {
+    let plain = case.spec();
     match mode {
-        Fig8Mode::Plain => run_once(case, 0.0, 1).1,
-        Fig8Mode::Traced => {
-            let (world, programs) = world_for_case(case, NoiseScope::PerNode, 0.0, 1);
-            let res = world
-                .with_recorder(Box::new(MemRecorder::with_metrics(10_000)))
-                .run(programs);
-            assert!(res.audit.is_clean(), "{}", res.audit);
-            let obs = res.obs.expect("recorded run carries observability data");
-            assert!(!obs.dispatches.is_empty() && !obs.gauges.is_empty());
-            res.stats
-        }
-        Fig8Mode::Streaming => {
-            let (world, programs) = world_for_case(case, NoiseScope::PerNode, 0.0, 1);
-            let res = world
-                .with_recorder(Box::new(StreamRecorder::new()))
-                .run(programs);
-            assert!(res.audit.is_clean(), "{}", res.audit);
-            let summary = res.summary.expect("streaming run carries a summary");
-            assert!(summary.msgs_posted > 0 && summary.dispatches > 0);
-            res.stats
-        }
-        Fig8Mode::InertFaults => {
-            let (world, programs) = world_for_case(case, NoiseScope::PerNode, 0.0, 1);
-            let res = world.with_faults(FaultPlan::lossy(1, 0.0)).run(programs);
-            assert!(res.audit.is_clean(), "{}", res.audit);
-            res.stats
-        }
-        Fig8Mode::InertKill => {
-            let (world, programs) = world_for_case(case, NoiseScope::PerNode, 0.0, 1);
-            let plan = FaultPlan::lossy(1, 0.0).with_kill(
+        Fig8Mode::Plain => plain,
+        Fig8Mode::Traced => RunSpec {
+            recorder: Recording::Full {
+                metrics_interval_ns: Some(10_000),
+            },
+            ..plain
+        },
+        Fig8Mode::Streaming => RunSpec {
+            recorder: Recording::Streaming { flight: None },
+            ..plain
+        },
+        Fig8Mode::InertFaults => RunSpec {
+            faults: Some(FaultPlan::lossy(1, 0.0)),
+            ..plain
+        },
+        // Kill the last rank long after the run completes.
+        Fig8Mode::InertKill => RunSpec {
+            faults: Some(FaultPlan::lossy(1, 0.0).with_kill(
                 case.nranks - 1,
                 Time::ZERO + SimDuration::from_millis(10_000),
-            );
-            let res = world.with_faults(plan).run(programs);
-            assert!(res.audit.is_clean(), "{}", res.audit);
-            res.stats
+            )),
+            ..plain
+        },
+        Fig8Mode::Lossy(p_loss) => RunSpec {
+            faults: Some(FaultPlan::lossy(1, p_loss).with_rto(SimDuration::from_micros(80))),
+            ..plain
+        },
+        Fig8Mode::Monitored => RunSpec {
+            monitor_ns: Some(10_000),
+            ..plain
+        },
+    }
+}
+
+/// Run one spec of the sweep; a failed run is a broken scenario.
+fn run_fig8(case: &CollectiveCase, mode: Fig8Mode) -> RunResult {
+    execute(&fig8_spec(case, mode))
+        .unwrap_or_else(|e| panic!("fig8 {mode:?} {}B: {e}", case.msg_bytes))
+}
+
+/// One size of the fig8 sweep under `mode`'s attachment, with the
+/// attachment's own sanity checks.
+fn run_fig8_size(case: &CollectiveCase, mode: Fig8Mode) -> WorldStats {
+    let res = run_fig8(case, mode);
+    match mode {
+        Fig8Mode::Traced => {
+            let obs = res.obs.expect("recorded run carries observability data");
+            assert!(!obs.dispatches.is_empty() && !obs.gauges.is_empty());
         }
-        Fig8Mode::Lossy(p_loss) => {
-            let (world, programs) = world_for_case(case, NoiseScope::PerNode, 0.0, 1);
-            let plan = FaultPlan::lossy(1, p_loss).with_rto(SimDuration::from_micros(80));
-            let res = world.with_faults(plan).run(programs);
-            assert!(res.audit.is_clean(), "{}", res.audit);
+        Fig8Mode::Streaming => {
+            let summary = res.summary.expect("streaming run carries a summary");
+            assert!(summary.msgs_posted > 0 && summary.dispatches > 0);
+        }
+        Fig8Mode::Lossy(_) => {
             assert!(res.stats.retransmits > 0, "loss must exercise recovery");
-            res.stats
         }
         Fig8Mode::Monitored => {
-            let (world, programs) = world_for_case(case, NoiseScope::PerNode, 0.0, 1);
-            let res = world.with_monitor(Monitor::new(10_000)).run(programs);
-            assert!(res.audit.is_clean(), "{}", res.audit);
             let health = res.health.expect("monitored run carries a health report");
             assert!(health.snapshots > 0, "the snapshot timer must have fired");
             assert_eq!(
@@ -483,9 +498,10 @@ fn run_fig8_size(case: &CollectiveCase, mode: Fig8Mode) -> WorldStats {
                 0,
                 "a clean sweep must not page anyone: {health:?}"
             );
-            res.stats
         }
+        Fig8Mode::Plain | Fig8Mode::InertFaults | Fig8Mode::InertKill => {}
     }
+    res.stats
 }
 
 /// The fig8 sweep with explicit parameters: one collective run per
@@ -513,15 +529,11 @@ pub fn bench_fig8(name: &str, p: &Fig8Params) -> PerfResult {
         // bit-identical to the plain run before timing starts.
         for &msg_bytes in sizes {
             let case = mk_case(msg_bytes);
-            let (world, programs) = world_for_case(&case, NoiseScope::PerNode, 0.0, 1);
-            let plan = FaultPlan::lossy(1, 0.0).with_kill(
-                case.nranks - 1,
-                Time::ZERO + SimDuration::from_millis(10_000),
-            );
+            let spec = fig8_spec(&case, Fig8Mode::InertKill);
+            let plan = spec.faults.as_ref().expect("a kill plan");
             assert!(!plan.is_inert(), "a kill plan is not inert to the audit");
-            let res = world.with_faults(plan).run(programs);
-            let (plain_world, plain_programs) = world_for_case(&case, NoiseScope::PerNode, 0.0, 1);
-            let plain = plain_world.run(plain_programs);
+            let res = run_fig8(&case, Fig8Mode::InertKill);
+            let plain = run_fig8(&case, Fig8Mode::Plain);
             assert_eq!(res.per_rank_finish, plain.per_rank_finish);
             let mut masked = res.stats;
             assert_eq!(masked.ranks_killed, 1);
@@ -543,12 +555,10 @@ pub fn bench_fig8(name: &str, p: &Fig8Params) -> PerfResult {
         // run and compares directly against `fig8_quick_bcast_256`.
         for &msg_bytes in sizes {
             let case = mk_case(msg_bytes);
-            let (world, programs) = world_for_case(&case, NoiseScope::PerNode, 0.0, 1);
-            let plan = FaultPlan::lossy(1, 0.0);
-            assert!(plan.is_inert());
-            let res = world.with_faults(plan).run(programs);
-            let (plain_world, plain_programs) = world_for_case(&case, NoiseScope::PerNode, 0.0, 1);
-            let plain = plain_world.run(plain_programs);
+            let spec = fig8_spec(&case, Fig8Mode::InertFaults);
+            assert!(spec.faults.as_ref().is_some_and(FaultPlan::is_inert));
+            let res = run_fig8(&case, Fig8Mode::InertFaults);
+            let plain = run_fig8(&case, Fig8Mode::Plain);
             assert_eq!(
                 res.stats, plain.stats,
                 "an inert fault plan must leave every counter bit-identical"
@@ -628,8 +638,9 @@ mod tests {
         // identical timing and identical WorldStats counters whether the
         // NullRecorder is implicit, explicit, or replaced by a live
         // MemRecorder.
+        use adapt_mpi::World;
         use adapt_noise::ClusterNoise;
-        use adapt_obs::NullRecorder;
+        use adapt_obs::{MemRecorder, NullRecorder};
         let run = |rec: Option<Box<dyn adapt_obs::Recorder>>| {
             let spec = profiles::minicluster(2, 2, 4);
             let mut world = World::cpu(spec, 16, ClusterNoise::silent(16));
@@ -681,17 +692,15 @@ mod tests {
 
     #[test]
     fn matching_worlds_run_clean_at_tiny_scale() {
-        let stats = matching_world(64, 1024, Box::new(PrePoster { count: 64, done: 0 }));
+        let stats = matching_world(64, 1024, || Box::new(PrePoster { count: 64, done: 0 }));
         assert_eq!(stats.messages, 64);
-        let stats = matching_world(
-            64,
-            1024,
+        let stats = matching_world(64, 1024, || {
             Box::new(LatePoster {
                 count: 64,
                 delay: SimDuration::from_millis(50),
                 done: 0,
-            }),
-        );
+            })
+        });
         assert_eq!(stats.unexpected_matches, 64);
         assert!(stats.match_probes > 0);
     }

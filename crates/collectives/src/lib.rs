@@ -14,8 +14,9 @@
 //! - [`tuned`] — the decision function that picks algorithms by message
 //!   size and communicator size, as the `tuned` module does;
 //! - [`runner`] — the [`runner::Library`] presets mapping each of
-//!   the paper's comparators to concrete implementations, plus the
-//!   measurement harness used by every figure.
+//!   the paper's comparators to concrete implementations, the one run
+//!   path ([`execute`] over a [`RunSpec`]), and the trial harness used by
+//!   every figure.
 
 pub mod blocking;
 pub mod exchange;
@@ -56,8 +57,7 @@ pub use exchange::{
 };
 pub use hier::{HierBcastSpec, HierLevels, HierProgram, HierReduceSpec, PhasedProgram};
 pub use runner::{
-    noise_for_case, record_once, run_intervened, run_once, run_once_faulted, run_once_scoped,
-    run_trial, try_run_once_faulted, world_for_case, CollectiveCase, IntelAlg, Library, NoiseScope,
-    OpKind, Trial, TrialResult,
+    execute, run_trial, CollectiveCase, Device, IntelAlg, Library, Noise, NoiseScope, OpKind,
+    ProgramBuilder, Recording, RunSpec, Trial, TrialResult,
 };
 pub use waitall::{WaitallBcastSpec, WaitallReduceSpec};

@@ -25,10 +25,12 @@ use adapt_core::{
     topology_aware_tree, AdaptConfig, BcastSpec, ReduceData, ReduceExec, ReduceSpec,
     TopoTreeConfig, Tree, TreeKind,
 };
-use adapt_mpi::{FaultPlan, RankProgram, RunResult, World, WorldStats};
+use adapt_mpi::{FaultPlan, RankProgram, RunError, RunResult, World, WorldStats};
 use adapt_noise::{ClusterNoise, NoiseSpec};
+use adapt_obs::{Intervention, MemRecorder, Monitor, StreamRecorder};
 use adapt_sim::audit::AuditReport;
 use adapt_sim::rng::{MasterSeed, StreamTag};
+use adapt_sim::time::Duration;
 use adapt_sim::Summary;
 use adapt_topology::{MachineSpec, Placement};
 use std::sync::Arc;
@@ -221,6 +223,17 @@ impl CollectiveCase {
                 .collect(),
             _ => self.programs().into_iter().map(|p| vec![p]).collect(),
         }
+    }
+
+    /// A plain CPU run of this case, with per-node noise when a caller
+    /// sets a nonzero [`Noise::percent`].
+    pub fn spec(&self) -> RunSpec {
+        let case = self.clone();
+        RunSpec::new(
+            self.machine.clone(),
+            self.nranks,
+            Arc::new(move || case.programs()),
+        )
     }
 
     /// Build the per-rank programs for this case (synthetic payloads).
@@ -442,6 +455,224 @@ pub enum NoiseScope {
     SparseNodes(u32),
 }
 
+/// Noise injection for one run: average duty cycle in percent (0 =
+/// silent), where it lands, and the master seed of the noise streams.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Noise {
+    /// Average noise duty cycle in percent (5 and 10 in the paper's
+    /// Figure 7).
+    pub percent: f64,
+    /// Where the noise lands.
+    pub scope: NoiseScope,
+    /// Master seed of the noise streams.
+    pub seed: u64,
+}
+
+impl Noise {
+    /// No noise at all.
+    pub const SILENT: Noise = Noise {
+        percent: 0.0,
+        scope: NoiseScope::PerNode,
+        seed: 1,
+    };
+
+    /// Build the per-rank noise model for a job of `nranks` ranks placed
+    /// `ranks_per_node` to a node.
+    fn model(&self, nranks: u32, ranks_per_node: u32) -> ClusterNoise {
+        if self.percent <= 0.0 {
+            return ClusterNoise::silent(nranks);
+        }
+        let spec = NoiseSpec::uniform_percent(self.percent);
+        let seed = MasterSeed(self.seed);
+        let per_node = ranks_per_node.max(1);
+        match self.scope {
+            NoiseScope::AllRanks => ClusterNoise::uniform(nranks, spec, seed),
+            NoiseScope::PerNode => {
+                let noisy: Vec<u32> = (0..nranks).step_by(per_node as usize).collect();
+                ClusterNoise::on_ranks(nranks, &noisy, spec, seed)
+            }
+            NoiseScope::SingleRank(r) => ClusterNoise::single_rank(nranks, r, spec, seed),
+            NoiseScope::SparseNodes(k) => {
+                let stride = (per_node * k.max(1)) as usize;
+                let noisy: Vec<u32> = (0..nranks)
+                    .step_by(stride)
+                    .map(|r| r + per_node / 2) // mid-node rank, away from leaders
+                    .filter(|&r| r < nranks)
+                    .collect();
+                ClusterNoise::on_ranks(nranks, &noisy, spec, seed)
+            }
+        }
+    }
+}
+
+/// Which processing elements the ranks are bound to.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Device {
+    /// One rank per CPU core ([`World::cpu`]).
+    Cpu,
+    /// One rank per GPU ([`World::gpu`]).
+    Gpu,
+}
+
+/// What the run records.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Recording {
+    /// No recorder: every probe is one predictable branch.
+    Off,
+    /// Full recording ([`MemRecorder`]) into [`RunResult::obs`], with
+    /// gauges sampled every `metrics_interval_ns` when set.
+    Full {
+        /// Gauge sampling interval (ns); `None` samples nothing.
+        metrics_interval_ns: Option<u64>,
+    },
+    /// Bounded-memory aggregation ([`StreamRecorder`]) into
+    /// [`RunResult::summary`], with a flight ring of the last `flight`
+    /// spans when set.
+    Streaming {
+        /// Flight-ring capacity in spans; `None` keeps no ring.
+        flight: Option<usize>,
+    },
+}
+
+/// Builds a fresh set of per-rank programs, one per rank. Shared, so a
+/// spec can run more than once (repetitions, what-if re-runs).
+pub type ProgramBuilder = Arc<dyn Fn() -> Vec<Box<dyn RankProgram>> + Send + Sync>;
+
+/// Everything one run is made of: the job, its programs, and what is
+/// attached to the world. Plain data; [`execute`] is the one way to run
+/// it, on the CPU or on the GPU, faulted or not, recorded or not.
+#[derive(Clone)]
+pub struct RunSpec {
+    /// Machine profile.
+    pub machine: MachineSpec,
+    /// Job size in ranks.
+    pub nranks: u32,
+    /// CPU or GPU placement.
+    pub device: Device,
+    /// The rank programs.
+    pub programs: ProgramBuilder,
+    /// OS noise.
+    pub noise: Noise,
+    /// Fault plan (lossy links, windows, stalls, kills).
+    pub faults: Option<FaultPlan>,
+    /// Progress-watchdog horizon.
+    pub watchdog: Option<Duration>,
+    /// Health-monitor snapshot interval (ns).
+    pub monitor_ns: Option<u64>,
+    /// Run the real-configuration equivalent of this what-if
+    /// intervention: the ground truth a prediction is checked against.
+    pub intervention: Option<Intervention>,
+    /// The recorder.
+    pub recorder: Recording,
+}
+
+impl RunSpec {
+    /// A plain run of `programs`: CPU placement, silent, nothing
+    /// attached.
+    pub fn new(machine: MachineSpec, nranks: u32, programs: ProgramBuilder) -> RunSpec {
+        RunSpec {
+            machine,
+            nranks,
+            device: Device::Cpu,
+            programs,
+            noise: Noise::SILENT,
+            faults: None,
+            watchdog: None,
+            monitor_ns: None,
+            intervention: None,
+            recorder: Recording::Off,
+        }
+    }
+
+    /// Ranks placed on one node.
+    fn ranks_per_node(&self) -> u32 {
+        let shape = self.machine.shape;
+        shape.sockets_per_node
+            * match self.device {
+                Device::Cpu => shape.cores_per_socket,
+                Device::Gpu => shape.gpus_per_socket,
+            }
+    }
+}
+
+/// Run a spec to completion. Fails with a typed [`RunError`] when the
+/// run cannot complete (deadlock, watchdog, exhausted retries, failed
+/// ranks, event cap), when it completes with a dirty invariant audit
+/// ([`RunError::AuditFailed`]), or when the spec's intervention has no
+/// real equivalent ([`RunError::NoRealEquivalent`]). An `Ok` result is
+/// always audit-clean.
+pub fn execute(spec: &RunSpec) -> Result<RunResult, Box<RunError>> {
+    let refuse = |why: String| Err(Box::new(RunError::NoRealEquivalent(why)));
+    let mut noise = spec.noise;
+    let mut faults = spec.faults.clone();
+    let mut silenced = None;
+    match &spec.intervention {
+        Some(Intervention::NoiseOff) => noise = Noise::SILENT,
+        Some(Intervention::RankNoiseOff(r)) => silenced = Some(*r),
+        Some(Intervention::StallsOff) => {
+            if let Some(plan) = &mut faults {
+                plan.stalls.clear();
+            }
+        }
+        Some(Intervention::ScaleLayer { .. }) => {
+            return refuse(
+                "scale-layer is a virtual-only intervention; no real configuration matches it"
+                    .into(),
+            )
+        }
+        Some(Intervention::Noop | Intervention::ScaleLink { .. }) | None => {}
+    }
+    let mut noise = noise.model(spec.nranks, spec.ranks_per_node());
+    if let Some(r) = silenced {
+        noise.silence_rank(r);
+    }
+    let mut world = match spec.device {
+        Device::Cpu => World::cpu(spec.machine.clone(), spec.nranks, noise),
+        Device::Gpu => World::gpu(spec.machine.clone(), spec.nranks, noise),
+    };
+    if let Some(Intervention::ScaleLink { pattern, factor }) = &spec.intervention {
+        let touched = world.prescale_links(*factor, 1.0 / *factor, |label| {
+            label.starts_with(pattern.as_str())
+        });
+        if touched == 0 {
+            return refuse(format!("no link label starts with {pattern:?}"));
+        }
+    }
+    if let Some(plan) = faults {
+        world = world.with_faults(plan);
+    }
+    if let Some(horizon) = spec.watchdog {
+        world = world.with_watchdog(horizon);
+    }
+    if let Some(ns) = spec.monitor_ns {
+        world = world.with_monitor(Monitor::new(ns));
+    }
+    world = match spec.recorder {
+        Recording::Off => world,
+        Recording::Full {
+            metrics_interval_ns: None,
+        } => world.with_recorder(MemRecorder::new()),
+        Recording::Full {
+            metrics_interval_ns: Some(ns),
+        } => world.with_recorder(MemRecorder::with_metrics(ns)),
+        Recording::Streaming { flight } => {
+            let rec = StreamRecorder::new();
+            world.with_recorder(match flight {
+                Some(n) => rec.with_flight(n),
+                None => rec,
+            })
+        }
+    };
+    let res = world.try_run((spec.programs)())?;
+    if !res.audit.is_clean() {
+        return Err(Box::new(RunError::AuditFailed {
+            audit: res.audit,
+            flight: res.flight,
+        }));
+    }
+    Ok(res)
+}
+
 /// Measurement configuration: a case plus noise and repetition settings.
 #[derive(Clone)]
 pub struct Trial {
@@ -476,267 +707,56 @@ pub struct TrialResult {
     pub samples: Vec<f64>,
     /// Counters from the last iteration.
     pub stats: WorldStats,
-    /// Invariant report from the last repetition (every repetition is
-    /// asserted clean as it runs).
+    /// Invariant report from the last repetition (every repetition runs
+    /// through [`execute`], so every report is clean).
     pub audit: AuditReport,
-}
-
-/// Build the noise model for a case.
-pub fn noise_for_case(
-    case: &CollectiveCase,
-    scope: NoiseScope,
-    noise_percent: f64,
-    seed: u64,
-) -> ClusterNoise {
-    if noise_percent <= 0.0 {
-        return ClusterNoise::silent(case.nranks);
-    }
-    let spec = NoiseSpec::uniform_percent(noise_percent);
-    match scope {
-        NoiseScope::AllRanks => ClusterNoise::uniform(case.nranks, spec, MasterSeed(seed)),
-        NoiseScope::PerNode => {
-            let per_node =
-                case.machine.shape.sockets_per_node * case.machine.shape.cores_per_socket;
-            let noisy: Vec<u32> = (0..case.nranks).step_by(per_node.max(1) as usize).collect();
-            ClusterNoise::on_ranks(case.nranks, &noisy, spec, MasterSeed(seed))
-        }
-        NoiseScope::SingleRank(r) => {
-            ClusterNoise::single_rank(case.nranks, r, spec, MasterSeed(seed))
-        }
-        NoiseScope::SparseNodes(k) => {
-            let per_node =
-                case.machine.shape.sockets_per_node * case.machine.shape.cores_per_socket;
-            let stride = (per_node * k.max(1)) as usize;
-            let noisy: Vec<u32> = (0..case.nranks)
-                .step_by(stride.max(1))
-                .map(|r| r + per_node / 2) // mid-node rank, away from leaders
-                .filter(|&r| r < case.nranks)
-                .collect();
-            ClusterNoise::on_ranks(case.nranks, &noisy, spec, MasterSeed(seed))
-        }
-    }
-}
-
-/// Run one iteration of a case (per-node noise scope) and return its
-/// completion time (µs).
-///
-/// This is the path the benchmark barometer's `fig8_quick_bcast_256`
-/// acceptance scenario times with recording compiled in but disabled —
-/// changes that slow it show up in `bench diff` against the committed
-/// ledger (`results/barometer.jsonl`).
-pub fn run_once(case: &CollectiveCase, noise_percent: f64, seed: u64) -> (f64, WorldStats) {
-    run_once_scoped(case, NoiseScope::PerNode, noise_percent, seed)
-}
-
-/// Build the [`World`] and per-rank programs for one iteration of a case.
-/// Callers that need to attach a recorder or otherwise configure the world
-/// before running (the CLI's observability paths) start from here;
-/// [`run_once_scoped`] is this plus `run` and the audit assertion.
-pub fn world_for_case(
-    case: &CollectiveCase,
-    scope: NoiseScope,
-    noise_percent: f64,
-    seed: u64,
-) -> (World, Vec<Box<dyn RankProgram>>) {
-    let noise = noise_for_case(case, scope, noise_percent, seed);
-    let world = World::cpu(case.machine.clone(), case.nranks, noise);
-    (world, case.programs())
-}
-
-/// Run one iteration with an explicit noise scope.
-pub fn run_once_scoped(
-    case: &CollectiveCase,
-    scope: NoiseScope,
-    noise_percent: f64,
-    seed: u64,
-) -> (f64, WorldStats) {
-    let (world, programs) = world_for_case(case, scope, noise_percent, seed);
-    let res = world.run(programs);
-    assert!(
-        res.audit.is_clean(),
-        "{} {:?} {}B: {}",
-        case.library.label(),
-        case.op,
-        case.msg_bytes,
-        res.audit
-    );
-    (res.makespan.as_micros_f64(), res.stats)
-}
-
-/// Run one iteration with a fault plan attached: lossy links, down and
-/// degradation windows, rank stalls — with the reliability layer
-/// recovering every injected loss. Returns the full [`RunResult`] so
-/// callers can inspect recovery counters (`retransmits`, `acks`,
-/// `duplicates_suppressed`) and per-rank completion times; the audit is
-/// asserted clean, which under faults means *delivered exactly once
-/// despite every drop*.
-pub fn run_once_faulted(
-    case: &CollectiveCase,
-    scope: NoiseScope,
-    noise_percent: f64,
-    seed: u64,
-    plan: FaultPlan,
-) -> RunResult {
-    match try_run_once_faulted(case, scope, noise_percent, seed, plan) {
-        Ok(res) => res,
-        Err(e) => panic!(
-            "{} {:?} {}B (faulted): {e}",
-            case.library.label(),
-            case.op,
-            case.msg_bytes
-        ),
-    }
-}
-
-/// Fallible variant of [`run_once_faulted`] for schedules that may not be
-/// survivable — rank/node kills in particular. A completed run still has
-/// its audit asserted clean (under kills that means *every byte between
-/// live ranks delivered exactly once, dead ranks' bytes accounted in the
-/// failed columns*); an unsurvivable schedule comes back as the
-/// structured [`RunError`](adapt_mpi::RunError) instead of a panic or a
-/// hang.
-pub fn try_run_once_faulted(
-    case: &CollectiveCase,
-    scope: NoiseScope,
-    noise_percent: f64,
-    seed: u64,
-    plan: FaultPlan,
-) -> Result<RunResult, Box<adapt_mpi::RunError>> {
-    let (world, programs) = world_for_case(case, scope, noise_percent, seed);
-    let res = world.with_faults(plan).try_run(programs)?;
-    assert!(
-        res.audit.is_clean(),
-        "{} {:?} {}B (faulted): {}",
-        case.library.label(),
-        case.op,
-        case.msg_bytes,
-        res.audit
-    );
-    Ok(res)
-}
-
-/// Run one iteration with a [`MemRecorder`](adapt_obs::MemRecorder)
-/// attached and return the full result; `res.obs` carries the recording
-/// (`metrics_interval_ns` of zero disables gauge sampling). This is the
-/// producer side of the what-if engine: the recording feeds
-/// [`adapt_obs::predict`] and `obs-whatif`.
-pub fn record_once(
-    case: &CollectiveCase,
-    scope: NoiseScope,
-    noise_percent: f64,
-    seed: u64,
-    metrics_interval_ns: u64,
-) -> RunResult {
-    let (world, programs) = world_for_case(case, scope, noise_percent, seed);
-    let rec = if metrics_interval_ns > 0 {
-        adapt_obs::MemRecorder::with_metrics(metrics_interval_ns)
-    } else {
-        adapt_obs::MemRecorder::new()
-    };
-    let res = world.with_recorder(Box::new(rec)).run(programs);
-    assert!(
-        res.audit.is_clean(),
-        "{} {:?} {}B (recorded): {}",
-        case.library.label(),
-        case.op,
-        case.msg_bytes,
-        res.audit
-    );
-    res
-}
-
-/// Re-run a case under the **real-configuration equivalent** of a
-/// what-if intervention — the ground truth a counterfactual prediction
-/// is validated against. A recorder is attached so the result carries a
-/// fresh recording for per-rank comparison.
-///
-/// Returns an error for interventions with no real equivalent
-/// (`ScaleLayer` is a virtual-only Coz-style probe) or when a link
-/// pattern matches nothing.
-pub fn run_intervened(
-    case: &CollectiveCase,
-    scope: NoiseScope,
-    noise_percent: f64,
-    seed: u64,
-    iv: &adapt_obs::Intervention,
-    metrics_interval_ns: u64,
-) -> Result<RunResult, String> {
-    use adapt_obs::Intervention;
-    let noise = match iv {
-        Intervention::NoiseOff => ClusterNoise::silent(case.nranks),
-        Intervention::RankNoiseOff(r) => {
-            let mut n = noise_for_case(case, scope, noise_percent, seed);
-            n.silence_rank(*r);
-            n
-        }
-        Intervention::ScaleLayer { .. } => {
-            return Err(
-                "scale-layer is a virtual-only intervention; no real configuration matches it"
-                    .into(),
-            )
-        }
-        // `StallsOff` on a fault-free case, and `Noop`, are the plain run.
-        _ => noise_for_case(case, scope, noise_percent, seed),
-    };
-    let mut world = World::cpu(case.machine.clone(), case.nranks, noise);
-    if let Intervention::ScaleLink { pattern, factor } = iv {
-        let touched = world.prescale_links(*factor, 1.0 / *factor, |label| {
-            label.starts_with(pattern.as_str())
-        });
-        if touched == 0 {
-            return Err(format!("no link label starts with {pattern:?}"));
-        }
-    }
-    let rec = if metrics_interval_ns > 0 {
-        adapt_obs::MemRecorder::with_metrics(metrics_interval_ns)
-    } else {
-        adapt_obs::MemRecorder::new()
-    };
-    let res = world.with_recorder(Box::new(rec)).run(case.programs());
-    assert!(
-        res.audit.is_clean(),
-        "{} {:?} {}B (intervened): {}",
-        case.library.label(),
-        case.op,
-        case.msg_bytes,
-        res.audit
-    );
-    Ok(res)
 }
 
 /// Run a full trial: `repeats` independent worlds, each timing
 /// `iterations` back-to-back operations, reporting per-operation times.
+/// Panics with the [`RunError`] of a repetition that fails.
 pub fn run_trial(trial: &Trial) -> TrialResult {
     assert!(trial.iterations > 0 && trial.repeats > 0);
+    let case = trial.case.clone();
+    let iterations = trial.iterations;
+    // Chain `iterations` copies of the collective per rank.
+    let chained: ProgramBuilder = Arc::new(move || {
+        let mut per_rank: Vec<Vec<Box<dyn RankProgram>>> =
+            (0..case.nranks).map(|_| Vec::new()).collect();
+        for _ in 0..iterations {
+            for (r, phases) in case.phase_lists().into_iter().enumerate() {
+                per_rank[r].extend(phases);
+            }
+        }
+        per_rank
+            .into_iter()
+            .map(|phases| Box::new(crate::hier::PhasedProgram::new(phases)) as Box<dyn RankProgram>)
+            .collect()
+    });
     let mut samples = Vec::with_capacity(trial.repeats as usize);
     let mut stats = WorldStats::default();
     let mut audit = AuditReport::default();
     for rep in 0..trial.repeats {
-        let seed = MasterSeed(trial.seed).stream(StreamTag::Workload, rep as u64);
-        let noise = noise_for_case(&trial.case, trial.scope, trial.noise_percent, seed);
-        let nranks = trial.case.nranks;
-        // Chain `iterations` copies of the collective per rank.
-        let mut per_rank: Vec<Vec<Box<dyn RankProgram>>> =
-            (0..nranks).map(|_| Vec::new()).collect();
-        for _ in 0..trial.iterations {
-            for (r, phases) in trial.case.phase_lists().into_iter().enumerate() {
-                per_rank[r].extend(phases);
-            }
-        }
-        let programs: Vec<Box<dyn RankProgram>> = per_rank
-            .into_iter()
-            .map(|phases| Box::new(crate::hier::PhasedProgram::new(phases)) as Box<dyn RankProgram>)
-            .collect();
-        let world = World::cpu(trial.case.machine.clone(), nranks, noise);
-        let res = world.run(programs);
-        assert!(
-            res.audit.is_clean(),
-            "{} {:?} {}B rep {rep}: {}",
-            trial.case.library.label(),
-            trial.case.op,
-            trial.case.msg_bytes,
-            res.audit
-        );
+        let spec = RunSpec {
+            noise: Noise {
+                percent: trial.noise_percent,
+                scope: trial.scope,
+                seed: MasterSeed(trial.seed).stream(StreamTag::Workload, rep as u64),
+            },
+            ..RunSpec::new(
+                trial.case.machine.clone(),
+                trial.case.nranks,
+                chained.clone(),
+            )
+        };
+        let res = execute(&spec).unwrap_or_else(|e| {
+            panic!(
+                "{} {:?} {}B rep {rep}: {e}",
+                trial.case.library.label(),
+                trial.case.op,
+                trial.case.msg_bytes
+            )
+        });
         samples.push(res.makespan.as_micros_f64() / trial.iterations as f64);
         stats = res.stats;
         audit = res.audit;
@@ -767,6 +787,11 @@ mod tests {
         }
     }
 
+    /// Completion time (µs) of a plain run of `case`.
+    fn run_us(case: &CollectiveCase) -> f64 {
+        execute(&case.spec()).unwrap().makespan.as_micros_f64()
+    }
+
     #[test]
     fn every_library_runs_both_ops() {
         let libs = [
@@ -785,14 +810,14 @@ mod tests {
         for lib in libs {
             for op in [OpKind::Bcast, OpKind::Reduce] {
                 let case = mini_case(lib, op, 1 << 20);
-                let (us, _) = run_once(&case, 0.0, 1);
+                let us = run_us(&case);
                 assert!(us > 0.0, "{} {:?}", lib.label(), op);
             }
         }
         // Broadcast-only and reduce-only algorithms.
         for alg in [IntelAlg::RecursiveDoubling, IntelAlg::Ring] {
             let case = mini_case(Library::IntelTopo(alg), OpKind::Bcast, 1 << 20);
-            assert!(run_once(&case, 0.0, 1).0 > 0.0);
+            assert!(run_us(&case) > 0.0);
         }
         for alg in [
             IntelAlg::Shumilin,
@@ -800,16 +825,16 @@ mod tests {
             IntelAlg::ShmBinomial,
         ] {
             let case = mini_case(Library::IntelTopo(alg), OpKind::Reduce, 1 << 20);
-            assert!(run_once(&case, 0.0, 1).0 > 0.0);
+            assert!(run_us(&case) > 0.0);
         }
     }
 
     #[test]
     fn adapt_wins_large_message_broadcast() {
         let msg = 4 << 20;
-        let adapt = run_once(&mini_case(Library::OmpiAdapt, OpKind::Bcast, msg), 0.0, 1).0;
+        let adapt = run_us(&mini_case(Library::OmpiAdapt, OpKind::Bcast, msg));
         for lib in [Library::OmpiDefault, Library::IntelMpi, Library::Mvapich] {
-            let other = run_once(&mini_case(lib, OpKind::Bcast, msg), 0.0, 1).0;
+            let other = run_us(&mini_case(lib, OpKind::Bcast, msg));
             assert!(
                 adapt < other,
                 "adapt {adapt:.1}us should beat {} {other:.1}us",
@@ -875,6 +900,80 @@ mod tests {
         assert_eq!(hier.len(), 32);
         // minicluster(4,2,4): 1 cluster + 4 node + 8 socket groups.
         assert!(hier.iter().all(|p| p.len() == 13), "got {}", hier[0].len());
+    }
+
+    /// Rank 0 sends one eager message that rank 1 never receives.
+    struct Orphan;
+    impl RankProgram for Orphan {
+        fn on_start(&mut self, ctx: &mut dyn adapt_mpi::ProgramCtx) {
+            if ctx.rank() == 0 {
+                ctx.isend(1, 0, adapt_mpi::Payload::Synthetic(64), adapt_mpi::Token(0));
+            } else {
+                ctx.finish();
+            }
+        }
+        fn on_completion(&mut self, ctx: &mut dyn adapt_mpi::ProgramCtx, _: adapt_mpi::Completion) {
+            ctx.finish();
+        }
+    }
+
+    #[test]
+    fn a_dirty_audit_is_a_typed_error() {
+        let spec = RunSpec::new(
+            profiles::minicluster(1, 1, 2),
+            2,
+            Arc::new(|| vec![Box::new(Orphan) as Box<dyn RankProgram>, Box::new(Orphan)]),
+        );
+        let err = execute(&spec)
+            .err()
+            .expect("an unreceived send is not clean");
+        let RunError::AuditFailed { audit, flight } = *err else {
+            panic!("expected AuditFailed, got {err}");
+        };
+        assert!(!audit.is_clean());
+        assert!(flight.is_none(), "no recorder, no flight ring");
+    }
+
+    #[test]
+    fn interventions_without_a_real_equivalent_are_refused() {
+        let spec = mini_case(Library::OmpiAdapt, OpKind::Bcast, 1 << 16).spec();
+        for iv in [
+            Intervention::ScaleLayer {
+                layer: adapt_obs::Layer::Network,
+                factor: 0.5,
+            },
+            Intervention::ScaleLink {
+                pattern: "NoSuchLink".into(),
+                factor: 2.0,
+            },
+        ] {
+            let rerun = RunSpec {
+                intervention: Some(iv),
+                ..spec.clone()
+            };
+            assert!(matches!(
+                execute(&rerun).err().as_deref(),
+                Some(RunError::NoRealEquivalent(_))
+            ));
+        }
+    }
+
+    #[test]
+    fn stalls_off_reruns_the_plan_without_its_stalls() {
+        let at = |us| adapt_sim::time::Time::ZERO + Duration::from_micros(us);
+        let case = mini_case(Library::OmpiAdapt, OpKind::Bcast, 1 << 16);
+        let stalled = RunSpec {
+            faults: Some(FaultPlan::lossy(1, 0.0).with_stall(3, at(0), at(500))),
+            ..case.spec()
+        };
+        let unstalled = RunSpec {
+            intervention: Some(Intervention::StallsOff),
+            ..stalled.clone()
+        };
+        let slow = execute(&stalled).unwrap().makespan;
+        let fast = execute(&unstalled).unwrap().makespan;
+        assert!(slow > Duration::from_micros(500), "{slow}");
+        assert_eq!(fast, execute(&case.spec()).unwrap().makespan);
     }
 
     #[test]

@@ -19,4 +19,4 @@ pub mod bcast;
 pub mod runner;
 
 pub use bcast::{GpuAdaptBcast, GpuBcastSpec};
-pub use runner::{run_gpu_once, GpuCase, GpuLibrary};
+pub use runner::{GpuCase, GpuLibrary};

@@ -9,12 +9,11 @@
 //! | OMPI-default | Waitall engine with the `tuned` decision — which was not designed for GPUs and picks a non-chain tree (§5.2.2); CPU-executed reduction |
 
 use crate::bcast::GpuBcastSpec;
-use adapt_collectives::{tuned, WaitallBcastSpec, WaitallReduceSpec};
+use adapt_collectives::{tuned, Device, RunSpec, WaitallBcastSpec, WaitallReduceSpec};
 use adapt_core::{
     topology_aware_tree, AdaptConfig, ReduceData, ReduceExec, ReduceSpec, TopoTreeConfig, Tree,
 };
-use adapt_mpi::{RankProgram, World, WorldStats};
-use adapt_noise::ClusterNoise;
+use adapt_mpi::RankProgram;
 use adapt_topology::{MachineSpec, Placement};
 use std::sync::Arc;
 
@@ -65,6 +64,20 @@ impl GpuCase {
             &self.placement(),
             TopoTreeConfig::default(),
         ))
+    }
+
+    /// A plain run of this case: one rank per GPU, silent, nothing
+    /// attached.
+    pub fn spec(&self) -> RunSpec {
+        let case = self.clone();
+        RunSpec {
+            device: Device::Gpu,
+            ..RunSpec::new(
+                self.machine.clone(),
+                self.nranks,
+                Arc::new(move || case.programs()),
+            )
+        }
     }
 
     /// Build the per-rank programs (synthetic payloads).
@@ -126,29 +139,10 @@ impl GpuCase {
     }
 }
 
-/// Run one GPU case; returns completion time in microseconds.
-pub fn run_gpu_once(case: &GpuCase) -> (f64, WorldStats) {
-    let world = World::gpu(
-        case.machine.clone(),
-        case.nranks,
-        ClusterNoise::silent(case.nranks),
-    );
-    let res = world.run(case.programs());
-    assert!(
-        res.audit.is_clean(),
-        "{} {:?} {}B: {}",
-        case.library.label(),
-        case.op,
-        case.msg_bytes,
-        res.audit
-    );
-    (res.makespan.as_micros_f64(), res.stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adapt_collectives::OpKind;
+    use adapt_collectives::{execute, OpKind};
     use adapt_topology::profiles;
 
     fn case(lib: GpuLibrary, op: OpKind, nodes: u32, msg: u64) -> GpuCase {
@@ -162,6 +156,11 @@ mod tests {
         }
     }
 
+    /// Completion time (µs) of a plain run of `case`.
+    fn run_us(case: &GpuCase) -> f64 {
+        execute(&case.spec()).unwrap().makespan.as_micros_f64()
+    }
+
     #[test]
     fn all_gpu_libraries_run() {
         for lib in [
@@ -170,7 +169,7 @@ mod tests {
             GpuLibrary::OmpiDefault,
         ] {
             for op in [OpKind::Bcast, OpKind::Reduce] {
-                let (us, _) = run_gpu_once(&case(lib, op, 2, 4 << 20));
+                let us = run_us(&case(lib, op, 2, 4 << 20));
                 assert!(us > 0.0, "{} {:?}", lib.label(), op);
             }
         }
@@ -179,9 +178,9 @@ mod tests {
     #[test]
     fn adapt_wins_gpu_broadcast() {
         let msg = 32 << 20;
-        let adapt = run_gpu_once(&case(GpuLibrary::OmpiAdapt, OpKind::Bcast, 4, msg)).0;
+        let adapt = run_us(&case(GpuLibrary::OmpiAdapt, OpKind::Bcast, 4, msg));
         for lib in [GpuLibrary::Mvapich, GpuLibrary::OmpiDefault] {
-            let other = run_gpu_once(&case(lib, OpKind::Bcast, 4, msg)).0;
+            let other = run_us(&case(lib, OpKind::Bcast, 4, msg));
             assert!(
                 adapt < other,
                 "adapt {adapt:.0}us vs {} {other:.0}us",
@@ -194,9 +193,7 @@ mod tests {
     fn adapt_gpu_scaling_is_nearly_flat() {
         // Figure 11b: ADAPT's GPU broadcast time barely grows from 1 to 4
         // nodes, while OMPI-default's (wrong tree, no staging) does.
-        let t = |lib: GpuLibrary, nodes: u32| {
-            run_gpu_once(&case(lib, OpKind::Bcast, nodes, 32 << 20)).0
-        };
+        let t = |lib: GpuLibrary, nodes: u32| run_us(&case(lib, OpKind::Bcast, nodes, 32 << 20));
         let adapt_growth = t(GpuLibrary::OmpiAdapt, 4) / t(GpuLibrary::OmpiAdapt, 1);
         let default_growth = t(GpuLibrary::OmpiDefault, 4) / t(GpuLibrary::OmpiDefault, 1);
         assert!(adapt_growth < 1.5, "adapt growth {adapt_growth:.2}x");
@@ -211,8 +208,8 @@ mod tests {
         // Figure 11a: the GPU-offloaded, overlapped reduction wins by a
         // large factor over CPU-executed folds.
         let msg = 32 << 20;
-        let adapt = run_gpu_once(&case(GpuLibrary::OmpiAdapt, OpKind::Reduce, 4, msg)).0;
-        let mvapich = run_gpu_once(&case(GpuLibrary::Mvapich, OpKind::Reduce, 4, msg)).0;
+        let adapt = run_us(&case(GpuLibrary::OmpiAdapt, OpKind::Reduce, 4, msg));
+        let mvapich = run_us(&case(GpuLibrary::Mvapich, OpKind::Reduce, 4, msg));
         assert!(
             adapt * 3.0 < mvapich,
             "expected ≥3x win, got adapt={adapt:.0}us mvapich={mvapich:.0}us"

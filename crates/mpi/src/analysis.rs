@@ -1,16 +1,19 @@
-//! Post-run analysis over recorded traces and run results.
+//! Post-run analysis over recordings and run results.
 
-use crate::world::{RunResult, TraceEvent, TraceKind};
+use crate::world::RunResult;
+use adapt_obs::{ObsData, Trigger};
 use adapt_sim::time::Duration;
 
-/// Bytes moved rank → rank, from a recorded trace (based on completed
-/// receives, i.e. bytes that actually arrived).
-pub fn comm_matrix(trace: &[TraceEvent], nranks: u32) -> Vec<Vec<u64>> {
-    let n = nranks as usize;
+/// Bytes moved rank → rank (`m[src][dst]`), from a recording: every
+/// receive-completion dispatch adds its message's bytes, so only bytes
+/// that actually arrived count.
+pub fn comm_matrix(obs: &ObsData) -> Vec<Vec<u64>> {
+    let n = obs.nranks as usize;
     let mut m = vec![vec![0u64; n]; n];
-    for e in trace {
-        if e.kind == TraceKind::RecvDone {
-            m[e.peer as usize][e.rank as usize] += e.amount;
+    for d in &obs.dispatches {
+        if let Trigger::RecvDone { msg } = d.trigger {
+            let rec = &obs.msgs[msg as usize];
+            m[rec.src as usize][d.rank as usize] += rec.bytes;
         }
     }
     m
@@ -93,22 +96,6 @@ pub fn busy_fractions(result: &RunResult) -> Vec<f64> {
         .collect()
 }
 
-/// Count trace events per kind, in a fixed order.
-pub fn event_counts(trace: &[TraceEvent]) -> Vec<(TraceKind, usize)> {
-    let kinds = [
-        TraceKind::SendPosted,
-        TraceKind::SendDone,
-        TraceKind::RecvPosted,
-        TraceKind::RecvDone,
-        TraceKind::Compute,
-        TraceKind::Finish,
-    ];
-    kinds
-        .iter()
-        .map(|&k| (k, trace.iter().filter(|e| e.kind == k).count()))
-        .collect()
-}
-
 /// Idle tail per rank: how long each rank waited between its own finish
 /// and the slowest rank's finish — the skew a synchronizing caller would
 /// observe.
@@ -129,44 +116,44 @@ pub fn finish_skew(result: &RunResult) -> Vec<Duration> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::world::TraceEvent;
-
-    fn ev(kind: TraceKind, rank: u32, peer: u32, amount: u64) -> TraceEvent {
-        TraceEvent {
-            time_ns: 0,
-            rank,
-            kind,
-            peer,
-            amount,
-        }
-    }
+    use adapt_obs::{DispatchSpan, MsgRec};
 
     #[test]
     fn comm_matrix_accumulates_by_sender() {
-        let trace = vec![
-            ev(TraceKind::RecvDone, 1, 0, 100),
-            ev(TraceKind::RecvDone, 1, 0, 50),
-            ev(TraceKind::RecvDone, 2, 1, 25),
-            ev(TraceKind::SendPosted, 0, 1, 999), // ignored
-        ];
-        let m = comm_matrix(&trace, 3);
+        let msg = |src, dst, bytes| MsgRec {
+            src,
+            dst,
+            bytes,
+            ..MsgRec::default()
+        };
+        let done = |rank, msg| DispatchSpan {
+            rank,
+            begin_ns: 0,
+            end_ns: 0,
+            trigger: Trigger::RecvDone { msg },
+        };
+        let obs = ObsData {
+            nranks: 3,
+            msgs: vec![msg(0, 1, 100), msg(0, 1, 50), msg(1, 2, 25), msg(0, 2, 999)],
+            dispatches: vec![
+                done(1, 0),
+                done(1, 1),
+                done(2, 2),
+                // A send completion moves no bytes into the matrix, and
+                // message 3 never completed at its receiver.
+                DispatchSpan {
+                    rank: 0,
+                    begin_ns: 0,
+                    end_ns: 0,
+                    trigger: Trigger::SendDone { msg: 3 },
+                },
+            ],
+            ..ObsData::default()
+        };
+        let m = comm_matrix(&obs);
         assert_eq!(m[0][1], 150);
         assert_eq!(m[1][2], 25);
         assert_eq!(m[0][2], 0);
-    }
-
-    #[test]
-    fn event_counts_cover_kinds() {
-        let trace = vec![
-            ev(TraceKind::SendPosted, 0, 1, 8),
-            ev(TraceKind::SendDone, 0, 0, 0),
-            ev(TraceKind::Finish, 0, 0, 0),
-            ev(TraceKind::Finish, 1, 0, 0),
-        ];
-        let counts = event_counts(&trace);
-        assert!(counts.contains(&(TraceKind::SendPosted, 1)));
-        assert!(counts.contains(&(TraceKind::Finish, 2)));
-        assert!(counts.contains(&(TraceKind::RecvDone, 0)));
     }
 
     /// A RunResult with the given per-rank finish and busy times (µs);
@@ -183,7 +170,6 @@ mod tests {
             stats: Default::default(),
             audit: Default::default(),
             programs: Vec::new(),
-            trace: Vec::new(),
             obs: None,
             summary: None,
             flight: None,
@@ -217,7 +203,7 @@ mod tests {
 
     #[test]
     fn phase_breakdown_uses_recorded_spans_when_present() {
-        use adapt_obs::{DispatchSpan, ObsData, ProtoKind, ProtoSpan, Trigger};
+        use adapt_obs::{ProtoKind, ProtoSpan};
         let mut r = result(&[100], &[50]);
         let mut obs = ObsData {
             nranks: 1,
@@ -262,28 +248,5 @@ mod tests {
     fn finish_skew_of_empty_result_is_empty() {
         let r = result(&[], &[]);
         assert!(finish_skew(&r).is_empty());
-    }
-
-    #[test]
-    fn trace_to_csv_renders_header_and_rows() {
-        let mut a = ev(TraceKind::SendPosted, 0, 1, 4096);
-        a.time_ns = 1500;
-        let mut b = ev(TraceKind::RecvDone, 1, 0, 4096);
-        b.time_ns = 2500;
-        let csv = crate::world::trace_to_csv(&[a, b]);
-        assert_eq!(
-            csv,
-            "time_ns,rank,kind,peer,amount\n\
-             1500,0,send_posted,1,4096\n\
-             2500,1,recv_done,0,4096\n"
-        );
-    }
-
-    #[test]
-    fn trace_to_csv_of_empty_trace_is_just_the_header() {
-        assert_eq!(
-            crate::world::trace_to_csv(&[]),
-            "time_ns,rank,kind,peer,amount\n"
-        );
     }
 }

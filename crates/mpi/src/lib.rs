@@ -22,14 +22,9 @@ pub mod world;
 
 pub use adapt_faults::{FaultPlan, RelConfig};
 pub use adapt_sim::audit::{AuditReport, RankAudit};
-pub use analysis::{
-    busy_fractions, comm_matrix, event_counts, finish_skew, phase_breakdown, RankPhases,
-};
+pub use analysis::{busy_fractions, comm_matrix, finish_skew, phase_breakdown, RankPhases};
 pub use callbacks::{CallbackProgram, Cb};
 pub use datatype::{bytes_to_f64, combine, f64_to_bytes, DType, ReduceOp};
 pub use payload::Payload;
 pub use program::{Completion, Op, ProgramCtx, RankProgram, Tag, Token};
-pub use world::{
-    trace_to_csv, FailureDiagnosis, RunError, RunResult, StallDiagnosis, TraceEvent, TraceKind,
-    World, WorldStats,
-};
+pub use world::{FailureDiagnosis, RunError, RunResult, StallDiagnosis, World, WorldStats};

@@ -421,6 +421,20 @@ pub enum RunError {
         /// Flight-recorder tail, when the attached recorder keeps one.
         flight: Option<String>,
     },
+    /// The run completed but its end-of-run invariant audit is dirty.
+    /// [`World::try_run`] never returns this (it hands back the result
+    /// with its report); the collectives runner's `execute` does, so no
+    /// caller has to remember to check [`RunResult::audit`].
+    AuditFailed {
+        /// The dirty report.
+        audit: AuditReport,
+        /// Flight-recorder tail, when the attached recorder keeps one.
+        flight: Option<String>,
+    },
+    /// A what-if intervention has no real-configuration equivalent
+    /// (a virtual-only layer scaling, or a link pattern matching no
+    /// link), so there is no run to execute.
+    NoRealEquivalent(String),
 }
 
 impl RunError {
@@ -428,10 +442,11 @@ impl RunError {
     pub fn flight(&self) -> Option<&str> {
         match self {
             RunError::Stalled(d) => d.flight.as_deref(),
-            RunError::RetryBudgetExhausted { flight, .. } | RunError::EventCap { flight, .. } => {
-                flight.as_deref()
-            }
+            RunError::RetryBudgetExhausted { flight, .. }
+            | RunError::EventCap { flight, .. }
+            | RunError::AuditFailed { flight, .. } => flight.as_deref(),
             RunError::RanksFailed(d) => d.flight.as_deref(),
+            RunError::NoRealEquivalent(_) => None,
         }
     }
 
@@ -439,7 +454,10 @@ impl RunError {
     pub fn stuck(&self) -> &[Rank] {
         match self {
             RunError::Stalled(d) => &d.stuck,
-            RunError::RetryBudgetExhausted { .. } | RunError::EventCap { .. } => &[],
+            RunError::RetryBudgetExhausted { .. }
+            | RunError::EventCap { .. }
+            | RunError::AuditFailed { .. }
+            | RunError::NoRealEquivalent(_) => &[],
             RunError::RanksFailed(d) => &d.stuck,
         }
     }
@@ -447,10 +465,11 @@ impl RunError {
     fn set_flight(&mut self, dump: Option<String>) {
         match self {
             RunError::Stalled(d) => d.flight = dump,
-            RunError::RetryBudgetExhausted { flight, .. } | RunError::EventCap { flight, .. } => {
-                *flight = dump
-            }
+            RunError::RetryBudgetExhausted { flight, .. }
+            | RunError::EventCap { flight, .. }
+            | RunError::AuditFailed { flight, .. } => *flight = dump,
             RunError::RanksFailed(d) => d.flight = dump,
+            RunError::NoRealEquivalent(_) => {}
         }
     }
 }
@@ -467,74 +486,13 @@ impl std::fmt::Display for RunError {
                  completing (livelock?)",
                 at.as_nanos()
             ),
+            RunError::AuditFailed { audit, .. } => audit.fmt(f),
+            RunError::NoRealEquivalent(detail) => f.write_str(detail),
         }
     }
 }
 
 impl std::error::Error for RunError {}
-
-/// One recorded runtime event (tracing enabled via
-/// [`World::enable_trace`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TraceEvent {
-    /// Virtual time, nanoseconds.
-    pub time_ns: u64,
-    /// Rank the event belongs to.
-    pub rank: Rank,
-    /// Event kind.
-    pub kind: TraceKind,
-    /// Peer rank (sends/recvs) or 0.
-    pub peer: Rank,
-    /// Bytes involved (transfers) or nanoseconds (compute) or 0.
-    pub amount: u64,
-}
-
-/// Kinds of traced runtime events.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TraceKind {
-    /// A send was posted.
-    SendPosted,
-    /// A send completed (buffer reusable).
-    SendDone,
-    /// A receive was posted.
-    RecvPosted,
-    /// A receive completed (data arrived and matched).
-    RecvDone,
-    /// Blocking compute was posted (`amount` = nanoseconds).
-    Compute,
-    /// The rank finished its program.
-    Finish,
-}
-
-impl TraceKind {
-    /// Stable lowercase label (CSV column value).
-    pub fn label(self) -> &'static str {
-        match self {
-            TraceKind::SendPosted => "send_posted",
-            TraceKind::SendDone => "send_done",
-            TraceKind::RecvPosted => "recv_posted",
-            TraceKind::RecvDone => "recv_done",
-            TraceKind::Compute => "compute",
-            TraceKind::Finish => "finish",
-        }
-    }
-}
-
-/// Render a trace as CSV (`time_ns,rank,kind,peer,amount`).
-pub fn trace_to_csv(trace: &[TraceEvent]) -> String {
-    let mut out = String::from("time_ns,rank,kind,peer,amount\n");
-    for e in trace {
-        out.push_str(&format!(
-            "{},{},{},{},{}\n",
-            e.time_ns,
-            e.rank,
-            e.kind.label(),
-            e.peer,
-            e.amount
-        ));
-    }
-    out
-}
 
 /// Defines [`WorldStats`] once and derives everything that must agree
 /// with the field list: [`WorldStats::FIELD_NAMES`],
@@ -628,14 +586,14 @@ pub struct RunResult {
     pub stats: WorldStats,
     /// End-of-run invariant report: byte conservation, causality,
     /// matched completions, and event-queue consistency. A violation
-    /// means the simulator (or an algorithm driving it) miscounted —
-    /// callers should assert [`AuditReport::is_clean`].
+    /// means the simulator (or an algorithm driving it) miscounted;
+    /// the collectives runner's `execute` turns it into
+    /// [`RunError::AuditFailed`], direct callers check
+    /// [`AuditReport::is_clean`].
     pub audit: AuditReport,
     /// The rank programs, returned for inspection (downcast with
     /// `as Box<dyn Any>` — `RankProgram` upcasts to `Any`).
     pub programs: Vec<Box<dyn RankProgram>>,
-    /// Recorded event timeline (empty unless tracing was enabled).
-    pub trace: Vec<TraceEvent>,
     /// Full observability record (`None` unless a recorder was attached
     /// via [`World::with_recorder`]).
     pub obs: Option<ObsData>,
@@ -733,8 +691,6 @@ pub struct World {
     /// protocol actions no longer wait for application `compute` to
     /// finish, so non-blocking collectives overlap with computation.
     async_progress: bool,
-    /// Recorded events (empty unless tracing is enabled).
-    trace: Option<Vec<TraceEvent>>,
     /// Fault-injection and reliability layer (`None` = pristine network,
     /// zero-cost transport exactly as before the layer existed).
     faults: Option<Box<FaultState>>,
@@ -755,9 +711,6 @@ pub struct World {
     /// borrows it, so the per-flow path copy never allocates after the
     /// first few flows.
     links_scratch: Vec<u32>,
-    /// Cached `ADAPT_TRACE` environment check — `start_send` is hot, and
-    /// an environment lookup per send is an easily avoided lock+scan.
-    trace_sends: bool,
     /// Online health monitor (`None` = no snapshot timer scheduled, the
     /// event stream is byte-identical to a pre-monitor build).
     monitor: Option<Box<Monitor>>,
@@ -806,14 +759,12 @@ impl World {
             byte_audit: ByteAudit::default(),
             max_events: 2_000_000_000,
             async_progress: false,
-            trace: None,
             faults: None,
             run_error: None,
             watchdog: None,
             obs: AnyRecorder::Null(NullRecorder),
             obs_on: false,
             links_scratch: Vec::new(),
-            trace_sends: std::env::var_os("ADAPT_TRACE").is_some(),
             monitor: None,
             util_scratch: Vec::new(),
             snap_scratch: SnapScratch::default(),
@@ -889,14 +840,6 @@ impl World {
     /// the unmonitored run.
     pub fn with_monitor(mut self, monitor: Monitor) -> World {
         self.monitor = Some(Box::new(monitor));
-        self
-    }
-
-    /// Record a per-rank event timeline into
-    /// [`RunResult::trace`] (off by default — a large job produces
-    /// millions of events).
-    pub fn enable_trace(mut self) -> World {
-        self.trace = Some(Vec::new());
         self
     }
 
@@ -1187,10 +1130,6 @@ impl World {
         self.stats.net_reschedules = net_perf.reschedules;
         self.stats.net_share_recomputes = net_perf.share_recomputes;
         let audit = self.build_audit();
-        let mut trace = self.trace.take().unwrap_or_default();
-        // Ops are recorded at their (possibly future) execution instants in
-        // processing order; sort so the timeline reads chronologically.
-        trace.sort_by_key(|e| e.time_ns);
         let obs = if self.obs_on {
             let finish_ns: Vec<u64> = per_rank_finish.iter().map(|t| t.as_nanos()).collect();
             // Snapshot per-rank preemption windows for the what-if engine.
@@ -1245,7 +1184,6 @@ impl World {
             makespan,
             per_rank_finish,
             per_rank_busy,
-            trace,
             audit,
             obs,
             summary,
@@ -2514,17 +2452,6 @@ impl World {
             }
             _ => {}
         }
-        if self.trace.is_some() {
-            match &completion {
-                Some(Completion::RecvDone { src, data, .. }) => {
-                    self.record(t, rank, TraceKind::RecvDone, *src, data.len());
-                }
-                Some(Completion::SendDone { .. }) => {
-                    self.record(t, rank, TraceKind::SendDone, 0, 0);
-                }
-                _ => {}
-            }
-        }
         let base_cost = match &completion {
             Some(Completion::RecvDone { .. }) => self.spec.recv_overhead,
             Some(_) => PROGRESS_OVERHEAD,
@@ -2552,19 +2479,6 @@ impl World {
         self.apply_ops(rank, t, base_cost, ops, trigger);
     }
 
-    #[inline]
-    fn record(&mut self, t: Time, rank: Rank, kind: TraceKind, peer: Rank, amount: u64) {
-        if let Some(trace) = &mut self.trace {
-            trace.push(TraceEvent {
-                time_ns: t.as_nanos(),
-                rank,
-                kind,
-                peer,
-                amount,
-            });
-        }
-    }
-
     fn apply_ops(
         &mut self,
         rank: Rank,
@@ -2585,7 +2499,6 @@ impl World {
                 } => {
                     cost += self.spec.send_overhead;
                     let at = self.finish_rank_work(rank, t, cost);
-                    self.record(at, rank, TraceKind::SendPosted, dst, payload.len());
                     self.start_send(at, rank, dst, tag, payload, token, src_mem);
                 }
                 Op::Irecv {
@@ -2596,7 +2509,6 @@ impl World {
                 } => {
                     cost += CTRL_OVERHEAD;
                     let at = self.finish_rank_work(rank, t, cost);
-                    self.record(at, rank, TraceKind::RecvPosted, src, 0);
                     self.ranks[rank as usize].audit.recvs_posted += 1;
                     let extra = self.post_recv(at, rank, src, tag, token, dst_mem);
                     cost += extra;
@@ -2715,7 +2627,6 @@ impl World {
                 }
                 Op::Finish => {
                     let at = self.finish_rank_work(rank, t, cost);
-                    self.record(at, rank, TraceKind::Finish, 0, 0);
                     let state = &mut self.ranks[rank as usize];
                     if state.finished_at.is_none() {
                         state.finished_at = Some(at);
@@ -2749,12 +2660,6 @@ impl World {
         token: Token,
         src_mem: Option<MemSpace>,
     ) {
-        if self.trace_sends {
-            eprintln!(
-                "[{at:?}] isend {src}->{dst} tag={tag} bytes={}",
-                payload.len()
-            );
-        }
         self.stats.messages += 1;
         self.ranks[src as usize].audit.sends_posted += 1;
         self.byte_audit.send_posted += payload.len();

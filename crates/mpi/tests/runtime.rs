@@ -3,6 +3,7 @@
 
 use adapt_mpi::{Completion, Payload, ProgramCtx, RankProgram, Token, World};
 use adapt_noise::{ClusterNoise, DurationLaw, NoiseSpec};
+use adapt_obs::{events_csv, MemRecorder};
 use adapt_sim::rng::MasterSeed;
 use adapt_sim::time::{Duration, Time};
 use adapt_topology::profiles;
@@ -400,8 +401,7 @@ fn isend_overhead_sequences_multiple_sends() {
 
 #[test]
 fn trace_records_the_exchange() {
-    use adapt_mpi::{trace_to_csv, TraceKind};
-    let world = two_rank_world(ClusterNoise::silent(2)).enable_trace();
+    let world = two_rank_world(ClusterNoise::silent(2)).with_recorder(MemRecorder::new());
     let res = world.run(vec![
         Box::new(Sender {
             bytes: 100_000,
@@ -412,44 +412,41 @@ fn trace_records_the_exchange() {
             got: None,
         }),
     ]);
-    let kinds: Vec<TraceKind> = res.trace.iter().map(|e| e.kind).collect();
-    assert!(kinds.contains(&TraceKind::SendPosted));
-    assert!(kinds.contains(&TraceKind::RecvPosted));
-    assert!(kinds.contains(&TraceKind::RecvDone));
-    assert!(kinds.contains(&TraceKind::SendDone));
+    let csv = events_csv(res.obs.as_ref().expect("recorder attached"));
+    assert!(csv.starts_with("time_ns,rank,kind,peer,amount\n"));
+    let rows: Vec<Vec<&str>> = csv
+        .lines()
+        .skip(1)
+        .map(|l| l.split(',').collect())
+        .collect();
+    let kinds: Vec<&str> = rows.iter().map(|r| r[2]).collect();
+    for kind in ["send_posted", "recv_posted", "recv_done", "send_done"] {
+        assert_eq!(kinds.iter().filter(|&&k| k == kind).count(), 1, "{kind}");
+    }
     assert_eq!(
-        kinds.iter().filter(|k| **k == TraceKind::Finish).count(),
+        kinds.iter().filter(|&&k| k == "finish").count(),
         2,
         "both ranks finish"
     );
     // Timeline is monotone.
-    assert!(res.trace.windows(2).all(|w| w[0].time_ns <= w[1].time_ns));
-    // CSV renders one line per event plus header.
-    let csv = trace_to_csv(&res.trace);
-    assert_eq!(csv.lines().count(), res.trace.len() + 1);
-    assert!(csv.starts_with("time_ns,rank,kind,peer,amount"));
+    let times: Vec<u64> = rows.iter().map(|r| r[0].parse().unwrap()).collect();
+    assert!(times.windows(2).all(|w| w[0] <= w[1]));
     // The recv event carries the payload size and the sender's rank.
-    let recv = res
-        .trace
-        .iter()
-        .find(|e| e.kind == TraceKind::RecvDone)
-        .unwrap();
-    assert_eq!(recv.rank, 1);
-    assert_eq!(recv.peer, 0);
-    assert_eq!(recv.amount, 100_000);
+    let recv = rows.iter().find(|r| r[2] == "recv_done").unwrap();
+    assert_eq!(recv[1..], ["1", "recv_done", "0", "100000"]);
 }
 
 #[test]
 fn trace_disabled_by_default() {
     let world = two_rank_world(ClusterNoise::silent(2));
     let res = world.run(vec![Box::new(Idle), Box::new(Idle)]);
-    assert!(res.trace.is_empty());
+    assert!(res.obs.is_none() && res.summary.is_none());
 }
 
 #[test]
 fn analysis_over_a_traced_run() {
     use adapt_mpi::{busy_fractions, comm_matrix, finish_skew};
-    let world = two_rank_world(ClusterNoise::silent(2)).enable_trace();
+    let world = two_rank_world(ClusterNoise::silent(2)).with_recorder(MemRecorder::new());
     let res = world.run(vec![
         Box::new(Sender {
             bytes: 500_000,
@@ -460,7 +457,7 @@ fn analysis_over_a_traced_run() {
             got: None,
         }),
     ]);
-    let m = comm_matrix(&res.trace, 2);
+    let m = comm_matrix(res.obs.as_ref().expect("recorder attached"));
     assert_eq!(m[0][1], 500_000);
     assert_eq!(m[1][0], 0);
     let busy = busy_fractions(&res);

@@ -24,7 +24,8 @@
 //!   as a Chrome-trace fragment on a stall diagnosis or failed audit.
 //! * **Exporters** — Chrome trace-event JSON ([`chrome_trace`],
 //!   loadable in Perfetto / `chrome://tracing`, one track per rank and
-//!   one per link) and a flat CSV metrics dump ([`metrics_csv`]).
+//!   one per link), a flat CSV metrics dump ([`metrics_csv`]), and a
+//!   per-rank event timeline CSV ([`events_csv`]).
 //! * **Critical-path analysis** — [`critical_path`] walks span
 //!   causality backwards from the last completing rank and attributes
 //!   the makespan to layers (network, matching, protocol, callbacks,
@@ -47,6 +48,7 @@
 mod chrome;
 mod critical;
 mod diff;
+mod events;
 mod flight;
 mod hist;
 mod json;
@@ -86,6 +88,7 @@ pub fn topo_label(class: &str) -> String {
 pub use chrome::chrome_trace;
 pub use critical::{critical_path, CriticalPath, Layer, Segment, LAYERS};
 pub use diff::{diff_runs, DiffBucket, RunDiff};
+pub use events::events_csv;
 pub use flight::{FlightRecorder, FlightSpan};
 pub use hist::{nearest_rank, percentile, Hist, HIST_BUCKETS};
 pub use json::{from_json, to_json, FORMAT};

@@ -212,7 +212,7 @@ impl std::fmt::Display for AuditReport {
         if issues.is_empty() {
             write!(
                 f,
-                "audit clean: {} sends, {} recvs, {} bytes conserved ({} over-posted recv(s))",
+                "audit: clean — {} sends, {} recvs, {} bytes conserved ({} over-posted recv(s))",
                 self.total_sends_posted(),
                 self.total_recvs_completed(),
                 self.send_posted_bytes,
@@ -278,7 +278,7 @@ mod tests {
         assert!(r.is_clean(), "{r}");
         assert_eq!(r.total_sends_posted(), 3);
         assert_eq!(r.total_recvs_completed(), 3);
-        assert!(r.to_string().starts_with("audit clean"));
+        assert!(r.to_string().starts_with("audit: clean — "));
     }
 
     #[test]

@@ -36,8 +36,12 @@ fn main() {
             library,
             msg_bytes: msg,
         };
-        let (us, _) = run_gpu_once(&case);
-        println!("  {:<14} {:>10.1} us", library.label(), us);
+        let res = execute(&case.spec()).expect("a plain run completes audit-clean");
+        println!(
+            "  {:<14} {:>10.1} us",
+            library.label(),
+            res.makespan.as_micros_f64()
+        );
     }
     println!("Reduce:");
     for library in [
@@ -52,8 +56,12 @@ fn main() {
             library,
             msg_bytes: msg,
         };
-        let (us, _) = run_gpu_once(&case);
-        println!("  {:<14} {:>10.1} us", library.label(), us);
+        let res = execute(&case.spec()).expect("a plain run completes audit-clean");
+        println!(
+            "  {:<14} {:>10.1} us",
+            library.label(),
+            res.makespan.as_micros_f64()
+        );
     }
 
     // --- §4.1 ablation: explicit CPU staging buffer ------------------

@@ -8,14 +8,17 @@
 //! ```
 
 use adapt::collectives::{
-    run_intervened, run_once_scoped, world_for_case, CollectiveCase, Library, NoiseScope, OpKind,
+    execute, CollectiveCase, Device, Library, Noise, NoiseScope, OpKind, ProgramBuilder, Recording,
+    RunSpec,
 };
+use adapt::mpi::{RunError, RunResult};
 use adapt::obs::{
-    chrome_trace, critical_path, diff_runs, from_json, health_json, health_report_text,
+    chrome_trace, critical_path, diff_runs, events_csv, from_json, health_json, health_report_text,
     metrics_csv, predict, render_prediction, render_validation, summary_json, summary_report,
-    to_json, AnyRecorder, Intervention, MemRecorder, Monitor, ObsData, StreamRecorder,
+    to_json, Intervention, ObsData,
 };
 use adapt::prelude::*;
+use std::sync::Arc;
 
 /// Exit code when the progress watchdog (or a dry event queue) cuts a
 /// run short: distinguishes "the schedule was not survivable" from
@@ -27,6 +30,11 @@ const EXIT_STALLED: i32 = 3;
 /// exhausted its retry budget: a structured failure outcome, distinct
 /// from both a plain deadlock ([`EXIT_STALLED`]) and argument errors.
 const EXIT_FAILED: i32 = 4;
+
+/// Exit code when a run completes but its end-of-run invariant audit is
+/// dirty: the simulator (or an algorithm driving it) miscounted. The
+/// flight-recorder tail, when `--flight` kept one, is dumped first.
+const EXIT_AUDIT: i32 = 5;
 
 /// Every flag the CLI understands: `(name, value placeholder, help)`.
 /// An empty placeholder marks a boolean flag. The usage string is
@@ -53,11 +61,20 @@ const FLAGS: &[(&str, &str, &str)] = &[
     (
         "noise",
         "PCT",
-        "noise intensity percent, 0 to <50 (default 0)",
+        "noise intensity percent, 0 to <50 (default 0); bcast/reduce inject it on \
+one rank per node, the other ops on every rank",
     ),
     ("seed", "S", "master seed (default 1)"),
-    ("gpu", "", "run the GPU path (bcast/reduce only)"),
-    ("trace", "FILE.csv", "write the event trace as CSV"),
+    (
+        "gpu",
+        "",
+        "place one rank per GPU instead of per core (bcast/reduce only)",
+    ),
+    (
+        "trace",
+        "FILE.csv",
+        "write the per-rank event timeline (time_ns,rank,kind,peer,amount) as CSV",
+    ),
     ("describe", "", "print the machine topology and exit"),
     (
         "trace-out",
@@ -86,7 +103,7 @@ JSON) and print the percentile/hot-spot report",
         "flight",
         "N",
         "keep a flight ring of the last N spans (streaming recorder); \
-dumped to adapt-flight.json on a stall or failed audit",
+dumped to adapt-flight.json on a stall, a failure or a dirty audit (exit 5)",
     ),
     (
         "whatif",
@@ -204,10 +221,11 @@ where
     })
 }
 
-/// Observability flags: where to write the Chrome trace and metrics CSV,
-/// whether to print the critical path, and the bounded-memory streaming
-/// path (`--summary-out` / `--flight`).
+/// Observability flags: the event-timeline CSV, the Chrome trace and
+/// metrics CSV, whether to print the critical path, and the
+/// bounded-memory streaming path (`--summary-out` / `--flight`).
 struct ObsArgs {
+    events_csv: Option<String>,
     trace_out: Option<String>,
     metrics_out: Option<String>,
     critical: bool,
@@ -219,6 +237,7 @@ struct ObsArgs {
 impl ObsArgs {
     fn parse(args: &[String]) -> ObsArgs {
         let o = ObsArgs {
+            events_csv: arg(args, "trace"),
             trace_out: arg(args, "trace-out"),
             metrics_out: arg(args, "metrics-out"),
             critical: flag(args, "critical-path"),
@@ -232,48 +251,42 @@ impl ObsArgs {
         if o.flight == Some(0) {
             usage_error("--flight needs at least 1 span");
         }
-        if o.streaming() && (o.trace_out.is_some() || o.metrics_out.is_some() || o.critical) {
-            usage_error(
-                "--summary-out/--flight use the bounded-memory streaming recorder; \
-                 --trace-out/--metrics-out/--critical-path need the full recorder — pick one side",
-            );
-        }
         o
     }
 
-    fn wanted(&self) -> bool {
-        self.trace_out.is_some() || self.metrics_out.is_some() || self.critical || self.streaming()
-    }
-
-    /// Streaming (aggregate-only) mode: memory stays O(ranks + links +
-    /// buckets) no matter how long the run.
-    fn streaming(&self) -> bool {
-        self.summary_out.is_some() || self.flight.is_some()
-    }
-
-    /// The recorder this invocation asked for. Gauge sampling only runs
-    /// when a metrics file was requested.
-    fn recorder(&self) -> AnyRecorder {
-        if self.streaming() {
-            let mut r = StreamRecorder::new();
-            if let Some(n) = self.flight {
-                r = r.with_flight(n);
+    /// The recorder this invocation asks for. The streaming recorder
+    /// keeps only aggregates, so it cannot serve any flag that needs the
+    /// full recording (what-if included). Gauge sampling only runs when
+    /// a metrics file was requested.
+    fn recording(&self, whatif: &WhatIfArgs) -> Recording {
+        let full = self.events_csv.is_some()
+            || self.trace_out.is_some()
+            || self.metrics_out.is_some()
+            || self.critical
+            || whatif.wanted();
+        if self.summary_out.is_some() || self.flight.is_some() {
+            if full {
+                usage_error(
+                    "--summary-out/--flight use the bounded-memory streaming recorder; \
+                     --trace/--trace-out/--metrics-out/--critical-path/--obs-out/--whatif/\
+                     --diff-against need the full recorder — pick one side",
+                );
             }
-            r.into()
-        } else if self.metrics_out.is_some() {
-            MemRecorder::with_metrics(self.interval_ns).into()
+            Recording::Streaming {
+                flight: self.flight,
+            }
+        } else if full {
+            Recording::Full {
+                metrics_interval_ns: self.metrics_out.as_ref().map(|_| self.interval_ns),
+            }
         } else {
-            MemRecorder::new().into()
+            Recording::Off
         }
     }
 
     /// Write/print whatever was requested from a recorded run.
-    fn emit(&self, res: &adapt::mpi::RunResult) {
-        if self.streaming() {
-            let s = res
-                .summary
-                .as_ref()
-                .expect("streaming run carries a summary");
+    fn emit(&self, res: &RunResult) {
+        if let Some(s) = &res.summary {
             if let Some(path) = &self.summary_out {
                 std::fs::write(path, summary_json(s)).expect("write summary");
                 println!(
@@ -282,12 +295,8 @@ impl ObsArgs {
                 );
             }
             print!("{}", summary_report(s));
-            return;
         }
-        let obs = res
-            .obs
-            .as_ref()
-            .expect("recorded run carries observability data");
+        let Some(obs) = &res.obs else { return };
         if let Some(path) = &self.trace_out {
             std::fs::write(path, chrome_trace(obs)).expect("write trace");
             println!(
@@ -302,6 +311,11 @@ impl ObsArgs {
         }
         if self.critical {
             print!("{}", critical_path(obs).render());
+        }
+        if let Some(path) = &self.events_csv {
+            let csv = events_csv(obs);
+            std::fs::write(path, &csv).expect("write event CSV");
+            println!("  events: {} rows -> {path}", csv.lines().count() - 1);
         }
     }
 }
@@ -326,30 +340,17 @@ impl MonitorArgs {
         }
     }
 
-    fn active(&self) -> bool {
-        self.interval_ns.is_some() || self.health_out.is_some()
-    }
-
-    /// Attach a monitor at the requested (or default) cadence.
-    fn attach(&self, world: World) -> World {
-        if self.active() {
-            world.with_monitor(Monitor::new(self.interval_ns.unwrap_or(10_000)))
-        } else {
-            world
-        }
+    /// The snapshot cadence, when monitoring was asked for.
+    fn interval(&self) -> Option<u64> {
+        self.interval_ns
+            .or(self.health_out.as_ref().map(|_| 10_000))
     }
 
     /// Print the health summary and write the artifact from a completed
     /// monitored run. A run cut short by a stall or failure never gets
     /// here — its post-mortem is the watchdog diagnosis and flight tail.
-    fn emit(&self, res: &adapt::mpi::RunResult) {
-        if !self.active() {
-            return;
-        }
-        let h = res
-            .health
-            .as_ref()
-            .expect("monitored run carries a health report");
+    fn emit(&self, res: &RunResult) {
+        let Some(h) = &res.health else { return };
         print!("{}", health_report_text(h));
         if let Some(path) = &self.health_out {
             std::fs::write(path, health_json(h)).expect("write health");
@@ -360,15 +361,6 @@ impl MonitorArgs {
 
 /// Where a stall or audit post-mortem lands (see `--flight`).
 const FLIGHT_DUMP_PATH: &str = "adapt-flight.json";
-
-/// If the run completed but the audit is dirty and a flight ring was
-/// kept, write the tail before the audit assert fires.
-fn dump_flight_on_dirty_audit(res: &adapt::mpi::RunResult) {
-    if let Some(frag) = &res.flight {
-        std::fs::write(FLIGHT_DUMP_PATH, frag).expect("write flight dump");
-        eprintln!("  flight recorder: audit failed, tail -> {FLIGHT_DUMP_PATH}");
-    }
-}
 
 /// What-if flags: recording export, counterfactual predictions, and
 /// baseline differencing. All three force a recorded run.
@@ -400,22 +392,11 @@ impl WhatIfArgs {
         !self.ivs.is_empty() || self.diff_against.is_some() || self.obs_out.is_some()
     }
 
-    /// What-if needs the full recording; the streaming recorder keeps only
-    /// aggregates.
-    fn check_recorder(&self, obs: &ObsArgs) {
-        if self.wanted() && obs.streaming() {
-            usage_error(
-                "--whatif/--diff-against/--obs-out need the full recorder; \
-                 drop --summary-out/--flight",
-            );
-        }
-    }
-
-    /// Emit everything what-if-related from a recorded run. `rerun`
-    /// produces the ground-truth makespan of the equivalent real
-    /// configuration, or `None` when the intervention is virtual-only
-    /// (then the prediction prints without a validation line).
-    fn emit(&self, obs: &ObsData, rerun: &dyn Fn(&Intervention) -> Option<u64>) {
+    /// Emit everything what-if-related from a recorded run. Each
+    /// prediction is checked against a real re-run of `spec` with the
+    /// intervention set; an intervention with no real equivalent prints
+    /// its prediction without a validation line.
+    fn emit(&self, obs: &ObsData, spec: &RunSpec) {
         if let Some(path) = &self.obs_out {
             std::fs::write(path, to_json(obs)).expect("write recording");
             println!(
@@ -426,10 +407,18 @@ impl WhatIfArgs {
         }
         for iv in &self.ivs {
             match predict(obs, iv) {
-                Ok(p) => match rerun(iv) {
-                    Some(actual) => print!("{}", render_validation(iv, &p, actual)),
-                    None => print!("{}", render_prediction(iv, &p)),
-                },
+                Ok(p) => {
+                    let rerun = RunSpec {
+                        intervention: Some(iv.clone()),
+                        ..spec.clone()
+                    };
+                    match execute(&rerun) {
+                        Ok(actual) => {
+                            print!("{}", render_validation(iv, &p, actual.makespan.as_nanos()))
+                        }
+                        Err(_) => print!("{}", render_prediction(iv, &p)),
+                    }
+                }
                 Err(e) => println!("whatif {}: refused — {e}", iv.describe()),
             }
         }
@@ -464,48 +453,10 @@ impl FaultArgs {
         }
     }
 
-    fn active(&self) -> bool {
-        self.plan.is_some() || self.watchdog.is_some()
-    }
-
-    /// Attach the plan and watchdog, then run. An unsurvivable schedule
-    /// never panics: a plain deadlock (or a livelock that blows the event
-    /// cap) prints its diagnosis and exits with [`EXIT_STALLED`]; killed
-    /// ranks the survivors could not complete around (or an exhausted
-    /// live↔live retry budget) exit with [`EXIT_FAILED`]. Either way the
-    /// flight-recorder tail, when one was kept, is dumped for the
-    /// post-mortem.
-    fn run(&self, mut world: World, programs: Vec<Box<dyn RankProgram>>) -> adapt::mpi::RunResult {
-        if let Some(plan) = &self.plan {
-            world = world.with_faults(plan.clone());
-        }
-        if let Some(h) = self.watchdog {
-            world = world.with_watchdog(h);
-        }
-        match world.try_run(programs) {
-            Ok(res) => res,
-            Err(err) => {
-                if let Some(frag) = err.flight() {
-                    std::fs::write(FLIGHT_DUMP_PATH, frag).expect("write flight dump");
-                    eprintln!("flight recorder: last spans -> {FLIGHT_DUMP_PATH}");
-                }
-                eprintln!("{err}");
-                let code = match *err {
-                    adapt::mpi::RunError::Stalled(_) | adapt::mpi::RunError::EventCap { .. } => {
-                        EXIT_STALLED
-                    }
-                    adapt::mpi::RunError::RanksFailed(_)
-                    | adapt::mpi::RunError::RetryBudgetExhausted { .. } => EXIT_FAILED,
-                };
-                std::process::exit(code);
-            }
-        }
-    }
-
     /// One-line recovery summary; the CI smoke job greps for this. A
     /// monitored run appends its alert count, so the one grep also
     /// answers "did the detectors notice".
-    fn summary(&self, res: &adapt::mpi::RunResult) {
+    fn summary(&self, res: &RunResult) {
         if self.plan.is_none() {
             return;
         }
@@ -529,6 +480,147 @@ impl FaultArgs {
     }
 }
 
+/// A run that produced no result: dump the flight-recorder tail when one
+/// was kept, print the diagnosis, and exit with the outcome's code — a
+/// deadlock or blown event cap [`EXIT_STALLED`], killed ranks the
+/// survivors could not complete around (or an exhausted live↔live retry
+/// budget) [`EXIT_FAILED`], a dirty invariant audit [`EXIT_AUDIT`].
+fn fail(err: &RunError) -> ! {
+    if let Some(frag) = err.flight() {
+        std::fs::write(FLIGHT_DUMP_PATH, frag).expect("write flight dump");
+        eprintln!("flight recorder: last spans -> {FLIGHT_DUMP_PATH}");
+    }
+    eprintln!("{err}");
+    std::process::exit(match err {
+        RunError::Stalled(_) | RunError::EventCap { .. } => EXIT_STALLED,
+        RunError::RanksFailed(_) | RunError::RetryBudgetExhausted { .. } => EXIT_FAILED,
+        RunError::AuditFailed { .. } => EXIT_AUDIT,
+        RunError::NoRealEquivalent(_) => EXIT_USAGE,
+    })
+}
+
+/// The collective a command line names: the base [`RunSpec`] (machine,
+/// ranks, placement, programs), its op and library labels for the
+/// header, the bytes it actually moves, and where its noise lands.
+struct Job {
+    spec: RunSpec,
+    op: String,
+    label: String,
+    msg: u64,
+    scope: NoiseScope,
+}
+
+impl Job {
+    fn parse(args: &[String], machine: MachineSpec, device: Device) -> Job {
+        let msg: u64 = parsed(args, "msg").unwrap_or(4 << 20);
+        let op = arg(args, "op").unwrap_or_else(|| "bcast".into());
+        let lib = arg(args, "lib").unwrap_or_else(|| "adapt".into());
+        let opk = match op.as_str() {
+            "bcast" => Some(OpKind::Bcast),
+            "reduce" => Some(OpKind::Reduce),
+            _ => None,
+        };
+        if device == Device::Gpu {
+            let library = match lib.as_str() {
+                "adapt" => GpuLibrary::OmpiAdapt,
+                "default" => GpuLibrary::OmpiDefault,
+                "mvapich" => GpuLibrary::Mvapich,
+                other => usage_error(format!("unknown GPU library `{other}`")),
+            };
+            let Some(kind) = opk else {
+                usage_error(format!("the GPU runner supports bcast/reduce, not `{op}`"))
+            };
+            let case = GpuCase {
+                nranks: machine.gpu_job_size(),
+                machine,
+                op: kind,
+                library,
+                msg_bytes: msg,
+            };
+            return Job {
+                spec: case.spec(),
+                op,
+                label: library.label().into(),
+                msg,
+                scope: NoiseScope::PerNode,
+            };
+        }
+        // Checked for every op, although only bcast/reduce read it: a
+        // typo'd library must not silently run ADAPT.
+        let library = match lib.as_str() {
+            "adapt" => Library::OmpiAdapt,
+            "default" => Library::OmpiDefault,
+            "default-topo" => Library::OmpiDefaultTopo,
+            "intel" => Library::IntelMpi,
+            "cray" => Library::CrayMpi,
+            "mvapich" => Library::Mvapich,
+            other => usage_error(format!("unknown library `{other}`")),
+        };
+        let nranks = machine.cpu_job_size();
+        if let Some(kind) = opk {
+            let case = CollectiveCase {
+                machine,
+                nranks,
+                op: kind,
+                library,
+                msg_bytes: msg,
+            };
+            return Job {
+                spec: case.spec(),
+                op,
+                label: library.label(),
+                msg,
+                scope: NoiseScope::PerNode,
+            };
+        }
+        // Collectives beyond bcast/reduce run through their adapt-core
+        // specs. Alltoall moves whole per-rank blocks.
+        let msg_bytes = if op == "alltoall" {
+            msg - msg % nranks as u64
+        } else {
+            msg
+        };
+        if msg > 0 && msg_bytes == 0 {
+            usage_error(format!(
+                "--msg {msg}: alltoall needs at least one byte per rank ({nranks})"
+            ));
+        }
+        // Every adapt-core spec but the barrier has the same four fields.
+        macro_rules! adapt_core {
+            ($spec:ident) => {
+                Arc::new(move || {
+                    let cfg = AdaptConfig::default();
+                    let data = None;
+                    $spec {
+                        nranks,
+                        msg_bytes,
+                        cfg,
+                        data,
+                    }
+                    .programs()
+                })
+            };
+        }
+        let programs: ProgramBuilder = match op.as_str() {
+            "allreduce" => adapt_core!(AllreduceSpec),
+            "allgather" => adapt_core!(AllgatherSpec),
+            "alltoall" => adapt_core!(AlltoallSpec),
+            "scan" => adapt_core!(ScanSpec),
+            "scatter" => adapt_core!(ScatterSpec),
+            "gather" => adapt_core!(GatherSpec),
+            "barrier" => Arc::new(move || BarrierSpec { nranks }.programs()),
+            other => usage_error(format!("unknown op `{other}`")),
+        };
+        Job {
+            spec: RunSpec::new(machine, nranks, programs),
+            op,
+            label: "ADAPT".into(),
+            msg: msg_bytes,
+            scope: NoiseScope::AllRanks,
+        }
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if let Err(reason) = check_args(&args) {
@@ -549,281 +641,63 @@ fn main() {
         Some("cori") => profiles::cori(nodes),
         Some(other) => usage_error(format!("unknown machine `{other}`")),
     };
-    if flag(&args, "gpu") && machine.shape.gpus_per_socket == 0 {
-        usage_error("--gpu needs a machine with GPUs (--machine psg)");
+    let device = if flag(&args, "gpu") {
+        if machine.shape.gpus_per_socket == 0 {
+            usage_error("--gpu needs a machine with GPUs (--machine psg)");
+        }
+        Device::Gpu
+    } else {
+        Device::Cpu
+    };
+    if flag(&args, "describe") {
+        print!("{}", adapt::topology::describe_machine(&machine));
+        return;
     }
-    let gpu = machine.shape.gpus_per_socket > 0;
-    let msg: u64 = parsed(&args, "msg").unwrap_or(4 << 20);
     let noise: f64 = parsed(&args, "noise").unwrap_or(0.0);
     if !(0.0..50.0).contains(&noise) {
         usage_error(format!("--noise {noise}: must be at least 0 and below 50"));
     }
     let seed: u64 = parsed(&args, "seed").unwrap_or(1);
-    let op = arg(&args, "op").unwrap_or_else(|| "bcast".into());
-    let lib = arg(&args, "lib").unwrap_or_else(|| "adapt".into());
     let faults = FaultArgs::parse(&args, seed);
     let whatif = WhatIfArgs::parse(&args);
     let monitor = MonitorArgs::parse(&args);
-
-    if gpu {
-        if faults.active() {
-            usage_error("--faults/--watchdog-horizon run on the CPU path; drop --gpu");
-        }
-        if whatif.wanted() {
-            usage_error("--whatif/--diff-against/--obs-out run on the CPU path");
-        }
-        if monitor.active() {
-            usage_error("--monitor/--health-out snapshot the CPU event loop; drop --gpu");
-        }
-        let library = match lib.as_str() {
-            "adapt" => GpuLibrary::OmpiAdapt,
-            "default" => GpuLibrary::OmpiDefault,
-            "mvapich" => GpuLibrary::Mvapich,
-            other => usage_error(format!("unknown GPU library `{other}`")),
-        };
-        let opk = match op.as_str() {
-            "bcast" => OpKind::Bcast,
-            "reduce" => OpKind::Reduce,
-            other => usage_error(format!(
-                "the GPU runner supports bcast/reduce, not `{other}`"
-            )),
-        };
-        let case = GpuCase {
-            nranks: machine.gpu_job_size(),
-            machine,
-            op: opk,
-            library,
-            msg_bytes: msg,
-        };
-        let (us, stats) = run_gpu_once(&case);
-        println!(
-            "{op} ({}) on {} GPUs, {msg} bytes: {us:.1} us",
-            library.label(),
-            case.nranks
-        );
-        println!(
-            "  events={} messages={} rendezvous={}",
-            stats.events, stats.messages, stats.rendezvous
-        );
-        println!("  audit: clean (invariants asserted by the runner)");
-        return;
-    }
-
-    // Checked for every op, although only bcast/reduce read it: a typo'd
-    // library must not silently run ADAPT.
-    let library = match lib.as_str() {
-        "adapt" => Library::OmpiAdapt,
-        "default" => Library::OmpiDefault,
-        "default-topo" => Library::OmpiDefaultTopo,
-        "intel" => Library::IntelMpi,
-        "cray" => Library::CrayMpi,
-        "mvapich" => Library::Mvapich,
-        other => usage_error(format!("unknown library `{other}`")),
-    };
-
-    if flag(&args, "describe") {
-        print!("{}", adapt::topology::describe_machine(&machine));
-        return;
-    }
-
-    let nranks = machine.cpu_job_size();
-    // Collectives beyond bcast/reduce run through their adapt-core specs.
-    match op.as_str() {
-        "allreduce" | "allgather" | "alltoall" | "scan" | "scatter" | "gather" | "barrier" => {
-            let cfg = AdaptConfig::default();
-            let programs = match op.as_str() {
-                "allreduce" => AllreduceSpec {
-                    nranks,
-                    msg_bytes: msg,
-                    cfg,
-                    data: None,
-                }
-                .programs(),
-                "allgather" => AllgatherSpec {
-                    nranks,
-                    msg_bytes: msg,
-                    cfg,
-                    data: None,
-                }
-                .programs(),
-                "alltoall" => adapt::core::AlltoallSpec {
-                    nranks,
-                    msg_bytes: msg - msg % nranks as u64,
-                    cfg,
-                    data: None,
-                }
-                .programs(),
-                "scan" => adapt::core::ScanSpec {
-                    nranks,
-                    msg_bytes: msg,
-                    cfg,
-                    data: None,
-                }
-                .programs(),
-                "scatter" => ScatterSpec {
-                    nranks,
-                    msg_bytes: msg,
-                    cfg,
-                    data: None,
-                }
-                .programs(),
-                "gather" => GatherSpec {
-                    nranks,
-                    msg_bytes: msg,
-                    cfg,
-                    data: None,
-                }
-                .programs(),
-                _ => BarrierSpec { nranks }.programs(),
-            };
-            let noise_model = if noise > 0.0 {
-                ClusterNoise::uniform(nranks, NoiseSpec::uniform_percent(noise), MasterSeed(seed))
-            } else {
-                ClusterNoise::silent(nranks)
-            };
-            let obs = ObsArgs::parse(&args);
-            whatif.check_recorder(&obs);
-            let mut world = monitor.attach(World::cpu(machine, nranks, noise_model));
-            if obs.wanted() || whatif.wanted() {
-                world = world.with_recorder(obs.recorder());
-            }
-            let res = faults.run(world, programs);
-            dump_flight_on_dirty_audit(&res);
-            println!(
-                "{op} (ADAPT) on {nranks} ranks, {msg} bytes: {:.1} us",
-                res.makespan.as_micros_f64()
-            );
-            print!("{}", res.stats);
-            faults.summary(&res);
-            println!("  {}", res.audit);
-            monitor.emit(&res);
-            if obs.wanted() {
-                obs.emit(&res);
-            }
-            if whatif.wanted() {
-                // No runner-level re-run path for spec-built programs:
-                // predictions print without a ground-truth line.
-                let data = res.obs.as_ref().expect("recorder attached");
-                whatif.emit(data, &|_| None);
-            }
-            return;
-        }
-        _ => {}
-    }
-
-    let opk = match op.as_str() {
-        "bcast" => OpKind::Bcast,
-        "reduce" => OpKind::Reduce,
-        other => usage_error(format!("unknown op `{other}`")),
-    };
-    let case = CollectiveCase {
-        machine,
-        nranks,
-        op: opk,
-        library,
-        msg_bytes: msg,
-    };
-    if let Some(path) = arg(&args, "trace") {
-        // Traced single run (ignores --noise scope subtleties).
-        let noise_model =
-            adapt::collectives::noise_for_case(&case, NoiseScope::PerNode, noise, seed);
-        let world = monitor
-            .attach(World::cpu(case.machine.clone(), case.nranks, noise_model))
-            .enable_trace();
-        let res = faults.run(world, case.programs());
-        std::fs::write(&path, adapt::mpi::trace_to_csv(&res.trace)).expect("write trace");
-        println!(
-            "{op} ({}) on {nranks} ranks: {:.1} us — {} trace events written to {path}",
-            library.label(),
-            res.makespan.as_micros_f64(),
-            res.trace.len()
-        );
-        faults.summary(&res);
-        println!("  {}", res.audit);
-        monitor.emit(&res);
-        return;
-    }
     let obs = ObsArgs::parse(&args);
-    whatif.check_recorder(&obs);
-    if obs.wanted() || whatif.wanted() {
-        // Recorded run: same world and programs as run_once_scoped, with a
-        // recorder attached. Results are identical either way — recording
-        // never perturbs the simulation.
-        let (world, programs) = world_for_case(&case, NoiseScope::PerNode, noise, seed);
-        let res = faults.run(
-            monitor.attach(world).with_recorder(obs.recorder()),
-            programs,
-        );
-        dump_flight_on_dirty_audit(&res);
-        assert!(res.audit.is_clean(), "{}", res.audit);
-        println!(
-            "{op} ({}) on {nranks} ranks, {msg} bytes, {noise}% noise: {:.1} us",
-            library.label(),
-            res.makespan.as_micros_f64()
-        );
-        print!("{}", res.stats);
-        faults.summary(&res);
-        println!("  audit: clean (invariants asserted by the runner)");
-        monitor.emit(&res);
-        if obs.wanted() {
-            obs.emit(&res);
-        }
-        if whatif.wanted() {
-            let data = res.obs.as_ref().expect("recorder attached");
-            let no_faults = !faults.active();
-            whatif.emit(data, &|iv| {
-                // Ground truth: re-run the real simulator under the
-                // equivalent configuration. Virtual-only interventions
-                // (layer scaling) and faulted runs have no equivalent.
-                if !no_faults {
-                    return None;
-                }
-                run_intervened(&case, NoiseScope::PerNode, noise, seed, iv, 0)
-                    .ok()
-                    .map(|r| r.makespan.as_nanos())
-            });
-        }
-        return;
-    }
-    if faults.active() {
-        let (world, programs) = world_for_case(&case, NoiseScope::PerNode, noise, seed);
-        let res = faults.run(monitor.attach(world), programs);
-        assert!(res.audit.is_clean(), "{}", res.audit);
-        println!(
-            "{op} ({}) on {nranks} ranks, {msg} bytes, {noise}% noise: {:.1} us",
-            library.label(),
-            res.makespan.as_micros_f64()
-        );
-        print!("{}", res.stats);
-        faults.summary(&res);
-        println!("  audit: clean (invariants asserted by the runner)");
-        monitor.emit(&res);
-        return;
-    }
-    if monitor.active() {
-        // Same world and programs as run_once_scoped, with the health
-        // monitor attached — the printed times must match the plain run
-        // byte for byte; only the health block is new.
-        let (world, programs) = world_for_case(&case, NoiseScope::PerNode, noise, seed);
-        let res = monitor.attach(world).run(programs);
-        assert!(res.audit.is_clean(), "{}", res.audit);
-        println!(
-            "{op} ({}) on {nranks} ranks, {msg} bytes, {noise}% noise: {:.1} us",
-            library.label(),
-            res.makespan.as_micros_f64()
-        );
-        print!("{}", res.stats);
-        println!("  audit: clean (invariants asserted by the runner)");
-        monitor.emit(&res);
-        return;
-    }
-    let (us, stats) = run_once_scoped(&case, NoiseScope::PerNode, noise, seed);
+    let job = Job::parse(&args, machine, device);
+
+    let spec = RunSpec {
+        noise: Noise {
+            percent: noise,
+            scope: job.scope,
+            seed,
+        },
+        faults: faults.plan.clone(),
+        watchdog: faults.watchdog,
+        monitor_ns: monitor.interval(),
+        recorder: obs.recording(&whatif),
+        ..job.spec
+    };
+    let res = execute(&spec).unwrap_or_else(|err| fail(&err));
+
+    let units = match spec.device {
+        Device::Cpu => "ranks",
+        Device::Gpu => "GPUs",
+    };
     println!(
-        "{op} ({}) on {nranks} ranks, {msg} bytes, {noise}% noise: {us:.1} us",
-        library.label()
+        "{} ({}) on {} {units}, {} bytes, {noise}% noise: {:.1} us",
+        job.op,
+        job.label,
+        spec.nranks,
+        job.msg,
+        res.makespan.as_micros_f64()
     );
-    print!("{stats}");
-    println!("  audit: clean (invariants asserted by the runner)");
+    print!("{}", res.stats);
+    faults.summary(&res);
+    println!("  {}", res.audit);
+    monitor.emit(&res);
+    obs.emit(&res);
+    if let Some(data) = &res.obs {
+        whatif.emit(data, &spec);
+    }
 }
 
 #[cfg(test)]

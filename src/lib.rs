@@ -90,7 +90,7 @@ pub use adapt_apps as apps;
 /// Everything a typical experiment needs, in one import.
 pub mod prelude {
     pub use adapt_collectives::{
-        run_once, run_trial, CollectiveCase, IntelAlg, Library, OpKind, Trial,
+        execute, run_trial, CollectiveCase, IntelAlg, Library, OpKind, RunSpec, Trial,
     };
     pub use adapt_core::{
         topology_aware_tree, topology_aware_tree_rooted, AdaptConfig, AllgatherSpec, AllreduceSpec,
@@ -98,7 +98,7 @@ pub mod prelude {
         ScanSpec, ScatterSpec, TopoTreeConfig, Tree, TreeKind,
     };
     pub use adapt_faults::FaultPlan;
-    pub use adapt_gpu::{run_gpu_once, GpuBcastSpec, GpuCase, GpuLibrary};
+    pub use adapt_gpu::{GpuBcastSpec, GpuCase, GpuLibrary};
     pub use adapt_mpi::{AuditReport, Completion, Payload, ProgramCtx, RankProgram, Token, World};
     pub use adapt_noise::{ClusterNoise, NoiseSpec};
     pub use adapt_sim::rng::MasterSeed;

@@ -17,7 +17,7 @@
 //! 5. a guaranteed stall trips the watchdog with a per-rank diagnosis
 //!    instead of hanging.
 
-use adapt::collectives::{run_once_faulted, CollectiveCase, Library, NoiseScope, OpKind};
+use adapt::collectives::{execute, CollectiveCase, Library, OpKind, RunSpec};
 use adapt::prelude::*;
 use bytes::Bytes;
 use std::sync::Arc;
@@ -290,7 +290,7 @@ fn randomized_schedules_are_all_survivable() {
 fn chaos_matrix_every_library_survives_loss() {
     // Every comparator library, broadcast and reduce, under seeded loss:
     // the reliability layer sits below the protocol layer, so recovery
-    // must be algorithm-agnostic. `run_once_faulted` asserts the audit.
+    // must be algorithm-agnostic. `execute` fails on a dirty audit.
     let machine = profiles::minicluster(2, 2, 4);
     for library in [
         Library::OmpiAdapt,
@@ -307,7 +307,11 @@ fn chaos_matrix_every_library_survives_loss() {
                 msg_bytes: 64 * 1024,
             };
             let plan = FaultPlan::lossy(13, 0.015).with_rto(Duration::from_micros(60));
-            let res = run_once_faulted(&case, NoiseScope::AllRanks, 0.0, 1, plan);
+            let res = execute(&RunSpec {
+                faults: Some(plan),
+                ..case.spec()
+            })
+            .unwrap_or_else(|e| panic!("{library:?} {op:?}: {e}"));
             assert!(
                 res.stats.drops_injected == 0 || res.stats.retransmits > 0,
                 "{library:?} {op:?}: drops without retransmits"

@@ -1,6 +1,7 @@
 //! Command-line input errors: every malformed invocation of `adapt-cli`
 //! exits 2 with a one-line reason plus the usage on stderr, runs nothing,
-//! and never panics. A valid invocation still runs and exits 0.
+//! and never panics. A valid invocation still runs and exits 0, and every
+//! flag composes with every other on CPU and GPU placements alike.
 
 use std::process::{Command, Output};
 
@@ -63,25 +64,183 @@ fn unknown_names_are_rejected() {
     assert_usage_error(&mini(&["--op", "nope"]), "unknown op `nope`");
     assert_usage_error(&["--machine", "nope"], "unknown machine `nope`");
     assert_usage_error(
-        &["--machine", "psg", "--lib", "cray"],
+        &["--machine", "psg", "--gpu", "--lib", "cray"],
         "unknown GPU library `cray`",
     );
-    assert_usage_error(&["--machine", "psg", "--op", "scan"], "not `scan`");
+    assert_usage_error(&["--machine", "psg", "--gpu", "--op", "scan"], "not `scan`");
 }
 
 #[test]
 fn incompatible_gpu_flags_are_rejected() {
+    // The only GPU refusal left: there is nothing to place ranks on. Every
+    // attachment composes with GPU placement (see the cross product).
     assert_usage_error(&mini(&["--gpu"]), "--gpu needs a machine with GPUs");
-    let psg = |extra: &[&'static str]| {
-        ["--machine", "psg", "--nodes", "2", "--gpu"]
-            .iter()
-            .chain(extra)
-            .copied()
-            .collect::<Vec<_>>()
-    };
-    assert_usage_error(&psg(&["--faults", "loss=0.01"]), "run on the CPU path");
-    assert_usage_error(&psg(&["--obs-out", "x.json"]), "run on the CPU path");
-    assert_usage_error(&psg(&["--monitor", "10000"]), "CPU event loop");
+}
+
+#[test]
+fn full_and_streaming_recorders_are_exclusive() {
+    for full in [
+        &["--trace", "t.csv"][..],
+        &["--trace-out", "t.json"],
+        &["--obs-out", "r.json"],
+        &["--whatif", "noop"],
+    ] {
+        for streaming in [&["--summary-out", "s.json"][..], &["--flight", "16"]] {
+            let extra: Vec<&str> = full.iter().chain(streaming).copied().collect();
+            assert_usage_error(&mini(&extra), "pick one side");
+        }
+    }
+}
+
+#[test]
+fn alltoall_rejects_a_size_that_rounds_to_nothing() {
+    // 16 ranks: 7 bytes is less than one byte per rank.
+    assert_usage_error(
+        &[
+            "--machine",
+            "mini",
+            "--nodes",
+            "1",
+            "--op",
+            "alltoall",
+            "--msg",
+            "7",
+        ],
+        "alltoall needs at least one byte per rank",
+    );
+    // 40 bytes rounds down to 32, and the header says so.
+    let out = cli(&[
+        "--machine",
+        "mini",
+        "--nodes",
+        "1",
+        "--op",
+        "alltoall",
+        "--msg",
+        "40",
+    ]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0));
+    assert!(stdout.contains("on 16 ranks, 32 bytes"), "{stdout}");
+}
+
+#[test]
+fn describe_prints_the_topology_and_runs_nothing() {
+    for machine in [&["--machine", "psg", "--nodes", "1"][..], &MINI] {
+        let args: Vec<&str> = machine.iter().chain(&["--describe"]).copied().collect();
+        let out = cli(&args);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(0), "{args:?}");
+        assert!(
+            !stdout.contains("audit"),
+            "{args:?} ran a collective:\n{stdout}"
+        );
+        assert!(!stdout.is_empty(), "{args:?} printed no topology");
+    }
+}
+
+#[test]
+fn psg_places_ranks_on_cores_unless_gpu_is_given() {
+    let psg = ["--machine", "psg", "--nodes", "1", "--msg", "65536"];
+    let cpu = cli(&psg);
+    let gpu = cli(&psg.iter().chain(&["--gpu"]).copied().collect::<Vec<_>>());
+    let (cpu, gpu) = (
+        String::from_utf8_lossy(&cpu.stdout),
+        String::from_utf8_lossy(&gpu.stdout),
+    );
+    assert!(cpu.contains("on 20 ranks,"), "{cpu}");
+    assert!(gpu.contains("on 4 GPUs,"), "{gpu}");
+}
+
+/// A fresh scratch directory under the build's temp area.
+fn scratch(name: &str) -> std::path::PathBuf {
+    let dir = std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(name);
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+#[test]
+fn every_feature_composes_on_cpu_and_gpu() {
+    let placements: [(&str, &[&str]); 2] = [
+        (
+            "mini",
+            &["--machine", "mini", "--nodes", "2", "--msg", "262144"],
+        ),
+        (
+            "gpu",
+            &[
+                "--machine",
+                "psg",
+                "--nodes",
+                "2",
+                "--gpu",
+                "--msg",
+                "1048576",
+            ],
+        ),
+    ];
+    // (name, flags, files the run must write)
+    let features: [(&str, &[&str], &[&str]); 5] = [
+        ("plain", &[], &[]),
+        ("lossy", &["--faults", "loss=0.01,rto=80us"], &[]),
+        (
+            "monitor",
+            &["--monitor", "10000", "--health-out", "health.json"],
+            &["health.json"],
+        ),
+        (
+            "recorded",
+            &[
+                "--obs-out",
+                "rec.json",
+                "--trace",
+                "events.csv",
+                "--whatif",
+                "noop",
+            ],
+            &["rec.json", "events.csv"],
+        ),
+        (
+            "summary",
+            &["--summary-out", "summary.json"],
+            &["summary.json"],
+        ),
+    ];
+    for (pname, placement) in placements {
+        for (fname, flags, files) in features {
+            let dir = scratch(&format!("compose-{pname}-{fname}"));
+            let out = Command::new(env!("CARGO_BIN_EXE_adapt-cli"))
+                .args(placement.iter().chain(flags))
+                .current_dir(&dir)
+                .output()
+                .expect("spawn adapt-cli");
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            let what = format!("{pname} x {fname}");
+            assert_eq!(
+                out.status.code(),
+                Some(0),
+                "{what}: stderr:\n{}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            assert!(stdout.contains("audit: clean"), "{what}:\n{stdout}");
+            for file in files {
+                let meta = std::fs::metadata(dir.join(file))
+                    .unwrap_or_else(|e| panic!("{what}: {file} not written: {e}"));
+                assert!(meta.len() > 0, "{what}: {file} is empty");
+            }
+            if fname == "lossy" {
+                assert!(stdout.contains("recovery: drops="), "{what}:\n{stdout}");
+            }
+            if fname == "recorded" {
+                let validation = stdout
+                    .lines()
+                    .find(|l| l.contains("prediction error:"))
+                    .unwrap_or_else(|| panic!("{what}: no validation line:\n{stdout}"));
+                assert!(validation.contains("+0 ns"), "{what}: {validation}");
+            }
+        }
+    }
 }
 
 #[test]

@@ -12,8 +12,16 @@
 //! ```text
 //! GOLDEN_REGEN=1 cargo test --test golden_trace
 //! ```
+//!
+//! The event-timeline fixtures under `tests/golden/trace/` are the older
+//! per-event tracer's output (captured before it was folded into the
+//! recorder), rows sorted by every column. The recording's CSV view
+//! must reproduce them byte for byte; they are never regenerated.
 
-use adapt::collectives::{CollectiveCase, Library, NoiseScope, OpKind};
+use adapt::collectives::{
+    execute, CollectiveCase, Library, Noise, NoiseScope, OpKind, Recording, RunSpec,
+};
+use adapt::obs::events_csv;
 use adapt::prelude::*;
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -47,10 +55,15 @@ fn run_case(op: OpKind, msg_bytes: u64, noise_percent: f64, seed: u64) -> String
         library: Library::OmpiAdapt,
         msg_bytes,
     };
-    let noise = adapt::collectives::noise_for_case(&case, NoiseScope::PerNode, noise_percent, seed);
-    let world = World::cpu(case.machine.clone(), case.nranks, noise);
-    let res = world.run(case.programs());
-    assert!(res.audit.is_clean(), "{}", res.audit);
+    let res = execute(&RunSpec {
+        noise: Noise {
+            percent: noise_percent,
+            scope: NoiseScope::PerNode,
+            seed,
+        },
+        ..case.spec()
+    })
+    .unwrap();
     serialize(&res)
 }
 
@@ -100,5 +113,47 @@ fn golden_reduce_noisy() {
     check(
         "reduce_128r_1m_noise10_seed42.txt",
         run_case(OpKind::Reduce, 1 << 20, 10.0, 42),
+    );
+}
+
+/// The recorded event timeline of a quiet 256 KiB run on the two-node
+/// minicluster (32 ranks), against its legacy-tracer fixture.
+fn check_events(name: &str, op: OpKind, library: Library) {
+    let case = CollectiveCase {
+        machine: profiles::minicluster(2, 2, 8),
+        nranks: 32,
+        op,
+        library,
+        msg_bytes: 256 << 10,
+    };
+    let res = execute(&RunSpec {
+        recorder: Recording::Full {
+            metrics_interval_ns: None,
+        },
+        ..case.spec()
+    })
+    .unwrap();
+    let got = events_csv(res.obs.as_ref().expect("recorder attached"));
+    let path = golden_dir().join("trace").join(name);
+    let want = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing legacy trace fixture {}: {e}", path.display()));
+    assert_eq!(got, want, "the event CSV view no longer reproduces {name}");
+}
+
+#[test]
+fn event_view_reproduces_legacy_bcast_trace() {
+    check_events(
+        "bcast_mini32_256k_adapt.csv",
+        OpKind::Bcast,
+        Library::OmpiAdapt,
+    );
+}
+
+#[test]
+fn event_view_reproduces_legacy_reduce_trace() {
+    check_events(
+        "reduce_mini32_256k_default.csv",
+        OpKind::Reduce,
+        Library::OmpiDefault,
     );
 }

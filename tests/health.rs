@@ -6,7 +6,7 @@
 //! the assertions are exact — an alert either fires on every run or on
 //! none.
 
-use adapt::collectives::{noise_for_case, CollectiveCase, Library, NoiseScope, OpKind};
+use adapt::collectives::{execute, CollectiveCase, Library, Noise, NoiseScope, OpKind, RunSpec};
 use adapt::obs::{AlertKind, HealthReport, Monitor, MonitorConfig};
 use adapt::prelude::*;
 use bytes::Bytes;
@@ -22,11 +22,16 @@ fn monitored_fig8(interval_ns: u64) -> HealthReport {
         library: Library::OmpiAdapt,
         msg_bytes: 1 << 20,
     };
-    let noise = noise_for_case(&case, NoiseScope::PerNode, 10.0, 42);
-    let world = World::cpu(case.machine.clone(), case.nranks, noise)
-        .with_monitor(Monitor::new(interval_ns));
-    let res = world.run(case.programs());
-    assert!(res.audit.is_clean(), "{}", res.audit);
+    let res = execute(&RunSpec {
+        noise: Noise {
+            percent: 10.0,
+            scope: NoiseScope::PerNode,
+            seed: 42,
+        },
+        monitor_ns: Some(interval_ns),
+        ..case.spec()
+    })
+    .unwrap();
     res.health.expect("monitored run carries a health report")
 }
 

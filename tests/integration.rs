@@ -1,7 +1,7 @@
 //! Cross-crate integration tests through the public `adapt` facade.
 
 use adapt::apps::{run_asp, verify_distributed_fw, AspConfig};
-use adapt::collectives::{run_once_scoped, NoiseScope};
+use adapt::collectives::{Noise, NoiseScope};
 use adapt::noise::DurationLaw;
 use adapt::prelude::*;
 use bytes::Bytes;
@@ -126,14 +126,14 @@ fn gpu_pipeline_end_to_end() {
     let machine = profiles::psg(2);
     let nranks = machine.gpu_job_size();
     let time = |library: GpuLibrary, op: OpKind| {
-        run_gpu_once(&GpuCase {
+        let case = GpuCase {
             machine: machine.clone(),
             nranks,
             op,
             library,
             msg_bytes: 16 << 20,
-        })
-        .0
+        };
+        execute(&case.spec()).unwrap().makespan.as_micros_f64()
     };
     assert!(
         time(GpuLibrary::OmpiAdapt, OpKind::Bcast) < time(GpuLibrary::OmpiDefault, OpKind::Bcast)
@@ -254,7 +254,18 @@ fn full_stack_determinism() {
             library: Library::OmpiAdapt,
             msg_bytes,
         };
-        let run = || run_once_scoped(&case, NoiseScope::AllRanks, noise_percent, seed);
+        let spec = RunSpec {
+            noise: Noise {
+                percent: noise_percent,
+                scope: NoiseScope::AllRanks,
+                seed,
+            },
+            ..case.spec()
+        };
+        let run = || {
+            let res = execute(&spec).unwrap();
+            (res.makespan, res.stats)
+        };
         assert_eq!(run(), run(), "{nranks} ranks, {noise_percent}% noise");
     }
 }
@@ -314,7 +325,7 @@ fn trees_share_no_state_across_runs() {
             library: Library::OmpiDefaultTopo,
             msg_bytes: 1 << 20,
         };
-        adapt::collectives::run_once(&case, 0.0, 3).0
+        execute(&case.spec()).unwrap().makespan
     };
     let a = mk();
     let b = mk();

@@ -6,10 +6,12 @@
 //! free of observer effects: a run's results (per-rank completion times,
 //! counters) are identical with recording on or off, quiet or noisy.
 
-use adapt::collectives::{world_for_case, CollectiveCase, Library, NoiseScope, OpKind};
+use adapt::collectives::{
+    execute, CollectiveCase, Library, Noise, NoiseScope, OpKind, Recording, RunSpec,
+};
 use adapt::obs::{
     chrome_trace, critical_path, metrics_csv, summary_json, summary_report, validate_chrome,
-    validate_metrics_csv, validate_summary, Layer, MemRecorder, StreamRecorder,
+    validate_metrics_csv, validate_summary, Layer,
 };
 use adapt::prelude::*;
 
@@ -25,15 +27,28 @@ fn fig8_case() -> CollectiveCase {
     }
 }
 
-fn run(noise: f64, seed: u64, record: bool) -> adapt::mpi::RunResult {
-    let case = fig8_case();
-    let (mut world, programs) = world_for_case(&case, NoiseScope::PerNode, noise, seed);
-    if record {
-        world = world.with_recorder(Box::new(MemRecorder::with_metrics(10_000)));
+/// The fig8 case at `percent` per-node noise, with `recorder` attached.
+fn fig8_spec(percent: f64, seed: u64, recorder: Recording) -> RunSpec {
+    RunSpec {
+        noise: Noise {
+            percent,
+            scope: NoiseScope::PerNode,
+            seed,
+        },
+        recorder,
+        ..fig8_case().spec()
     }
-    let res = world.run(programs);
-    assert!(res.audit.is_clean(), "{}", res.audit);
-    res
+}
+
+fn run(noise: f64, seed: u64, record: bool) -> adapt::mpi::RunResult {
+    let recorder = if record {
+        Recording::Full {
+            metrics_interval_ns: Some(10_000),
+        }
+    } else {
+        Recording::Off
+    };
+    execute(&fig8_spec(noise, seed, recorder)).unwrap()
 }
 
 #[test]
@@ -104,13 +119,12 @@ fn recording_is_free_and_critical_path_tiles_the_makespan() {
 #[test]
 fn streaming_summary_is_reproducible_validated_and_observer_free() {
     let stream = |noise: f64, seed: u64| {
-        let case = fig8_case();
-        let (world, programs) = world_for_case(&case, NoiseScope::PerNode, noise, seed);
-        let res = world
-            .with_recorder(Box::new(StreamRecorder::new()))
-            .run(programs);
-        assert!(res.audit.is_clean(), "{}", res.audit);
-        res
+        execute(&fig8_spec(
+            noise,
+            seed,
+            Recording::Streaming { flight: None },
+        ))
+        .unwrap()
     };
     let a = stream(10.0, 42);
     let b = stream(10.0, 42);
@@ -149,18 +163,17 @@ fn stall_dumps_a_valid_flight_fragment() {
         library: Library::OmpiAdapt,
         msg_bytes: 256 << 10,
     };
-    let (world, programs) = world_for_case(&case, NoiseScope::PerNode, 0.0, 1);
     let plan = FaultPlan::lossy(1, 0.0).with_stall(
         2,
         Time::ZERO,
         Time::ZERO + Duration::from_millis(3_600_000),
     );
-    let err = match world
-        .with_faults(plan)
-        .with_watchdog(Duration::from_millis(1))
-        .with_recorder(Box::new(StreamRecorder::new().with_flight(512)))
-        .try_run(programs)
-    {
+    let err = match execute(&RunSpec {
+        faults: Some(plan),
+        watchdog: Some(Duration::from_millis(1)),
+        recorder: Recording::Streaming { flight: Some(512) },
+        ..case.spec()
+    }) {
         Err(e) => e,
         Ok(_) => panic!("an hour-long stall must trip a 1ms watchdog"),
     };
@@ -188,11 +201,13 @@ fn phase_spans_nest_and_cover_hierarchical_runs() {
         library: Library::IntelMpi,
         msg_bytes: 256 << 10,
     };
-    let (world, programs) = world_for_case(&case, NoiseScope::PerNode, 0.0, 1);
-    let res = world
-        .with_recorder(Box::new(MemRecorder::new()))
-        .run(programs);
-    assert!(res.audit.is_clean(), "{}", res.audit);
+    let res = execute(&RunSpec {
+        recorder: Recording::Full {
+            metrics_interval_ns: None,
+        },
+        ..case.spec()
+    })
+    .unwrap();
     let obs = res.obs.as_ref().unwrap();
     let begins = obs.phases.iter().filter(|p| p.begin).count();
     let ends = obs.phases.iter().filter(|p| !p.begin).count();

@@ -2,7 +2,7 @@
 //! qualitative shapes EXPERIMENTS.md reports at full scale; here they gate
 //! regressions on every `cargo test`.
 
-use adapt::collectives::{run_once, CollectiveCase, IntelAlg, Library, OpKind};
+use adapt::collectives::{execute, CollectiveCase, IntelAlg, Library, OpKind};
 use adapt::prelude::*;
 use std::sync::Arc;
 
@@ -17,14 +17,22 @@ fn case(library: Library, op: OpKind, msg: u64) -> CollectiveCase {
     }
 }
 
+/// Completion time (µs) of a plain run of `case`.
+fn run_us(case: &CollectiveCase) -> f64 {
+    execute(&case.spec())
+        .expect("a plain run completes audit-clean")
+        .makespan
+        .as_micros_f64()
+}
+
 /// §5.2.1: for large messages ADAPT outperforms the non-topology-aware
 /// libraries on both operations.
 #[test]
 fn adapt_wins_large_messages() {
     for op in [OpKind::Bcast, OpKind::Reduce] {
-        let adapt = run_once(&case(Library::OmpiAdapt, op, 4 << 20), 0.0, 1).0;
+        let adapt = run_us(&case(Library::OmpiAdapt, op, 4 << 20));
         for lib in [Library::OmpiDefault, Library::Mvapich] {
-            let other = run_once(&case(lib, op, 4 << 20), 0.0, 1).0;
+            let other = run_us(&case(lib, op, 4 << 20));
             assert!(
                 adapt < other,
                 "{op:?}: adapt {adapt:.0}us vs {} {other:.0}us",
@@ -43,13 +51,8 @@ fn adapt_wins_large_messages() {
 #[test]
 fn adapt_vs_waitall_on_same_tree() {
     use adapt::collectives::{run_trial, NoiseScope, Trial};
-    let clean_adapt = run_once(&case(Library::OmpiAdapt, OpKind::Bcast, 4 << 20), 0.0, 1).0;
-    let clean_topo = run_once(
-        &case(Library::OmpiDefaultTopo, OpKind::Bcast, 4 << 20),
-        0.0,
-        1,
-    )
-    .0;
+    let clean_adapt = run_us(&case(Library::OmpiAdapt, OpKind::Bcast, 4 << 20));
+    let clean_topo = run_us(&case(Library::OmpiDefaultTopo, OpKind::Bcast, 4 << 20));
     assert!(
         clean_adapt < clean_topo * 1.15,
         "clean: event-driven {clean_adapt:.0}us must stay within 15% of Waitall {clean_topo:.0}us"
@@ -80,11 +83,11 @@ fn adapt_vs_waitall_on_same_tree() {
 /// that its advantage appears by 4 MB.
 #[test]
 fn small_message_pipeline_fill_caveat() {
-    let small_adapt = run_once(&case(Library::OmpiAdapt, OpKind::Bcast, 64 << 10), 0.0, 1).0;
-    let small_tuned = run_once(&case(Library::OmpiDefault, OpKind::Bcast, 64 << 10), 0.0, 1).0;
+    let small_adapt = run_us(&case(Library::OmpiAdapt, OpKind::Bcast, 64 << 10));
+    let small_tuned = run_us(&case(Library::OmpiDefault, OpKind::Bcast, 64 << 10));
     assert!(small_adapt < small_tuned * 5.0);
-    let large_adapt = run_once(&case(Library::OmpiAdapt, OpKind::Bcast, 4 << 20), 0.0, 1).0;
-    let large_tuned = run_once(&case(Library::OmpiDefault, OpKind::Bcast, 4 << 20), 0.0, 1).0;
+    let large_adapt = run_us(&case(Library::OmpiAdapt, OpKind::Bcast, 4 << 20));
+    let large_tuned = run_us(&case(Library::OmpiDefault, OpKind::Bcast, 4 << 20));
     assert!(large_adapt < large_tuned);
 }
 
@@ -92,17 +95,12 @@ fn small_message_pipeline_fill_caveat() {
 /// levels that the multi-communicator hierarchy serializes.
 #[test]
 fn single_communicator_beats_phased_hierarchy() {
-    let adapt = run_once(&case(Library::OmpiAdapt, OpKind::Bcast, 4 << 20), 0.0, 1).0;
-    let hier = run_once(
-        &case(
-            Library::IntelTopo(IntelAlg::ShmKnomial),
-            OpKind::Bcast,
-            4 << 20,
-        ),
-        0.0,
-        1,
-    )
-    .0;
+    let adapt = run_us(&case(Library::OmpiAdapt, OpKind::Bcast, 4 << 20));
+    let hier = run_us(&case(
+        Library::IntelTopo(IntelAlg::ShmKnomial),
+        OpKind::Bcast,
+        4 << 20,
+    ));
     assert!(adapt < hier, "adapt {adapt:.0}us vs hierarchy {hier:.0}us");
 }
 
@@ -119,7 +117,7 @@ fn strong_scaling_is_nearly_flat() {
             library: Library::OmpiAdapt,
             msg_bytes: 4 << 20,
         };
-        run_once(&case, 0.0, 1).0
+        run_us(&case)
     };
     let small = time_at(2); // 64 ranks
     let large = time_at(6); // 192 ranks

@@ -11,7 +11,8 @@
 //! no dev-dependencies; every case prints its seed on failure and is
 //! reproducible from it.
 
-use adapt::collectives::{try_run_once_faulted, CollectiveCase, Library, NoiseScope, OpKind};
+use adapt::collectives::{execute, CollectiveCase, Library, OpKind, RunSpec};
+use adapt::mpi::RunError;
 use adapt::prelude::*;
 
 /// splitmix64: tiny, well-mixed, good enough to derive schedule knobs.
@@ -73,7 +74,8 @@ fn random_plan(seed: u64, nranks: u32) -> FaultPlan {
 /// One schedule's outcome, flattened for comparison.
 #[derive(Debug, PartialEq)]
 enum Outcome {
-    /// Completed: clean audit (asserted inside the runner), finish times.
+    /// Completed: clean audit (`execute` fails on a dirty one), finish
+    /// times.
     Done {
         makespan: Duration,
         per_rank_finish: Vec<Time>,
@@ -86,7 +88,11 @@ enum Outcome {
 }
 
 fn run_case(case: &CollectiveCase, plan: FaultPlan) -> Outcome {
-    match try_run_once_faulted(case, NoiseScope::AllRanks, 0.0, 1, plan) {
+    let spec = RunSpec {
+        faults: Some(plan),
+        ..case.spec()
+    };
+    match execute(&spec) {
         Ok(res) => Outcome::Done {
             makespan: res.makespan,
             per_rank_finish: res.per_rank_finish,
@@ -94,6 +100,9 @@ fn run_case(case: &CollectiveCase, plan: FaultPlan) -> Outcome {
             failures_detected: res.stats.failures_detected,
             retransmits: res.stats.retransmits,
         },
+        // A corrupted ledger is a simulator bug, never a survivable
+        // outcome: fail loudly with the report.
+        Err(e) if matches!(*e, RunError::AuditFailed { .. }) => panic!("{e}"),
         Err(e) => Outcome::Failed(e.to_string()),
     }
 }
@@ -101,9 +110,9 @@ fn run_case(case: &CollectiveCase, plan: FaultPlan) -> Outcome {
 #[test]
 fn soak_every_library_never_panics_under_random_schedules() {
     // Every library x both ops x randomized schedules with kills: the run
-    // must end in a clean completion or a structured error. The runner
-    // asserts the audit on every completion, so a schedule that corrupts
-    // the ledger fails loudly here with its seed.
+    // must end in a clean completion or a structured error. A dirty
+    // audit panics in `run_case`, so a schedule that corrupts the ledger
+    // fails loudly here with its seed.
     let machine = profiles::minicluster(2, 2, 4);
     let mut completions = 0u32;
     let mut failures = 0u32;

@@ -12,7 +12,7 @@
 //!    of the makespan delta.
 
 use adapt::collectives::{
-    record_once, run_intervened, CollectiveCase, Library, NoiseScope, OpKind,
+    execute, CollectiveCase, Library, Noise, NoiseScope, OpKind, Recording, RunSpec,
 };
 use adapt::obs::{diff_runs, from_json, predict, to_json, Intervention, ObsData};
 use adapt::prelude::*;
@@ -29,8 +29,33 @@ fn mini_case(msg_bytes: u64) -> CollectiveCase {
     }
 }
 
+/// A fully recorded run of `case` at `percent` noise over `scope`.
+fn recorded(case: &CollectiveCase, scope: NoiseScope, percent: f64, seed: u64) -> RunSpec {
+    RunSpec {
+        noise: Noise {
+            percent,
+            scope,
+            seed,
+        },
+        recorder: Recording::Full {
+            metrics_interval_ns: None,
+        },
+        ..case.spec()
+    }
+}
+
+/// The real-configuration re-run of `spec` under `iv`.
+fn rerun(spec: &RunSpec, iv: &Intervention) -> adapt::mpi::RunResult {
+    execute(&RunSpec {
+        intervention: Some(iv.clone()),
+        ..spec.clone()
+    })
+    .unwrap()
+}
+
 fn record(case: &CollectiveCase, noise: f64, seed: u64) -> ObsData {
-    record_once(case, NoiseScope::PerNode, noise, seed, 0)
+    execute(&recorded(case, NoiseScope::PerNode, noise, seed))
+        .unwrap()
         .obs
         .expect("recorder attached")
 }
@@ -53,7 +78,8 @@ fn noop_prediction_is_bit_exact_quiet() {
 const NOISY_SEED: u64 = 1032;
 
 fn record_noisy(case: &CollectiveCase) -> ObsData {
-    record_once(case, NoiseScope::AllRanks, 10.0, NOISY_SEED, 0)
+    execute(&recorded(case, NoiseScope::AllRanks, 10.0, NOISY_SEED))
+        .unwrap()
         .obs
         .expect("recorder attached")
 }
@@ -132,7 +158,10 @@ fn rank_noise_off_prediction_matches_real_rerun() {
         .expect("some rank was preempted") as u32;
     let iv = Intervention::RankNoiseOff(victim);
     let p = predict(&noisy, &iv).unwrap();
-    let actual = run_intervened(&case, NoiseScope::AllRanks, 10.0, NOISY_SEED, &iv, 0).unwrap();
+    let actual = rerun(
+        &recorded(&case, NoiseScope::AllRanks, 10.0, NOISY_SEED),
+        &iv,
+    );
     let actual_data = actual.obs.expect("recorder attached");
     assert_eq!(p.per_rank_finish_ns, actual_data.per_rank_finish_ns);
 }
@@ -147,7 +176,7 @@ fn link_scale_prediction_matches_real_rerun() {
             factor,
         };
         let p = predict(&data, &iv).unwrap();
-        let actual = run_intervened(&case, NoiseScope::PerNode, 0.0, 3, &iv, 0).unwrap();
+        let actual = rerun(&recorded(&case, NoiseScope::PerNode, 0.0, 3), &iv);
         let actual_ns = actual.makespan.as_nanos();
         assert_eq!(
             p.predicted_ns, actual_ns,

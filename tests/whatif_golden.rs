@@ -14,7 +14,7 @@
 //! GOLDEN_REGEN=1 cargo test --test whatif_golden
 //! ```
 
-use adapt::collectives::{record_once, CollectiveCase, Library, NoiseScope, OpKind};
+use adapt::collectives::{execute, CollectiveCase, Library, OpKind, Recording, RunSpec};
 use adapt::obs::{diff_runs, from_json, predict, to_json, Intervention};
 use adapt::prelude::*;
 use std::path::PathBuf;
@@ -59,6 +59,19 @@ fn check(name: &str, got: &str) -> String {
     want
 }
 
+/// A full recording of a quiet run of `case`.
+fn record(case: &CollectiveCase) -> adapt::obs::ObsData {
+    execute(&RunSpec {
+        recorder: Recording::Full {
+            metrics_interval_ns: None,
+        },
+        ..case.spec()
+    })
+    .unwrap()
+    .obs
+    .expect("recorder attached")
+}
+
 #[test]
 fn golden_recordings_stay_replayable_and_gate_clean() {
     for (name, library) in [
@@ -66,9 +79,7 @@ fn golden_recordings_stay_replayable_and_gate_clean() {
         ("bcast_mini32_256k_default.json", Library::OmpiDefault),
     ] {
         let case = gate_case(library);
-        let fresh = record_once(&case, NoiseScope::PerNode, 0.0, 42, 0)
-            .obs
-            .expect("recorder attached");
+        let fresh = record(&case);
         let committed = from_json(&check(name, &to_json(&fresh))).unwrap();
         // The committed fixture replays bit-exactly under no intervention.
         let p = predict(&committed, &Intervention::Noop).unwrap();
@@ -89,9 +100,7 @@ fn golden_gap_attribution_between_libraries() {
         } else {
             Library::OmpiDefault
         });
-        record_once(&case, NoiseScope::PerNode, 0.0, 42, 0)
-            .obs
-            .expect("recorder attached")
+        record(&case)
     };
     let adapt = load("adapt");
     let default = load("default");
