@@ -319,7 +319,7 @@ mod tests {
             data: Some((ReduceOp::Sum, DType::F64, contributions)),
         };
         let world = World::cpu(profiles::minicluster(4, 2, 4), n, ClusterNoise::silent(n));
-        let res = world.run(spec.programs());
+        let res = world.try_run(spec.programs()).unwrap();
         for (r, p) in res.programs.into_iter().enumerate() {
             let any: Box<dyn std::any::Any> = p;
             let a = any.downcast::<AdaptAllreduce>().unwrap();
@@ -348,7 +348,7 @@ mod tests {
             data: None,
         };
         let world = World::cpu(profiles::minicluster(4, 2, 4), 32, ClusterNoise::silent(32));
-        let res = world.run(spec.programs());
+        let res = world.try_run(spec.programs()).unwrap();
         assert!(res.makespan.as_nanos() > 0);
         // Ring allreduce moves ~2x the message through each rank pair.
         assert!(res.stats.delivered_bytes >= 2 * (16 << 20));
@@ -368,7 +368,7 @@ mod tests {
             )),
         };
         let world = World::cpu(profiles::minicluster(1, 1, 1), 1, ClusterNoise::silent(1));
-        let res = world.run(spec.programs());
+        let res = world.try_run(spec.programs()).unwrap();
         let p: Box<dyn std::any::Any> = res.programs.into_iter().next().unwrap();
         let a = p.downcast::<AdaptAllreduce>().unwrap();
         assert_eq!(bytes_to_f64(&a.result().unwrap()), data);

@@ -218,7 +218,7 @@ mod tests {
             data: Some(contributions.clone()),
         };
         let world = World::cpu(profiles::minicluster(3, 2, 4), n, ClusterNoise::silent(n));
-        let res = world.run(spec.programs());
+        let res = world.try_run(spec.programs()).unwrap();
         for (r, p) in res.programs.into_iter().enumerate() {
             let any: Box<dyn std::any::Any> = p;
             let a = any.downcast::<AdaptAlltoall>().unwrap();
@@ -266,7 +266,7 @@ mod tests {
             data: None,
         };
         let world = World::cpu(profiles::minicluster(4, 2, 4), 32, ClusterNoise::silent(32));
-        let res = world.run(spec.programs());
+        let res = world.try_run(spec.programs()).unwrap();
         assert!(res.makespan.as_nanos() > 0);
         assert_eq!(res.stats.messages, 32 * 31);
     }
@@ -281,7 +281,7 @@ mod tests {
             data: Some(Arc::new(vec![data.clone()])),
         };
         let world = World::cpu(profiles::minicluster(1, 1, 1), 1, ClusterNoise::silent(1));
-        let res = world.run(spec.programs());
+        let res = world.try_run(spec.programs()).unwrap();
         let p: Box<dyn std::any::Any> = res.programs.into_iter().next().unwrap();
         let a = p.downcast::<AdaptAlltoall>().unwrap();
         assert_eq!(a.result().unwrap(), data.to_vec());

@@ -328,7 +328,7 @@ mod tests {
                 n.min(64),
                 ClusterNoise::silent(n.min(64)),
             );
-            let res = world.run(BarrierSpec { nranks: n }.programs());
+            let res = world.try_run(BarrierSpec { nranks: n }.programs()).unwrap();
             assert!(res.makespan.as_micros_f64() < 1_000.0, "n={n}");
         }
     }
@@ -375,7 +375,7 @@ mod tests {
                 }) as Box<dyn RankProgram>
             })
             .collect();
-        let res = world.run(programs);
+        let res = world.try_run(programs).unwrap();
         for (r, t) in res.per_rank_finish.iter().enumerate() {
             assert!(
                 t.as_millis_f64() >= 1.0,
@@ -409,7 +409,7 @@ mod tests {
                 data: Some(Arc::new(contributions)),
             };
             let world = World::cpu(profiles::minicluster(4, 2, 4), n, ClusterNoise::silent(n));
-            let res = world.run(spec.programs());
+            let res = world.try_run(spec.programs()).unwrap();
             for (r, p) in res.programs.into_iter().enumerate() {
                 let any: Box<dyn std::any::Any> = p;
                 let a = any.downcast::<AdaptAllgather>().unwrap();

@@ -358,7 +358,7 @@ mod tests {
         };
         let machine = profiles::minicluster(4, 2, 2);
         let world = World::cpu(machine, nranks, ClusterNoise::silent(nranks));
-        let res = world.run(spec.programs());
+        let res = world.try_run(spec.programs()).unwrap();
         (res.makespan, res.programs)
     }
 
@@ -458,7 +458,7 @@ mod tests {
             data: None,
         };
         let world = World::cpu(profiles::minicluster(4, 1, 1), 4, ClusterNoise::silent(4));
-        let res = world.run(spec.programs());
+        let res = world.try_run(spec.programs()).unwrap();
         assert_eq!(res.stats.unexpected_matches, 0, "M > N keeps recvs ahead");
     }
 }

@@ -297,7 +297,7 @@ mod tests {
             data: Some(Arc::new(contributions)),
         };
         let world = World::cpu(profiles::minicluster(4, 2, 4), n, ClusterNoise::silent(n));
-        let res = world.run(spec.programs());
+        let res = world.try_run(spec.programs()).unwrap();
         let root: Box<dyn std::any::Any> = res.programs.into_iter().next().unwrap();
         let root = root.downcast::<AdaptGather>().unwrap();
         assert_eq!(
@@ -324,7 +324,7 @@ mod tests {
             data: None,
         };
         let world = World::cpu(profiles::minicluster(4, 2, 4), 16, ClusterNoise::silent(16));
-        assert!(world.run(spec.programs()).makespan.as_nanos() > 0);
+        assert!(world.try_run(spec.programs()).unwrap().makespan.as_nanos() > 0);
     }
 
     #[test]
@@ -336,6 +336,6 @@ mod tests {
             data: None,
         };
         let world = World::cpu(profiles::minicluster(1, 1, 1), 1, ClusterNoise::silent(1));
-        assert!(world.run(spec.programs()).makespan.as_nanos() < 1_000_000);
+        assert!(world.try_run(spec.programs()).unwrap().makespan.as_nanos() < 1_000_000);
     }
 }

@@ -356,7 +356,7 @@ mod tests {
         } else {
             World::cpu(machine, nranks, ClusterNoise::silent(nranks))
         };
-        let res = world.run(spec.programs());
+        let res = world.try_run(spec.programs()).unwrap();
         let root: Box<dyn std::any::Any> = res.programs.into_iter().next().unwrap();
         let root = root.downcast::<AdaptReduce>().expect("reduce program");
         adapt_mpi::bytes_to_f64(&root.result().expect("root result"))
@@ -404,7 +404,7 @@ mod tests {
                 exec,
             };
             let world = World::gpu(profiles::mini_gpu(2), 8, ClusterNoise::silent(8));
-            world.run(spec.programs()).makespan
+            world.try_run(spec.programs()).unwrap().makespan
         };
         let cpu = mk(ReduceExec::Cpu);
         let gpu = mk(ReduceExec::GpuAsync);
@@ -424,7 +424,7 @@ mod tests {
             exec: ReduceExec::Cpu,
         };
         let world = World::cpu(profiles::minicluster(2, 2, 2), 6, ClusterNoise::silent(6));
-        let res = world.run(spec.programs());
+        let res = world.try_run(spec.programs()).unwrap();
         assert!(res.makespan.as_nanos() < 1_000_000);
     }
 
@@ -448,7 +448,7 @@ mod tests {
                 exec: ReduceExec::Cpu,
             };
             let world = World::cpu(profiles::minicluster(4, 1, 2), 8, ClusterNoise::silent(8));
-            let res = world.run(spec.programs());
+            let res = world.try_run(spec.programs()).unwrap();
             let root: Box<dyn std::any::Any> = res.programs.into_iter().next().unwrap();
             let root = root.downcast::<AdaptReduce>().unwrap();
             let got = adapt_mpi::bytes_to_f64(&root.result().unwrap());
@@ -466,7 +466,7 @@ mod tests {
             exec: ReduceExec::Cpu,
         };
         let world = World::cpu(profiles::minicluster(2, 1, 2), 4, ClusterNoise::silent(4));
-        let res = world.run(spec.programs());
+        let res = world.try_run(spec.programs()).unwrap();
         for (i, p) in res.programs.into_iter().enumerate().skip(1) {
             let any: Box<dyn std::any::Any> = p;
             let r = any.downcast::<AdaptReduce>().unwrap();

@@ -247,7 +247,7 @@ mod tests {
             data: Some((ReduceOp::Sum, DType::F64, contributions)),
         };
         let world = World::cpu(profiles::minicluster(3, 2, 4), n, ClusterNoise::silent(n));
-        let res = world.run(spec.programs());
+        let res = world.try_run(spec.programs()).unwrap();
         for (r, p) in res.programs.into_iter().enumerate() {
             let any: Box<dyn std::any::Any> = p;
             let s = any.downcast::<AdaptScan>().unwrap();
@@ -278,7 +278,7 @@ mod tests {
             data: None,
         };
         let world = World::cpu(profiles::minicluster(4, 2, 2), 16, ClusterNoise::silent(16));
-        let res = world.run(spec.programs());
+        let res = world.try_run(spec.programs()).unwrap();
         assert!(res.makespan.as_nanos() > 0);
         // Pipelining: the scan should take far less than 15 sequential
         // full-message hops.
@@ -304,7 +304,7 @@ mod tests {
             )),
         };
         let world = World::cpu(profiles::minicluster(1, 1, 1), 1, ClusterNoise::silent(1));
-        let res = world.run(spec.programs());
+        let res = world.try_run(spec.programs()).unwrap();
         let p: Box<dyn std::any::Any> = res.programs.into_iter().next().unwrap();
         let s = p.downcast::<AdaptScan>().unwrap();
         assert_eq!(bytes_to_f64(&s.result().unwrap()), v);

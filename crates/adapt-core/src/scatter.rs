@@ -303,7 +303,7 @@ mod tests {
             data: Some(Bytes::from(data.clone())),
         };
         let world = World::cpu(profiles::minicluster(4, 2, 4), n, ClusterNoise::silent(n));
-        let res = world.run(spec.programs());
+        let res = world.try_run(spec.programs()).unwrap();
         for (r, p) in res.programs.into_iter().enumerate() {
             let any: Box<dyn std::any::Any> = p;
             let s = any.downcast::<AdaptScatter>().unwrap();
@@ -332,6 +332,6 @@ mod tests {
             data: None,
         };
         let world = World::cpu(profiles::minicluster(1, 1, 1), 1, ClusterNoise::silent(1));
-        assert!(world.run(spec.programs()).makespan.as_nanos() < 1_000_000);
+        assert!(world.try_run(spec.programs()).unwrap().makespan.as_nanos() < 1_000_000);
     }
 }

@@ -94,7 +94,7 @@ proptest! {
             ClusterNoise::silent(n)
         };
         let world = World::cpu(machine, n, noise);
-        let res = world.run(spec.programs());
+        let res = world.try_run(spec.programs()).unwrap();
         for p in res.programs {
             let any: Box<dyn std::any::Any> = p;
             let b = any.downcast::<adapt_core::AdaptBcast>().unwrap();
@@ -144,7 +144,7 @@ proptest! {
             ClusterNoise::silent(n)
         };
         let world = World::cpu(machine, n, noise);
-        let res = world.run(spec.programs());
+        let res = world.try_run(spec.programs()).unwrap();
         let root: Box<dyn std::any::Any> = res.programs.into_iter().next().unwrap();
         let root = root.downcast::<adapt_core::AdaptReduce>().unwrap();
         prop_assert_eq!(bytes_to_f64(&root.result().unwrap()), expected);
@@ -163,7 +163,7 @@ proptest! {
                 data: None,
             };
             let machine = adapt_topology::profiles::minicluster(3, 2, 2);
-            World::cpu(machine, n, noise).run(spec.programs()).makespan
+            World::cpu(machine, n, noise).try_run(spec.programs()).unwrap().makespan
         };
         let clean = mk(ClusterNoise::silent(n));
         let heavy = NoiseSpec {
@@ -195,7 +195,7 @@ proptest! {
         };
         let machine = adapt_topology::profiles::minicluster(3, 2, 4);
         let world = World::cpu(machine, n, ClusterNoise::silent(n));
-        let res = world.run(spec.programs());
+        let res = world.try_run(spec.programs()).unwrap();
         // Expected block boundaries (MPI convention).
         let block = |i: u64| -> u64 {
             let base = msg / n as u64;
@@ -241,7 +241,7 @@ proptest! {
         };
         let machine = adapt_topology::profiles::minicluster(3, 2, 4);
         let world = World::cpu(machine, n, ClusterNoise::silent(n));
-        let res = world.run(spec.programs());
+        let res = world.try_run(spec.programs()).unwrap();
         let root: Box<dyn std::any::Any> = res.programs.into_iter().next().unwrap();
         let root = root.downcast::<AdaptGather>().unwrap();
         prop_assert_eq!(root.result().unwrap(), expected);
@@ -285,7 +285,7 @@ proptest! {
             ClusterNoise::silent(n)
         };
         let world = World::cpu(machine, n, noise);
-        let res = world.run(spec.programs());
+        let res = world.try_run(spec.programs()).unwrap();
         for p in res.programs {
             let any: Box<dyn std::any::Any> = p;
             let a = any.downcast::<AdaptAllreduce>().unwrap();

@@ -16,7 +16,7 @@ use adapt_collectives::{BlockingBcastSpec, Library};
 use adapt_core::{
     topology_aware_tree_rooted, AdaptConfig, BcastSpec, TopoTreeConfig, Tree, TreeKind,
 };
-use adapt_mpi::{Completion, Op, ProgramCtx, RankProgram, Token, World};
+use adapt_mpi::{Completion, Op, ProgramCtx, RankProgram, RunError, Token, World};
 use adapt_noise::ClusterNoise;
 use adapt_sim::time::Duration;
 use adapt_topology::{MachineSpec, Placement};
@@ -263,19 +263,19 @@ pub fn asp_programs(cfg: &AspConfig) -> Vec<Box<dyn RankProgram>> {
 }
 
 /// Run ASP and report total vs communication time (Table 1's two rows).
-pub fn run_asp(cfg: &AspConfig) -> AspResult {
+pub fn run_asp(cfg: &AspConfig) -> Result<AspResult, Box<RunError>> {
     let world = World::cpu(
         cfg.machine.clone(),
         cfg.nranks,
         ClusterNoise::silent(cfg.nranks),
     );
-    let res = world.run(asp_programs(cfg));
+    let res = world.try_run(asp_programs(cfg))?;
     let total_s = res.makespan.as_secs_f64();
     let compute_s = cfg.iterations as f64 * cfg.compute_per_iter.as_secs_f64();
-    AspResult {
+    Ok(AspResult {
         total_s,
         communication_s: (total_s - compute_s).max(0.0),
-    }
+    })
 }
 
 #[cfg(test)]
@@ -302,7 +302,7 @@ mod tests {
             Library::CrayMpi,
             Library::IntelMpi,
         ] {
-            let r = run_asp(&cfg(lib));
+            let r = run_asp(&cfg(lib)).unwrap();
             assert!(r.total_s > 0.0, "{lib:?}");
             assert!(r.communication_s <= r.total_s);
             assert!(r.comm_fraction() > 0.0, "{lib:?} comm fraction");
@@ -311,9 +311,9 @@ mod tests {
 
     #[test]
     fn adapt_has_lowest_asp_runtime() {
-        let adapt = run_asp(&cfg(Library::OmpiAdapt)).total_s;
+        let adapt = run_asp(&cfg(Library::OmpiAdapt)).unwrap().total_s;
         for lib in [Library::OmpiDefault, Library::IntelMpi] {
-            let other = run_asp(&cfg(lib)).total_s;
+            let other = run_asp(&cfg(lib)).unwrap().total_s;
             assert!(
                 adapt < other,
                 "adapt {adapt:.6}s should beat {lib:?} {other:.6}s"
@@ -325,8 +325,8 @@ mod tests {
     fn rotating_roots_are_exercised() {
         // More iterations than ranks would wrap around; here roots 0..6 are
         // all distinct and the run must still complete deterministically.
-        let a = run_asp(&cfg(Library::OmpiAdapt));
-        let b = run_asp(&cfg(Library::OmpiAdapt));
+        let a = run_asp(&cfg(Library::OmpiAdapt)).unwrap();
+        let b = run_asp(&cfg(Library::OmpiAdapt)).unwrap();
         assert_eq!(a.total_s, b.total_s);
     }
 }

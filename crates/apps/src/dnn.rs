@@ -20,7 +20,7 @@ use adapt_core::{
     topology_aware_tree, AdaptBcast, AdaptConfig, AdaptReduce, AllreduceSpec, BcastSpec,
     ReduceData, ReduceExec, ReduceSpec, TopoTreeConfig,
 };
-use adapt_mpi::{RankProgram, World};
+use adapt_mpi::{RankProgram, RunError, World};
 use adapt_noise::ClusterNoise;
 use adapt_sim::time::Duration;
 use adapt_topology::{MachineSpec, Placement};
@@ -106,7 +106,7 @@ fn exchange_phases(cfg: &TrainConfig) -> Vec<Vec<Box<dyn RankProgram>>> {
 
 /// Run the synthetic training loop (timing model; numerics are covered by
 /// [`verify_data_parallel_sgd`]).
-pub fn run_training(cfg: &TrainConfig) -> TrainResult {
+pub fn run_training(cfg: &TrainConfig) -> Result<TrainResult, Box<RunError>> {
     use adapt_mpi::{Completion, Op, ProgramCtx, Token};
 
     const STEP_COMPUTE: Token = Token(u64::MAX - 11);
@@ -158,20 +158,25 @@ pub fn run_training(cfg: &TrainConfig) -> TrainResult {
         cfg.nranks,
         ClusterNoise::silent(cfg.nranks),
     );
-    let res = world.run(programs);
+    let res = world.try_run(programs)?;
     let total_s = res.makespan.as_secs_f64();
     let compute_s = cfg.steps as f64 * cfg.compute_per_step.as_secs_f64();
-    TrainResult {
+    Ok(TrainResult {
         total_s,
         step_ms: total_s * 1e3 / cfg.steps as f64,
         comm_fraction: ((total_s - compute_s) / total_s).max(0.0),
-    }
+    })
 }
 
 /// Numeric twin: run `steps` data-parallel SGD steps with real gradients
 /// through the ring allreduce and compare the final weights against a
 /// sequential simulation. Returns the maximum absolute deviation.
-pub fn verify_data_parallel_sgd(nranks: u32, params: usize, steps: u32, lr: f64) -> f64 {
+pub fn verify_data_parallel_sgd(
+    nranks: u32,
+    params: usize,
+    steps: u32,
+    lr: f64,
+) -> Result<f64, Box<RunError>> {
     use adapt_core::AdaptAllreduce;
     use adapt_mpi::{bytes_to_f64, f64_to_bytes, DType, ReduceOp};
     use bytes::Bytes;
@@ -211,7 +216,7 @@ pub fn verify_data_parallel_sgd(nranks: u32, params: usize, steps: u32, lr: f64)
             data: Some((ReduceOp::Sum, DType::F64, contributions)),
         };
         let world = World::cpu(machine.clone(), nranks, ClusterNoise::silent(nranks));
-        let res = world.run(spec.programs());
+        let res = world.try_run(spec.programs())?;
         // Every rank applies the same update; check rank 0's view.
         let any: Box<dyn std::any::Any> = res.programs.into_iter().next().unwrap();
         let a = any.downcast::<AdaptAllreduce>().expect("allreduce");
@@ -221,11 +226,11 @@ pub fn verify_data_parallel_sgd(nranks: u32, params: usize, steps: u32, lr: f64)
         }
     }
 
-    weights
+    Ok(weights
         .iter()
         .zip(&reference)
         .map(|(a, b)| (a - b).abs())
-        .fold(0.0, f64::max)
+        .fold(0.0, f64::max))
 }
 
 #[cfg(test)]
@@ -248,8 +253,8 @@ mod tests {
     fn ring_allreduce_beats_reduce_bcast() {
         // The ring moves 2·msg/n per link per step; reduce+bcast moves the
         // full message twice through the tree's root links.
-        let ring = run_training(&cfg(GradStrategy::RingAllreduce));
-        let rb = run_training(&cfg(GradStrategy::ReduceBcast));
+        let ring = run_training(&cfg(GradStrategy::RingAllreduce)).unwrap();
+        let rb = run_training(&cfg(GradStrategy::ReduceBcast)).unwrap();
         assert!(
             ring.total_s < rb.total_s,
             "ring {:.3}ms/step vs reduce+bcast {:.3}ms/step",
@@ -260,14 +265,14 @@ mod tests {
 
     #[test]
     fn training_time_accounts_comm_and_compute() {
-        let r = run_training(&cfg(GradStrategy::RingAllreduce));
+        let r = run_training(&cfg(GradStrategy::RingAllreduce)).unwrap();
         assert!(r.comm_fraction > 0.0 && r.comm_fraction < 1.0);
         assert!(r.step_ms > 0.8, "steps include the compute");
     }
 
     #[test]
     fn distributed_sgd_matches_sequential() {
-        let dev = verify_data_parallel_sgd(8, 500, 3, 0.01);
+        let dev = verify_data_parallel_sgd(8, 500, 3, 0.01).unwrap();
         assert!(dev < 1e-12, "max deviation {dev}");
     }
 }

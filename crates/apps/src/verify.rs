@@ -7,7 +7,9 @@
 //! sequential Floyd–Warshall — end-to-end evidence that the simulated
 //! runtime moves application data correctly.
 
-use adapt_mpi::{f64_to_bytes, Completion, Payload, ProgramCtx, RankProgram, Token, World};
+use adapt_mpi::{
+    f64_to_bytes, Completion, Payload, ProgramCtx, RankProgram, RunError, Token, World,
+};
 use adapt_noise::ClusterNoise;
 use adapt_sim::rng::{MasterSeed, StreamTag};
 use adapt_topology::profiles;
@@ -157,7 +159,7 @@ impl RankProgram for FwRank {
 /// Run the distributed Floyd–Warshall on `nranks` ranks for an `n × n`
 /// matrix and compare against the sequential result. Returns the maximum
 /// absolute deviation (0.0 for an exact match).
-pub fn verify_distributed_fw(nranks: u32, n: usize, seed: u64) -> f64 {
+pub fn verify_distributed_fw(nranks: u32, n: usize, seed: u64) -> Result<f64, Box<RunError>> {
     let weights = random_weights(n, seed);
     let expected = sequential_fw(n, weights.clone());
 
@@ -171,7 +173,7 @@ pub fn verify_distributed_fw(nranks: u32, n: usize, seed: u64) -> f64 {
     let programs: Vec<Box<dyn RankProgram>> = (0..nranks)
         .map(|r| Box::new(FwRank::new(r, nranks, n, &weights)) as Box<dyn RankProgram>)
         .collect();
-    let res = world.run(programs);
+    let res = world.try_run(programs)?;
 
     let mut max_dev = 0.0f64;
     for p in res.programs {
@@ -185,7 +187,7 @@ pub fn verify_distributed_fw(nranks: u32, n: usize, seed: u64) -> f64 {
             }
         }
     }
-    max_dev
+    Ok(max_dev)
 }
 
 #[cfg(test)]
@@ -208,14 +210,14 @@ mod tests {
     #[test]
     fn distributed_matches_sequential() {
         for (nranks, n) in [(4u32, 16usize), (8, 24), (6, 13)] {
-            let dev = verify_distributed_fw(nranks, n, 42);
+            let dev = verify_distributed_fw(nranks, n, 42).unwrap();
             assert_eq!(dev, 0.0, "nranks={nranks} n={n}");
         }
     }
 
     #[test]
     fn single_rank_degenerates_to_sequential() {
-        let dev = verify_distributed_fw(1, 12, 7);
+        let dev = verify_distributed_fw(1, 12, 7).unwrap();
         assert_eq!(dev, 0.0);
     }
 }

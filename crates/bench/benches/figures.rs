@@ -152,6 +152,7 @@ fn table1_asp(c: &mut Criterion) {
                     iterations: 8,
                     compute_per_iter: SimDuration::from_micros(200),
                 })
+                .expect("the benchmarked ASP run completes")
             });
         });
     }
@@ -181,6 +182,7 @@ fn e16_extensions(c: &mut Criterion) {
                         compute_per_step: SimDuration::from_micros(500),
                         strategy,
                     })
+                    .expect("the benchmarked training run completes")
                 });
             },
         );

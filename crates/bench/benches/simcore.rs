@@ -112,7 +112,10 @@ fn world_event_rate(c: &mut Criterion) {
                 data: None,
             };
             let world = World::cpu(machine, 32, ClusterNoise::silent(32));
-            world.run(spec.programs()).makespan
+            world
+                .try_run(spec.programs())
+                .expect("the benchmarked broadcast completes")
+                .makespan
         });
     });
     g.finish();

@@ -15,13 +15,14 @@
 use adapt_bench::{parse_args, pool_map, print_table, Scale};
 use adapt_collectives::{run_trial, CollectiveCase, Library, NoiseScope, OpKind, Trial};
 use adapt_core::{topology_aware_tree, TopoTreeConfig, Tree};
-use adapt_mpi::World;
+use adapt_mpi::{RunError, World};
 use adapt_noise::{ClusterNoise, DurationLaw, NoiseSpec};
 use adapt_sim::rng::MasterSeed;
 use adapt_sim::time::Duration;
 use adapt_topology::{profiles, Placement};
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
     let args = parse_args();
     let scale = Scale::from_args(&args);
     let (machine, nranks) = match scale {
@@ -85,7 +86,13 @@ fn main() {
          unavoidable data dependency through the victim's subtree."
     );
 
-    figure2_relations(&machine, nranks, victim);
+    match figure2_relations(&machine, nranks, victim) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("noise_propagation: {e}");
+            ExitCode::FAILURE
+        }
+    }
 }
 
 /// The paper's Figure 2, quantified: average per-rank completion delay
@@ -93,7 +100,11 @@ fn main() {
 /// victim. Data dependencies make descendants' delay unavoidable;
 /// synchronization dependencies leak it to siblings, the parent, and
 /// beyond (Figure 2c) — which is exactly what separates the engines.
-fn figure2_relations(machine: &adapt_topology::MachineSpec, nranks: u32, victim: u32) {
+fn figure2_relations(
+    machine: &adapt_topology::MachineSpec,
+    nranks: u32,
+    victim: u32,
+) -> Result<(), Box<RunError>> {
     #[derive(Clone, Copy, PartialEq, Eq, Debug)]
     enum Relation {
         Victim,
@@ -134,41 +145,42 @@ fn figure2_relations(machine: &adapt_topology::MachineSpec, nranks: u32, victim:
     // Dense windows (1 ms period, up to 0.5 ms long) so every run meets
     // several — this study isolates the propagation *shape*, not the
     // 10 Hz duty of Figure 7.
-    let finishes = |library: Library, noisy: bool, tree: &Tree| -> Vec<f64> {
-        let case = CollectiveCase {
-            machine: machine.clone(),
-            nranks,
-            op: OpKind::Bcast,
-            library,
-            msg_bytes: 4 << 20,
-        };
-        // Average per-rank finish times over seeds.
-        let mut acc = vec![0.0f64; nranks as usize];
-        let seeds = 8u64;
-        for s in 0..seeds {
-            let noise_model = if noisy {
-                ClusterNoise::single_rank(
-                    nranks,
-                    victim,
-                    NoiseSpec {
-                        period: Duration::from_millis(1),
-                        max_duration: Duration::from_micros(500),
-                        law: DurationLaw::Uniform,
-                    },
-                    MasterSeed(s),
-                )
-            } else {
-                ClusterNoise::silent(nranks)
+    let finishes =
+        |library: Library, noisy: bool, tree: &Tree| -> Result<Vec<f64>, Box<RunError>> {
+            let case = CollectiveCase {
+                machine: machine.clone(),
+                nranks,
+                op: OpKind::Bcast,
+                library,
+                msg_bytes: 4 << 20,
             };
-            let world = World::cpu(machine.clone(), nranks, noise_model);
-            let res = world.run(case.programs());
-            for (r, t) in res.per_rank_finish.iter().enumerate() {
-                acc[r] += t.as_micros_f64() / seeds as f64;
+            // Average per-rank finish times over seeds.
+            let mut acc = vec![0.0f64; nranks as usize];
+            let seeds = 8u64;
+            for s in 0..seeds {
+                let noise_model = if noisy {
+                    ClusterNoise::single_rank(
+                        nranks,
+                        victim,
+                        NoiseSpec {
+                            period: Duration::from_millis(1),
+                            max_duration: Duration::from_micros(500),
+                            law: DurationLaw::Uniform,
+                        },
+                        MasterSeed(s),
+                    )
+                } else {
+                    ClusterNoise::silent(nranks)
+                };
+                let world = World::cpu(machine.clone(), nranks, noise_model);
+                let res = world.try_run(case.programs())?;
+                for (r, t) in res.per_rank_finish.iter().enumerate() {
+                    acc[r] += t.as_micros_f64() / seeds as f64;
+                }
             }
-        }
-        let _ = tree;
-        acc
-    };
+            let _ = tree;
+            Ok(acc)
+        };
 
     let relations = [
         Relation::Victim,
@@ -183,8 +195,8 @@ fn figure2_relations(machine: &adapt_topology::MachineSpec, nranks: u32, victim:
     ]
     .iter()
     .map(|&(library, label)| {
-        let clean = finishes(library, false, &tree);
-        let noisy = finishes(library, true, &tree);
+        let clean = finishes(library, false, &tree)?;
+        let noisy = finishes(library, true, &tree)?;
         let cells: Vec<String> = relations
             .iter()
             .map(|&rel| {
@@ -206,9 +218,9 @@ fn figure2_relations(machine: &adapt_topology::MachineSpec, nranks: u32, victim:
                 }
             })
             .collect();
-        (label.to_string(), cells)
+        Ok((label.to_string(), cells))
     })
-    .collect();
+    .collect::<Result<_, Box<RunError>>>()?;
 
     print_table(
         "Figure 2 quantified: mean completion delay by tree relation to the noisy rank",
@@ -226,4 +238,5 @@ fn figure2_relations(machine: &adapt_topology::MachineSpec, nranks: u32, victim:
          blocking engine leaks the delay to siblings/ancestors/everyone\n\
          (synchronization dependencies, paper Figure 2c), ADAPT does not."
     );
+    Ok(())
 }

@@ -17,8 +17,9 @@ use adapt_bench::{parse_args, pool_map, print_table, Scale};
 use adapt_collectives::Library;
 use adapt_sim::time::Duration;
 use adapt_topology::profiles;
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
     let args = parse_args();
     let scale = Scale::from_args(&args);
     let (machine, nranks, iterations) = match scale {
@@ -39,7 +40,7 @@ fn main() {
     ];
 
     let asp_machine = machine.clone();
-    let results: Vec<_> = pool_map(libs.to_vec(), move |library| {
+    let results = pool_map(libs.to_vec(), move |library| {
         run_asp(&AspConfig {
             machine: asp_machine.clone(),
             nranks,
@@ -49,6 +50,13 @@ fn main() {
             compute_per_iter,
         })
     });
+    let results: Vec<_> = match results.into_iter().collect() {
+        Ok(results) => results,
+        Err(e) => {
+            eprintln!("table1: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
 
     let header = vec![
         "comm (ms)".to_string(),
@@ -83,4 +91,5 @@ fn main() {
         &header,
         &rows,
     );
+    ExitCode::SUCCESS
 }

@@ -654,7 +654,7 @@ mod tests {
                 library: Library::OmpiAdapt,
                 msg_bytes: 1 << 20,
             };
-            let res = world.run(case.programs());
+            let res = world.try_run(case.programs()).unwrap();
             assert!(res.audit.is_clean(), "{}", res.audit);
             res
         };

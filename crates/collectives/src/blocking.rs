@@ -330,7 +330,7 @@ mod tests {
             data: Some(Bytes::from(data.clone())),
         };
         let world = World::cpu(profiles::minicluster(4, 1, 4), 12, ClusterNoise::silent(12));
-        let res = world.run(spec.programs());
+        let res = world.try_run(spec.programs()).unwrap();
         for (r, p) in res.programs.into_iter().enumerate() {
             let any: Box<dyn std::any::Any> = p;
             let b = any.downcast::<BlockingBcast>().unwrap();
@@ -356,7 +356,7 @@ mod tests {
             }),
         };
         let world = World::cpu(profiles::minicluster(4, 1, 2), n, ClusterNoise::silent(n));
-        let res = world.run(spec.programs());
+        let res = world.try_run(spec.programs()).unwrap();
         let root: Box<dyn std::any::Any> = res.programs.into_iter().next().unwrap();
         let root = root.downcast::<BlockingReduce>().unwrap();
         let got = adapt_mpi::bytes_to_f64(&root.result().unwrap());
@@ -376,7 +376,7 @@ mod tests {
                 data: None,
             };
             let world = World::cpu(profiles::minicluster(8, 1, 1), 8, ClusterNoise::silent(8));
-            world.run(spec.programs()).makespan
+            world.try_run(spec.programs()).unwrap().makespan
         };
         let adapt = {
             let spec = adapt_core::BcastSpec {
@@ -386,7 +386,7 @@ mod tests {
                 data: None,
             };
             let world = World::cpu(profiles::minicluster(8, 1, 1), 8, ClusterNoise::silent(8));
-            world.run(spec.programs()).makespan
+            world.try_run(spec.programs()).unwrap().makespan
         };
         assert!(
             adapt.as_nanos() < blocking.as_nanos(),

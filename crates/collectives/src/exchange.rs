@@ -720,7 +720,7 @@ mod tests {
             data: Some(Bytes::from(data.to_vec())),
         };
         let world = World::cpu(profiles::minicluster(4, 2, 4), n, ClusterNoise::silent(n));
-        let res = world.run(spec.programs());
+        let res = world.try_run(spec.programs()).unwrap();
         for (r, p) in res.programs.into_iter().enumerate() {
             let any: Box<dyn std::any::Any> = p;
             let b = any.downcast::<ScatterAllgatherBcast>().unwrap();
@@ -763,7 +763,7 @@ mod tests {
                 data: Some(crate::ReduceInputs::f64_sum(contributions)),
             };
             let world = World::cpu(profiles::minicluster(4, 2, 4), n, ClusterNoise::silent(n));
-            let res = world.run(spec.programs());
+            let res = world.try_run(spec.programs()).unwrap();
             let root: Box<dyn std::any::Any> = res.programs.into_iter().next().unwrap();
             let root = root.downcast::<RabenseifnerReduce>().unwrap();
             let got = bytes_to_f64(&root.result().unwrap());
@@ -780,7 +780,7 @@ mod tests {
             data: None,
         };
         let world = World::cpu(profiles::minicluster(4, 1, 2), 8, ClusterNoise::silent(8));
-        let res = world.run(spec.programs());
+        let res = world.try_run(spec.programs()).unwrap();
         assert!(res.makespan.as_nanos() > 0);
     }
 

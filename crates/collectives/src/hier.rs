@@ -490,7 +490,7 @@ mod tests {
             data: Some(Bytes::from(data.clone())),
         };
         let world = World::cpu(machine, n, ClusterNoise::silent(n));
-        let res = world.run(spec.programs());
+        let res = world.try_run(spec.programs()).unwrap();
         for (r, p) in res.programs.into_iter().enumerate() {
             let any: Box<dyn std::any::Any> = p;
             let h = any.downcast::<HierProgram>().unwrap();
@@ -519,7 +519,7 @@ mod tests {
             data: Some(crate::ReduceInputs::f64_sum(contributions)),
         };
         let world = World::cpu(machine, n, ClusterNoise::silent(n));
-        let res = world.run(spec.programs());
+        let res = world.try_run(spec.programs()).unwrap();
         let root: Box<dyn std::any::Any> = res.programs.into_iter().next().unwrap();
         let root = root.downcast::<HierProgram>().unwrap();
         let got = bytes_to_f64(&root.data().unwrap());
@@ -544,7 +544,7 @@ mod tests {
                 data: None,
             };
             let world = World::cpu(machine.clone(), n, ClusterNoise::silent(n));
-            world.run(spec.programs()).makespan
+            world.try_run(spec.programs()).unwrap().makespan
         };
         let adapt = {
             let placement = Placement::block_cpu(machine.shape, n);
@@ -559,7 +559,7 @@ mod tests {
                 data: None,
             };
             let world = World::cpu(machine, n, ClusterNoise::silent(n));
-            world.run(spec.programs()).makespan
+            world.try_run(spec.programs()).unwrap().makespan
         };
         assert!(
             adapt.as_nanos() < hier.as_nanos(),
@@ -593,7 +593,7 @@ mod tests {
             })
             .collect();
         let world = World::cpu(machine, n, ClusterNoise::silent(n));
-        let res = world.run(programs);
+        let res = world.try_run(programs).unwrap();
         for (r, p) in res.programs.into_iter().enumerate() {
             let any: Box<dyn std::any::Any> = p;
             let phased = any.downcast::<PhasedProgram>().unwrap();
@@ -618,7 +618,7 @@ mod tests {
             data: None,
         };
         let world = World::cpu(machine, 1, ClusterNoise::silent(1));
-        let res = world.run(spec.programs());
+        let res = world.try_run(spec.programs()).unwrap();
         assert!(res.makespan.as_nanos() < 1_000_000);
     }
 }

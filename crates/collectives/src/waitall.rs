@@ -550,7 +550,7 @@ mod tests {
                 data: Some(Bytes::from(data.clone())),
             };
             let world = World::cpu(profiles::minicluster(4, 1, 4), 10, ClusterNoise::silent(10));
-            let res = world.run(spec.programs());
+            let res = world.try_run(spec.programs()).unwrap();
             for (r, p) in res.programs.into_iter().enumerate() {
                 let any: Box<dyn std::any::Any> = p;
                 let b = any.downcast::<WaitallBcast>().unwrap();
@@ -577,7 +577,7 @@ mod tests {
             }),
         };
         let world = World::cpu(profiles::minicluster(3, 1, 3), n, ClusterNoise::silent(n));
-        let res = world.run(spec.programs());
+        let res = world.try_run(spec.programs()).unwrap();
         let root: Box<dyn std::any::Any> = res.programs.into_iter().next().unwrap();
         let root = root.downcast::<WaitallReduce>().unwrap();
         let got = adapt_mpi::bytes_to_f64(&root.result().unwrap());
@@ -604,7 +604,7 @@ mod tests {
                 data: None,
             };
             let world = World::cpu(machine.clone(), 32, ClusterNoise::silent(32));
-            world.run(spec.programs()).makespan
+            world.try_run(spec.programs()).unwrap().makespan
         };
         let adapt = {
             let spec = adapt_core::BcastSpec {
@@ -614,7 +614,7 @@ mod tests {
                 data: None,
             };
             let world = World::cpu(machine, 32, ClusterNoise::silent(32));
-            world.run(spec.programs()).makespan
+            world.try_run(spec.programs()).unwrap().makespan
         };
         assert!(
             adapt.as_nanos() < waitall.as_nanos(),

@@ -46,7 +46,7 @@ proptest! {
             data: Some(Bytes::from(data.clone())),
         };
         let world = World::cpu(machine(), n, ClusterNoise::silent(n));
-        let res = world.run(spec.programs());
+        let res = world.try_run(spec.programs()).unwrap();
         for p in res.programs {
             let any: Box<dyn std::any::Any> = p;
             let b = any.downcast::<adapt_collectives::blocking::BlockingBcast>().unwrap();
@@ -64,7 +64,7 @@ proptest! {
             data: Some(Bytes::from(data.clone())),
         };
         let world = World::cpu(machine(), n, ClusterNoise::silent(n));
-        let res = world.run(spec.programs());
+        let res = world.try_run(spec.programs()).unwrap();
         for p in res.programs {
             let any: Box<dyn std::any::Any> = p;
             let b = any.downcast::<adapt_collectives::waitall::WaitallBcast>().unwrap();
@@ -93,7 +93,7 @@ proptest! {
             data: Some(ReduceInputs::f64_sum(contributions.clone())),
         };
         let world = World::cpu(machine(), n, ClusterNoise::silent(n));
-        let res = world.run(spec.programs());
+        let res = world.try_run(spec.programs()).unwrap();
         let root: Box<dyn std::any::Any> = res.programs.into_iter().next().unwrap();
         let r1 = bytes_to_f64(&root.downcast::<adapt_collectives::blocking::BlockingReduce>().unwrap().result().unwrap());
         prop_assert_eq!(&r1, &expected);
@@ -106,7 +106,7 @@ proptest! {
             data: Some(ReduceInputs::f64_sum(contributions)),
         };
         let world = World::cpu(machine(), n, ClusterNoise::silent(n));
-        let res = world.run(spec.programs());
+        let res = world.try_run(spec.programs()).unwrap();
         let root: Box<dyn std::any::Any> = res.programs.into_iter().next().unwrap();
         let r2 = bytes_to_f64(&root.downcast::<adapt_collectives::waitall::WaitallReduce>().unwrap().result().unwrap());
         prop_assert_eq!(&r2, &expected);
@@ -140,7 +140,7 @@ proptest! {
         };
         let machine = adapt_topology::MachineSpec { shape, ..machine() };
         let world = World::cpu(machine, n, ClusterNoise::silent(n));
-        let res = world.run(spec.programs());
+        let res = world.try_run(spec.programs()).unwrap();
         for p in res.programs {
             let any: Box<dyn std::any::Any> = p;
             let h = any.downcast::<HierProgram>().unwrap();
@@ -172,7 +172,7 @@ proptest! {
         };
         let machine = adapt_topology::MachineSpec { shape, ..machine() };
         let world = World::cpu(machine, n, ClusterNoise::silent(n));
-        let res = world.run(spec.programs());
+        let res = world.try_run(spec.programs()).unwrap();
         let root: Box<dyn std::any::Any> = res.programs.into_iter().next().unwrap();
         let h = root.downcast::<HierProgram>().unwrap();
         prop_assert_eq!(bytes_to_f64(&h.data().unwrap()), vec![expected; elems]);

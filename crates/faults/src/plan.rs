@@ -185,13 +185,20 @@ impl FaultPlan {
             && self.node_kills.is_empty()
     }
 
-    /// True when the plan can drop transfers that must be recovered by
-    /// acks and retransmission timers: loss or outage windows. Kill-only
-    /// plans deliberately return `false` — a killed peer is detected, not
-    /// retransmitted to, so the per-lane timer machinery stays off and a
-    /// kill scheduled past the end of the run costs nothing.
+    /// True when the world arms the ack/retransmit reliability layer for
+    /// this plan: loss, outage, all-link degradation or stall windows.
+    /// Only loss and outages drop transfers, but degradation and stalls
+    /// were expressible before kills existed and always ran with the
+    /// layer on; keeping it on keeps those runs bit-for-bit. Per-link
+    /// degradation (`degradelink=`) and kills came later and leave it
+    /// off: they lose nothing a timer could recover (a killed peer is
+    /// detected, not retransmitted to), so such a plan pays no per-lane
+    /// timers and a kill scheduled past the end of the run costs nothing.
     pub fn needs_reliability(&self) -> bool {
-        self.loss > 0.0 || !self.down.is_empty()
+        self.loss > 0.0
+            || !self.down.is_empty()
+            || !self.degrade.is_empty()
+            || !self.stalls.is_empty()
     }
 
     /// The stall schedule for one rank (windows normalized/merged).
@@ -466,7 +473,13 @@ mod tests {
         assert!(!p.is_inert(), "a per-link degrade plan is never inert");
         assert!(
             !p.needs_reliability(),
-            "degradation slows links but loses nothing"
+            "per-link degradation loses nothing a timer could recover"
+        );
+        assert!(
+            FaultPlan::parse("degrade=0.25:5ms-8ms", 7)
+                .unwrap()
+                .needs_reliability(),
+            "all-link degradation predates kills and keeps the reliability layer"
         );
         assert!(FaultPlan::parse("degradelink=NicTx(3):0.25", 1).is_err());
         assert!(FaultPlan::parse("degradelink=:0.25:5ms-8ms", 1).is_err());
@@ -506,6 +519,12 @@ mod tests {
         assert!(
             !p.needs_reliability(),
             "kills alone must not arm the retransmission machinery"
+        );
+        assert!(
+            FaultPlan::parse("stall=3:10ms-20ms", 1)
+                .unwrap()
+                .needs_reliability(),
+            "stalls predate kills and keep the reliability layer"
         );
         assert!(FaultPlan::parse("kill=3", 1).is_err());
         assert!(FaultPlan::parse("kill=x:10ms", 1).is_err());

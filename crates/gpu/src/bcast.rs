@@ -307,7 +307,7 @@ mod tests {
             staging,
         };
         let world = World::gpu(machine, nranks, ClusterNoise::silent(nranks));
-        world.run(spec.programs()).makespan
+        world.try_run(spec.programs()).unwrap().makespan
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //!     });
 //! });
 //! let world = World::cpu(profiles::minicluster(1, 1, 2), 2, ClusterNoise::silent(2));
-//! let result = world.run(vec![Box::new(ping), Box::new(pong)]);
+//! let result = world.try_run(vec![Box::new(ping), Box::new(pong)]).unwrap();
 //! assert!(result.makespan.as_nanos() > 0);
 //! ```
 
@@ -217,7 +217,9 @@ mod tests {
         }
 
         let world = World::cpu(profiles::minicluster(1, 1, 2), 2, ClusterNoise::silent(2));
-        let res = world.run(vec![Box::new(root), Box::new(Sink { got: 0 })]);
+        let res = world
+            .try_run(vec![Box::new(root), Box::new(Sink { got: 0 })])
+            .unwrap();
         assert_eq!(res.stats.messages, NSEG);
         assert_eq!(done.get(), NSEG);
     }
@@ -238,7 +240,7 @@ mod tests {
             });
         });
         let world = World::cpu(profiles::minicluster(1, 1, 1), 1, ClusterNoise::silent(1));
-        let res = world.run(vec![Box::new(prog)]);
+        let res = world.try_run(vec![Box::new(prog)]).unwrap();
         assert_eq!(*order.borrow(), vec![1, 2]);
         assert!(res.makespan >= Duration::from_micros(20));
     }

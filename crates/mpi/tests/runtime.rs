@@ -1,7 +1,7 @@
 //! End-to-end tests of the simulated MPI runtime: protocol behaviour,
 //! timing, noise interaction, determinism.
 
-use adapt_mpi::{Completion, Payload, ProgramCtx, RankProgram, Token, World};
+use adapt_mpi::{Completion, Payload, ProgramCtx, RankProgram, RunError, Token, World};
 use adapt_noise::{ClusterNoise, DurationLaw, NoiseSpec};
 use adapt_obs::{events_csv, MemRecorder};
 use adapt_sim::rng::MasterSeed;
@@ -78,14 +78,14 @@ fn send_recv(bytes: u64, recv_delay: Duration) -> (Duration, adapt_mpi::WorldSta
             got: None,
         }),
     ];
-    let res = world.run(programs);
+    let res = world.try_run(programs).unwrap();
     (res.makespan, res.stats)
 }
 
 #[test]
 fn idle_world_finishes_at_time_zero_ish() {
     let world = two_rank_world(ClusterNoise::silent(2));
-    let res = world.run(vec![Box::new(Idle), Box::new(Idle)]);
+    let res = world.try_run(vec![Box::new(Idle), Box::new(Idle)]).unwrap();
     assert!(res.makespan < Duration::from_micros(1));
 }
 
@@ -106,16 +106,18 @@ fn rendezvous_transfer_time_matches_hockney() {
 fn eager_message_can_be_unexpected() {
     // 2 KB eager message; receiver busy for 1 ms before posting.
     let world = two_rank_world(ClusterNoise::silent(2));
-    let res = world.run(vec![
-        Box::new(Sender {
-            bytes: 2_048,
-            payload: None,
-        }),
-        Box::new(Receiver {
-            delay: Duration::from_millis(1),
-            got: None,
-        }),
-    ]);
+    let res = world
+        .try_run(vec![
+            Box::new(Sender {
+                bytes: 2_048,
+                payload: None,
+            }),
+            Box::new(Receiver {
+                delay: Duration::from_millis(1),
+                got: None,
+            }),
+        ])
+        .unwrap();
     assert_eq!(res.stats.unexpected_matches, 1);
     // The receive completes only after the late post + unexpected copy.
     assert!(res.makespan > Duration::from_millis(1));
@@ -133,16 +135,18 @@ fn rendezvous_waits_for_receiver() {
     // Large message, receiver posts after 1 ms: data cannot start flowing
     // until the handshake completes, so total time ≈ 1 ms + transfer.
     let world = two_rank_world(ClusterNoise::silent(2));
-    let res = world.run(vec![
-        Box::new(Sender {
-            bytes: 1_000_000,
-            payload: None,
-        }),
-        Box::new(Receiver {
-            delay: Duration::from_millis(1),
-            got: None,
-        }),
-    ]);
+    let res = world
+        .try_run(vec![
+            Box::new(Sender {
+                bytes: 1_000_000,
+                payload: None,
+            }),
+            Box::new(Receiver {
+                delay: Duration::from_millis(1),
+                got: None,
+            }),
+        ])
+        .unwrap();
     let us = res.makespan.as_secs_f64() * 1e6;
     assert!(us > 1_000.0 + 160.0, "handshake not serialized: {us} us");
 }
@@ -151,16 +155,18 @@ fn rendezvous_waits_for_receiver() {
 fn real_payload_arrives_intact() {
     let data: Vec<u8> = (0..100_000u32).map(|x| (x % 251) as u8).collect();
     let world = two_rank_world(ClusterNoise::silent(2));
-    let res = world.run(vec![
-        Box::new(Sender {
-            bytes: 0,
-            payload: Some(Payload::from(data.clone())),
-        }),
-        Box::new(Receiver {
-            delay: Duration::ZERO,
-            got: None,
-        }),
-    ]);
+    let res = world
+        .try_run(vec![
+            Box::new(Sender {
+                bytes: 0,
+                payload: Some(Payload::from(data.clone())),
+            }),
+            Box::new(Receiver {
+                delay: Duration::ZERO,
+                got: None,
+            }),
+        ])
+        .unwrap();
     let receiver = res
         .programs
         .into_iter()
@@ -181,7 +187,7 @@ fn noise_on_receiver_slows_rendezvous() {
     let clean = {
         let world = two_rank_world(ClusterNoise::silent(2));
         world
-            .run(vec![
+            .try_run(vec![
                 Box::new(Sender {
                     bytes: 4_000_000,
                     payload: None,
@@ -191,6 +197,7 @@ fn noise_on_receiver_slows_rendezvous() {
                     got: None,
                 }),
             ])
+            .unwrap()
             .makespan
     };
     // A single exchange exposes the receiver's CPU only briefly (that is
@@ -207,7 +214,7 @@ fn noise_on_receiver_slows_rendezvous() {
             let noise = ClusterNoise::single_rank(2, 1, spec, MasterSeed(seed));
             let world = two_rank_world(noise);
             world
-                .run(vec![
+                .try_run(vec![
                     Box::new(Sender {
                         bytes: 4_000_000,
                         payload: None,
@@ -217,6 +224,7 @@ fn noise_on_receiver_slows_rendezvous() {
                         got: None,
                     }),
                 ])
+                .unwrap()
                 .makespan
         })
         .max()
@@ -234,7 +242,7 @@ fn determinism_with_noise() {
         let noise = ClusterNoise::uniform(2, spec, MasterSeed(42));
         let world = two_rank_world(noise);
         world
-            .run(vec![
+            .try_run(vec![
                 Box::new(Sender {
                     bytes: 4_000_000,
                     payload: None,
@@ -244,13 +252,13 @@ fn determinism_with_noise() {
                     got: None,
                 }),
             ])
+            .unwrap()
             .makespan
     };
     assert_eq!(mk().as_nanos(), mk().as_nanos());
 }
 
 #[test]
-#[should_panic(expected = "deadlock")]
 fn unmatched_recv_deadlocks_loudly() {
     struct RecvForever;
     impl RankProgram for RecvForever {
@@ -260,7 +268,11 @@ fn unmatched_recv_deadlocks_loudly() {
         fn on_completion(&mut self, _: &mut dyn ProgramCtx, _: Completion) {}
     }
     let world = two_rank_world(ClusterNoise::silent(2));
-    let _ = world.run(vec![Box::new(Idle), Box::new(RecvForever)]);
+    let Err(err) = world.try_run(vec![Box::new(Idle), Box::new(RecvForever)]) else {
+        panic!("an unmatched receive cannot complete");
+    };
+    assert!(matches!(*err, RunError::Stalled(_)), "{err}");
+    assert!(err.to_string().starts_with("deadlock:"), "{err}");
 }
 
 #[test]
@@ -290,7 +302,9 @@ fn compute_blocks_the_rank() {
         }
     }
     let world = World::cpu(profiles::minicluster(1, 1, 1), 1, ClusterNoise::silent(1));
-    world.run(vec![Box::new(TwoComputes { first_done: None })]);
+    world
+        .try_run(vec![Box::new(TwoComputes { first_done: None })])
+        .unwrap();
 }
 
 #[test]
@@ -327,10 +341,12 @@ fn gpu_stream_serializes_reductions() {
         }
         fn on_completion(&mut self, _: &mut dyn ProgramCtx, _: Completion) {}
     }
-    world.run(vec![
-        Box::new(GpuTwice { done: 0, t0: None }),
-        Box::new(IdleG),
-    ]);
+    world
+        .try_run(vec![
+            Box::new(GpuTwice { done: 0, t0: None }),
+            Box::new(IdleG),
+        ])
+        .unwrap();
 }
 
 #[test]
@@ -353,7 +369,9 @@ fn staging_copy_crosses_pcie() {
         }
     }
     let world = World::gpu(profiles::mini_gpu(1), 1, ClusterNoise::silent(1));
-    let res = world.run(vec![Box::new(Stager { done_at: None })]);
+    let res = world
+        .try_run(vec![Box::new(Stager { done_at: None })])
+        .unwrap();
     let us = res.makespan.as_secs_f64() * 1e6;
     assert!(us > 1_000.0 && us < 1_010.0, "PCIe copy took {us} us");
 }
@@ -389,11 +407,13 @@ fn isend_overhead_sequences_multiple_sends() {
         }
     }
     let world = World::cpu(profiles::minicluster(1, 1, 8), 8, ClusterNoise::silent(8));
-    let res = world.run(
-        std::iter::once(Box::new(Fan { outstanding: 7 }) as Box<dyn RankProgram>)
-            .chain((1..8).map(|_| Box::new(RecvOne) as Box<dyn RankProgram>))
-            .collect(),
-    );
+    let res = world
+        .try_run(
+            std::iter::once(Box::new(Fan { outstanding: 7 }) as Box<dyn RankProgram>)
+                .chain((1..8).map(|_| Box::new(RecvOne) as Box<dyn RankProgram>))
+                .collect(),
+        )
+        .unwrap();
     // 7 sends x 400 ns overhead alone is 2.8 us of injection serialization.
     assert!(res.makespan > Duration::from_nanos(2_800));
     assert_eq!(res.stats.messages, 7);
@@ -402,16 +422,18 @@ fn isend_overhead_sequences_multiple_sends() {
 #[test]
 fn trace_records_the_exchange() {
     let world = two_rank_world(ClusterNoise::silent(2)).with_recorder(MemRecorder::new());
-    let res = world.run(vec![
-        Box::new(Sender {
-            bytes: 100_000,
-            payload: None,
-        }),
-        Box::new(Receiver {
-            delay: Duration::ZERO,
-            got: None,
-        }),
-    ]);
+    let res = world
+        .try_run(vec![
+            Box::new(Sender {
+                bytes: 100_000,
+                payload: None,
+            }),
+            Box::new(Receiver {
+                delay: Duration::ZERO,
+                got: None,
+            }),
+        ])
+        .unwrap();
     let csv = events_csv(res.obs.as_ref().expect("recorder attached"));
     assert!(csv.starts_with("time_ns,rank,kind,peer,amount\n"));
     let rows: Vec<Vec<&str>> = csv
@@ -439,7 +461,7 @@ fn trace_records_the_exchange() {
 #[test]
 fn trace_disabled_by_default() {
     let world = two_rank_world(ClusterNoise::silent(2));
-    let res = world.run(vec![Box::new(Idle), Box::new(Idle)]);
+    let res = world.try_run(vec![Box::new(Idle), Box::new(Idle)]).unwrap();
     assert!(res.obs.is_none() && res.summary.is_none());
 }
 
@@ -447,16 +469,18 @@ fn trace_disabled_by_default() {
 fn analysis_over_a_traced_run() {
     use adapt_mpi::{busy_fractions, comm_matrix, finish_skew};
     let world = two_rank_world(ClusterNoise::silent(2)).with_recorder(MemRecorder::new());
-    let res = world.run(vec![
-        Box::new(Sender {
-            bytes: 500_000,
-            payload: None,
-        }),
-        Box::new(Receiver {
-            delay: Duration::ZERO,
-            got: None,
-        }),
-    ]);
+    let res = world
+        .try_run(vec![
+            Box::new(Sender {
+                bytes: 500_000,
+                payload: None,
+            }),
+            Box::new(Receiver {
+                delay: Duration::ZERO,
+                got: None,
+            }),
+        ])
+        .unwrap();
     let m = comm_matrix(res.obs.as_ref().expect("recorder attached"));
     assert_eq!(m[0][1], 500_000);
     assert_eq!(m[1][0], 0);
@@ -522,10 +546,12 @@ fn unexpected_eager_matches_before_unexpected_rts() {
     // unexpected-eager queue first: the first wildcard receive must take
     // tag 5, the second tag 7.
     let world = two_rank_world(ClusterNoise::silent(2));
-    let res = world.run(vec![
-        Box::new(RndvThenEager { done: 0 }),
-        Box::new(LateWildcardReceiver { tags: Vec::new() }),
-    ]);
+    let res = world
+        .try_run(vec![
+            Box::new(RndvThenEager { done: 0 }),
+            Box::new(LateWildcardReceiver { tags: Vec::new() }),
+        ])
+        .unwrap();
     assert!(res.audit.is_clean(), "{}", res.audit);
     assert_eq!(res.stats.rendezvous, 1);
     assert_eq!(res.stats.unexpected_matches, 1);
@@ -579,10 +605,12 @@ impl RankProgram for EagerBurst {
 }
 
 fn burst_events(k: u32) -> u64 {
-    let res = two_rank_world(ClusterNoise::silent(2)).run(vec![
-        Box::new(BusyReceiver { k, left: 0 }),
-        Box::new(EagerBurst { k, left: 0 }),
-    ]);
+    let res = two_rank_world(ClusterNoise::silent(2))
+        .try_run(vec![
+            Box::new(BusyReceiver { k, left: 0 }),
+            Box::new(EagerBurst { k, left: 0 }),
+        ])
+        .unwrap();
     assert!(res.audit.is_clean(), "{}", res.audit);
     assert!(res.makespan > Duration::from_millis(5));
     res.stats.events

@@ -10,9 +10,21 @@
 //! ```
 
 use adapt::apps::{run_asp, verify_distributed_fw, AspConfig};
+use adapt::mpi::RunError;
 use adapt::prelude::*;
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
+    match run() {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("asp_shortest_paths: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+fn run() -> Result<(), Box<RunError>> {
     let machine = profiles::minicluster(4, 2, 8);
     let nranks = machine.cpu_job_size();
 
@@ -39,7 +51,7 @@ fn main() {
             iterations: 40,
             compute_per_iter: Duration::from_micros(50),
         };
-        let r = run_asp(&cfg);
+        let r = run_asp(&cfg)?;
         println!(
             "{:<16} {:>12.2}ms {:>16.2}ms {:>7.0}%",
             library.label(),
@@ -51,8 +63,9 @@ fn main() {
 
     // Numeric verification at small scale: the distributed Floyd-Warshall
     // must match the sequential solve exactly.
-    let dev = verify_distributed_fw(8, 32, 2024);
+    let dev = verify_distributed_fw(8, 32, 2024)?;
     println!("\nDistributed Floyd-Warshall vs sequential: max deviation = {dev}");
     assert_eq!(dev, 0.0, "distributed result must be exact");
     println!("verified: distributed result is exact.");
+    Ok(())
 }

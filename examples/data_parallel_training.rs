@@ -7,9 +7,21 @@
 //! ```
 
 use adapt::apps::{run_training, verify_data_parallel_sgd, GradStrategy, TrainConfig};
+use adapt::mpi::RunError;
 use adapt::prelude::*;
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
+    match run() {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("data_parallel_training: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+fn run() -> Result<(), Box<RunError>> {
     let machine = profiles::cori(8);
     let nranks = machine.cpu_job_size();
     let grad_bytes = 64 << 20; // a 16M-parameter f32 model
@@ -34,7 +46,7 @@ fn main() {
             steps: 10,
             compute_per_step: Duration::from_millis(5),
             strategy,
-        });
+        })?;
         println!(
             "{label:<18} {:>10.1}ms {:>10.2}ms {:>8.0}%",
             r.total_s * 1e3,
@@ -43,8 +55,9 @@ fn main() {
         );
     }
 
-    let dev = verify_data_parallel_sgd(8, 1000, 3, 0.05);
+    let dev = verify_data_parallel_sgd(8, 1000, 3, 0.05)?;
     println!("\ndistributed SGD vs sequential reference: max deviation = {dev:e}");
     assert!(dev < 1e-12);
     println!("verified: the distributed update is exact.");
+    Ok(())
 }

@@ -8,10 +8,22 @@
 //! ```
 
 use adapt::core::{topology_aware_tree, AdaptConfig, TopoTreeConfig};
+use adapt::mpi::RunError;
 use adapt::prelude::*;
+use std::process::ExitCode;
 use std::sync::Arc;
 
-fn main() {
+fn main() -> ExitCode {
+    match run() {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("gpu_broadcast: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+fn run() -> Result<(), Box<RunError>> {
     let nodes = 4;
     let machine = profiles::psg(nodes);
     let nranks = machine.gpu_job_size();
@@ -36,7 +48,7 @@ fn main() {
             library,
             msg_bytes: msg,
         };
-        let res = execute(&case.spec()).expect("a plain run completes audit-clean");
+        let res = execute(&case.spec())?;
         println!(
             "  {:<14} {:>10.1} us",
             library.label(),
@@ -56,7 +68,7 @@ fn main() {
             library,
             msg_bytes: msg,
         };
-        let res = execute(&case.spec()).expect("a plain run completes audit-clean");
+        let res = execute(&case.spec())?;
         println!(
             "  {:<14} {:>10.1} us",
             library.label(),
@@ -76,10 +88,10 @@ fn main() {
             staging,
         };
         let world = World::gpu(machine.clone(), nranks, ClusterNoise::silent(nranks));
-        world.run(spec.programs()).makespan.as_micros_f64()
+        Ok::<_, Box<RunError>>(world.try_run(spec.programs())?.makespan.as_micros_f64())
     };
-    let with = run_staging(true);
-    let without = run_staging(false);
+    let with = run_staging(true)?;
+    let without = run_staging(false)?;
     println!("\nExplicit CPU staging buffer (ADAPT broadcast):");
     println!("  with staging    {with:>10.1} us");
     println!(
@@ -94,4 +106,5 @@ fn main() {
          feeds every lane from host memory while flushing its own GPU \n\
          copy asynchronously."
     );
+    Ok(())
 }

@@ -32,7 +32,7 @@
 //!     data: None,
 //! };
 //! let world = World::cpu(machine, nranks, ClusterNoise::silent(nranks));
-//! let result = world.run(spec.programs());
+//! let result = world.try_run(spec.programs()).unwrap();
 //! println!("broadcast took {}", result.makespan);
 //! assert!(result.makespan.as_nanos() > 0);
 //! ```

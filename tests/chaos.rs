@@ -64,7 +64,7 @@ fn lossy_bcast_is_byte_identical_and_recovers() {
     let data = payload(300_000);
     let (world, programs) = bcast_world(&data);
     let plan = FaultPlan::lossy(7, 0.02).with_rto(Duration::from_micros(60));
-    let res = world.with_faults(plan).run(programs);
+    let res = world.with_faults(plan).try_run(programs).unwrap();
     assert!(res.stats.drops_injected > 0, "2% loss must drop something");
     assert!(res.stats.retransmits > 0, "drops must trigger retransmits");
     assert!(res.stats.acks > 0, "delivered transfers must be acked");
@@ -102,7 +102,7 @@ fn lossy_reduce_is_numerically_exact() {
     };
     let world = World::cpu(machine, nranks, ClusterNoise::silent(nranks));
     let plan = FaultPlan::lossy(11, 0.03).with_rto(Duration::from_micros(60));
-    let res = world.with_faults(plan).run(spec.programs());
+    let res = world.with_faults(plan).try_run(spec.programs()).unwrap();
     assert!(res.audit.is_clean(), "{}", res.audit);
     assert!(
         res.stats.retransmits > 0,
@@ -139,7 +139,7 @@ fn same_seed_reproduces_the_same_faulted_run() {
         let label = plan.render();
         let run = || {
             let (world, programs) = bcast_world(&data);
-            world.with_faults(plan.clone()).run(programs)
+            world.with_faults(plan.clone()).try_run(programs).unwrap()
         };
         let a = run();
         let b = run();
@@ -168,11 +168,11 @@ fn same_seed_reproduces_the_same_faulted_run() {
 fn inert_plan_is_indistinguishable_from_no_plan() {
     let data = payload(150_000);
     let (world, programs) = bcast_world(&data);
-    let baseline = world.run(programs);
+    let baseline = world.try_run(programs).unwrap();
     let (world, programs) = bcast_world(&data);
     let plan = FaultPlan::lossy(9, 0.0); // zero loss, no windows: inert
     assert!(plan.is_inert());
-    let faulted = world.with_faults(plan).run(programs);
+    let faulted = world.with_faults(plan).try_run(programs).unwrap();
     assert_eq!(
         baseline.stats, faulted.stats,
         "inert plan must attach nothing"
@@ -186,10 +186,10 @@ fn faults_change_timing_never_data() {
     // only ever cost time (drained bandwidth + RTO waits), never save it.
     let data = payload(200_000);
     let (world, programs) = bcast_world(&data);
-    let clean = world.run(programs);
+    let clean = world.try_run(programs).unwrap();
     let (world, programs) = bcast_world(&data);
     let plan = FaultPlan::lossy(3, 0.05).with_rto(Duration::from_micros(60));
-    let faulted = world.with_faults(plan).run(programs);
+    let faulted = world.with_faults(plan).try_run(programs).unwrap();
     assert!(faulted.stats.retransmits > 0);
     assert!(
         faulted.makespan >= clean.makespan,
@@ -210,7 +210,7 @@ fn down_window_is_survivable() {
     let plan = FaultPlan::lossy(5, 0.0)
         .with_down(t_us(40), t_us(160))
         .with_rto(Duration::from_micros(60));
-    let res = world.with_faults(plan).run(programs);
+    let res = world.with_faults(plan).try_run(programs).unwrap();
     assert!(
         res.stats.drops_injected > 0,
         "the outage must hit in-window launches"
@@ -223,7 +223,7 @@ fn down_window_is_survivable() {
 fn degrade_window_slows_but_never_corrupts() {
     let data = payload(200_000);
     let (world, programs) = bcast_world(&data);
-    let clean = world.run(programs);
+    let clean = world.try_run(programs).unwrap();
     let (world, programs) = bcast_world(&data);
     // 5% capacity, 4x latency across a window covering the whole run.
     let plan = FaultPlan::lossy(5, 0.0).with_degrade(
@@ -232,7 +232,7 @@ fn degrade_window_slows_but_never_corrupts() {
         Time::ZERO,
         Time::ZERO + Duration::from_millis(100),
     );
-    let res = world.with_faults(plan).run(programs);
+    let res = world.with_faults(plan).try_run(programs).unwrap();
     assert!(
         res.makespan > clean.makespan,
         "a 20x-slower fabric must inflate the makespan: clean={} degraded={}",
@@ -246,14 +246,14 @@ fn degrade_window_slows_but_never_corrupts() {
 fn stalled_rank_delays_but_never_corrupts() {
     let data = payload(150_000);
     let (world, programs) = bcast_world(&data);
-    let clean = world.run(programs);
+    let clean = world.try_run(programs).unwrap();
     // Stall a mid-tree rank well past the fault-free makespan: the whole
     // subtree must wait for it and still assemble the right bytes.
     let (world, programs) = bcast_world(&data);
     let stall_end = clean.makespan.as_nanos() * 2;
     let stall_end = Time::ZERO + Duration::from_nanos(stall_end);
     let plan = FaultPlan::lossy(5, 0.0).with_stall(3, Time::ZERO, stall_end);
-    let res = world.with_faults(plan).run(programs);
+    let res = world.with_faults(plan).try_run(programs).unwrap();
     assert!(
         res.per_rank_finish[3] >= stall_end,
         "rank 3 cannot finish before its stall window ends"
@@ -277,7 +277,7 @@ fn randomized_schedules_are_all_survivable() {
             .with_stall(stall_rank, t_us(10 * seed), t_us(10 * seed + 50))
             .with_rto(Duration::from_micros(80));
         let (world, programs) = bcast_world(&data);
-        let res = world.with_faults(plan).run(programs);
+        let res = world.with_faults(plan).try_run(programs).unwrap();
         assert!(
             res.stats.drops_injected > 0,
             "seed {seed}: outage must drop flows"
@@ -347,7 +347,7 @@ fn faults_compose_with_noise() {
         );
         let world = World::cpu(machine, nranks, noise);
         let plan = FaultPlan::lossy(21, 0.02).with_rto(Duration::from_micros(80));
-        world.with_faults(plan).run(spec.programs())
+        world.with_faults(plan).try_run(spec.programs()).unwrap()
     };
     let a = run();
     assert!(a.stats.retransmits > 0);
@@ -369,7 +369,8 @@ fn faults_compose_with_observability() {
     let res = world
         .with_faults(plan)
         .with_recorder(Box::new(adapt::obs::MemRecorder::new()))
-        .run(programs);
+        .try_run(programs)
+        .unwrap();
     assert!(res.stats.retransmits > 0);
     let obs = res.obs.as_ref().expect("recorded run carries obs data");
     let drops: u32 = obs.msgs.iter().map(|m| m.drops).sum();
@@ -593,7 +594,7 @@ fn kill_after_completion_is_harmless() {
     // audit stays clean (no failed bytes — everything was consumed).
     let data = payload(100_000);
     let (world, programs) = bcast_world(&data);
-    let clean = world.run(programs);
+    let clean = world.try_run(programs).unwrap();
     let (world, programs) = bcast_world(&data);
     let late = Time::ZERO + Duration::from_nanos(clean.makespan.as_nanos() * 3);
     let plan = FaultPlan::lossy(1, 0.0).with_kill(5, late);

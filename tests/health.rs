@@ -39,7 +39,7 @@ fn monitored_fig8(interval_ns: u64) -> HealthReport {
 /// health report of the completed run.
 fn monitored_minicluster(plan: FaultPlan, monitor: Monitor) -> HealthReport {
     let (world, programs) = minicluster_bcast(plan, monitor);
-    let res = world.run(programs);
+    let res = world.try_run(programs).unwrap();
     res.health.expect("monitored run carries a health report")
 }
 
@@ -180,7 +180,7 @@ fn the_live_view_agrees_with_the_final_report() {
     let world = World::cpu(machine, nranks, ClusterNoise::silent(nranks))
         .with_faults(plan)
         .with_monitor(monitor);
-    let res = world.run(spec.programs());
+    let res = world.try_run(spec.programs()).unwrap();
     let health = res.health.expect("health report");
     // The view outlives the monitor (shared state) and saw every alert.
     assert_eq!(view.total_alerts(), health.total_alerts());
@@ -214,7 +214,8 @@ fn a_global_stall_flatlines_before_the_watchdog_would_fire() {
     let (world, programs) = minicluster_bcast(plan, Monitor::new(20_000));
     let res = world
         .with_watchdog(Duration::from_millis(100))
-        .run(programs);
+        .try_run(programs)
+        .unwrap();
     let health = res.health.expect("health report");
     assert!(
         health.counts[AlertKind::ProgressFlatline.index()] >= 1,

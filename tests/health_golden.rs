@@ -74,7 +74,7 @@ fn stalled_bcast_16r_200k_health_artifact() {
     let world = World::cpu(machine, nranks, ClusterNoise::silent(nranks))
         .with_faults(plan)
         .with_monitor(monitor);
-    let res = world.run(spec.programs());
+    let res = world.try_run(spec.programs()).unwrap();
     assert!(res.audit.is_clean(), "{}", res.audit);
     let health = res.health.as_ref().expect("monitored run carries health");
     assert!(

@@ -21,7 +21,7 @@ fn facade_broadcast_delivers_real_data() {
         data: Some(Bytes::from(data.clone())),
     };
     let world = World::cpu(machine, nranks, ClusterNoise::silent(nranks));
-    let res = world.run(spec.programs());
+    let res = world.try_run(spec.programs()).unwrap();
     assert!(res.audit.is_clean(), "{}", res.audit);
     for (r, p) in res.programs.into_iter().enumerate() {
         let any: Box<dyn std::any::Any> = p;
@@ -69,7 +69,7 @@ fn facade_reduce_is_numerically_exact_under_noise() {
         MasterSeed(5),
     );
     let world = World::cpu(machine, nranks, noise);
-    let res = world.run(spec.programs());
+    let res = world.try_run(spec.programs()).unwrap();
     assert!(res.audit.is_clean(), "{}", res.audit);
     let root: Box<dyn std::any::Any> = res.programs.into_iter().next().unwrap();
     let root = root.downcast::<adapt::core::AdaptReduce>().unwrap();
@@ -156,11 +156,12 @@ fn asp_application_end_to_end() {
         row_bytes: 512 * 1024,
         iterations: 8,
         compute_per_iter: Duration::from_micros(100),
-    });
+    })
+    .unwrap();
     assert!(r.total_s > 0.0);
     assert!(r.comm_fraction() > 0.0 && r.comm_fraction() < 1.0);
     // And the numerics of the distributed algorithm are exact.
-    assert_eq!(verify_distributed_fw(6, 20, 11), 0.0);
+    assert_eq!(verify_distributed_fw(6, 20, 11).unwrap(), 0.0);
 }
 
 #[test]
@@ -219,7 +220,7 @@ fn async_progress_overlaps_collective_with_compute() {
         // The rank "finishes" when the bcast does; the compute may still be
         // running — completion of the collective is what we time, like an
         // MPI_Ibcast + MPI_Wait around local work.
-        let res = world.run(programs);
+        let res = world.try_run(programs).unwrap();
         assert!(res.audit.is_clean(), "{}", res.audit);
         res.makespan.as_millis_f64()
     };
@@ -287,7 +288,7 @@ fn audit_report_accounts_for_every_byte_and_event() {
         data: None,
     };
     let world = World::cpu(machine, nranks, ClusterNoise::silent(nranks));
-    let res = world.run(spec.programs());
+    let res = world.try_run(spec.programs()).unwrap();
     let audit = &res.audit;
     assert!(audit.is_clean(), "{audit}");
     // Every message the runtime counted is a posted send in the audit.

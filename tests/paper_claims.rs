@@ -154,7 +154,7 @@ fn every_comparator_passes_invariant_audit() {
                 msg_bytes: 1 << 20,
             };
             let world = World::cpu(machine.clone(), nranks, ClusterNoise::silent(nranks));
-            let res = world.run(case.programs());
+            let res = world.try_run(case.programs()).unwrap();
             assert!(
                 res.audit.is_clean(),
                 "{} {op:?}: {}",
@@ -188,7 +188,7 @@ fn receive_window_rule() {
             data: None,
         };
         let world = World::cpu(machine.clone(), nranks, ClusterNoise::silent(nranks));
-        let res = world.run(spec.programs());
+        let res = world.try_run(spec.programs()).unwrap();
         // Unexpected arrivals exercise the buffered-copy path; bytes must
         // still be conserved through it.
         assert!(res.audit.is_clean(), "{}", res.audit);
@@ -211,7 +211,7 @@ fn receive_window_rule() {
             data: None,
         };
         let world = World::cpu(machine.clone(), nranks, ClusterNoise::silent(nranks));
-        let res = world.run(spec.programs());
+        let res = world.try_run(spec.programs()).unwrap();
         assert!(res.audit.is_clean(), "{}", res.audit);
         res.stats.unexpected_matches
     };
