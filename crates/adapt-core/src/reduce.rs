@@ -106,7 +106,7 @@ pub struct AdaptReduce {
     posted: Vec<u64>,
     /// Per child: receives arrived so far.
     arrived: Vec<u64>,
-    /// Segments fully folded (root completion criterion).
+    /// Segments fully folded (the root completes when all are).
     complete_segs: u64,
     finished: bool,
     /// Completion time, for inspection after the run.

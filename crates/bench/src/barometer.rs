@@ -25,17 +25,14 @@
 //!   secondary column: it rewards redundant events).
 
 use crate::perf::{
-    bench_fig8, bench_flow_churn, bench_matching_posted, bench_matching_unexpected, ChurnParams,
-    Fig8Mode, Fig8Params, MatchingParams, PerfResult,
+    bench_event_queue, bench_fig8, bench_flow_churn, bench_matching_posted,
+    bench_matching_unexpected, ChurnParams, Fig8Mode, Fig8Params, MatchingParams, PerfResult,
+    QueueParams,
 };
 use crate::Scale;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::Path;
-
-/// The PR this working tree belongs to — the default `pr` stamp for
-/// freshly recorded ledger entries.
-pub const CURRENT_PR: u32 = 8;
 
 /// Default ledger location, relative to the repo root.
 pub const LEDGER_PATH: &str = "results/barometer.jsonl";
@@ -153,6 +150,11 @@ pub struct Scenario {
 /// variants; the choice is made at `record` time.
 #[derive(Clone, Debug)]
 pub enum Kind {
+    /// The event queue alone ([`bench_event_queue`]).
+    EventQueue {
+        quick: QueueParams,
+        full: QueueParams,
+    },
     /// Posted-receive matching stress ([`bench_matching_posted`]).
     MatchingPosted {
         quick: MatchingParams,
@@ -252,6 +254,20 @@ impl Scenario {
         let name = p.string("name")?;
         let kind = p.string("kind")?;
         let kind = match kind.as_str() {
+            "event_queue" => {
+                let warmup = p.int("warmup", 1)? as usize;
+                let iters = p.req_int("iters")? as usize;
+                let live = p.req_int("live")? as u64;
+                let mk = |pops: i64| QueueParams {
+                    live,
+                    pops: pops as u64,
+                    warmup,
+                    iters,
+                };
+                let quick = mk(p.req_int("pops_quick")?);
+                let full = mk(p.req_int("pops_full")?);
+                Kind::EventQueue { quick, full }
+            }
             "matching_posted" | "matching_unexpected" => {
                 let warmup = p.int("warmup", 1)? as usize;
                 let iters = p.req_int("iters")? as usize;
@@ -290,7 +306,6 @@ impl Scenario {
                 let iters = p.req_int("iters")? as usize;
                 let nodes = p.req_int("nodes")? as u32;
                 let nranks = p.req_int("nranks")? as u32;
-                let threads = (p.int("threads", 1)? as usize).max(1);
                 let mode = match kind.as_str() {
                     "fig8_plain" => Fig8Mode::Plain,
                     "fig8_traced" => Fig8Mode::Traced,
@@ -306,7 +321,6 @@ impl Scenario {
                     warmup,
                     iters,
                     mode,
-                    threads,
                 })
             }
             other => return Err(format!("{file}: unknown kind `{other}`")),
@@ -315,11 +329,9 @@ impl Scenario {
         Ok(Scenario { name, kind })
     }
 
-    /// Run the scenario at the given scale, optionally overriding the
-    /// worker-pool width. Only the fig8 sweep has independent per-size
-    /// runs to fan out; the other kinds are single-world hot-path probes
-    /// and ignore the override.
-    pub fn run(&self, scale: Scale, threads: Option<usize>) -> PerfResult {
+    /// Run the scenario at the given scale. A failed run or sanity check
+    /// is an error, not a measurement.
+    pub fn run(&self, scale: Scale) -> Result<PerfResult, String> {
         fn pick<T>(scale: Scale, q: T, f: T) -> T {
             match scale {
                 Scale::Quick => q,
@@ -327,21 +339,16 @@ impl Scenario {
             }
         }
         let mut r = match &self.kind {
+            Kind::EventQueue { quick, full } => bench_event_queue(pick(scale, quick, full)),
             Kind::MatchingPosted { quick, full } => bench_matching_posted(pick(scale, quick, full)),
             Kind::MatchingUnexpected { quick, full } => {
                 bench_matching_unexpected(pick(scale, quick, full))
             }
             Kind::FlowChurn { quick, full } => bench_flow_churn(pick(scale, quick, full)),
-            Kind::Fig8(p) => {
-                let mut p = *p;
-                if let Some(t) = threads {
-                    p.threads = t.max(1);
-                }
-                bench_fig8(&self.name, &p)
-            }
-        };
+            Kind::Fig8(p) => bench_fig8(&self.name, p),
+        }?;
         r.name = self.name.clone();
-        r
+        Ok(r)
     }
 }
 
@@ -399,13 +406,13 @@ pub struct LedgerEntry {
     /// Simulator events per wall-clock second (secondary; the gate reads
     /// `wall_ms`).
     pub events_per_sec: f64,
-    /// Worker threads the scenario ran on (1 = sequential). `diff` and
-    /// `rank` key on this: a threaded measurement is a different series
-    /// from a sequential one and the two are never silently paired.
+    /// Worker threads the scenario ran on. Every run records 1; ledger
+    /// lines from the retired threaded fig8 series carry their width, and
+    /// `diff` and `rank` keep them a series of their own.
     pub threads: u32,
     /// Logical cores of the recording host (0 on ledger lines written
-    /// before this field existed) — context for reading a threaded
-    /// number recorded on different hardware.
+    /// before this field existed) — context for comparing numbers
+    /// recorded on different hardware.
     pub host_cores: u32,
 }
 
@@ -426,16 +433,15 @@ impl LedgerEntry {
             wall_max_ms: r.wall_max_ms,
             events: r.events,
             events_per_sec: r.events_per_sec,
-            threads: r.threads as u32,
-            host_cores: adapt_sim::WorkerPool::host_threads() as u32,
+            threads: 1,
+            host_cores: crate::host_cores() as u32,
         }
     }
 
     /// The series this entry belongs to when pairing measurements: the
-    /// scenario name, qualified by the pool width whenever it is not the
-    /// historical sequential default. Sequential entries (including
-    /// pre-field ledger lines) keep the bare scenario name, so the
-    /// recorded history reads unchanged.
+    /// scenario name, qualified by the thread width of the retired
+    /// threaded series. Sequential entries (every entry recorded today,
+    /// and pre-field ledger lines) keep the bare scenario name.
     pub fn series(&self) -> String {
         if self.threads <= 1 {
             self.scenario.clone()
@@ -519,7 +525,7 @@ impl LedgerEntry {
                 .parse()
                 .map_err(|e| format!("field `events`: {e}"))?,
             events_per_sec: num("events_per_sec")?,
-            // Absent on ledger lines older than the worker pool:
+            // Absent on ledger lines older than the threaded series:
             // those were all sequential runs on unrecorded hardware.
             threads: match fields.get("threads") {
                 Some(v) => v.parse().map_err(|e| format!("field `threads`: {e}"))?,
@@ -649,7 +655,7 @@ impl DiffRow {
     }
 }
 
-/// Pair up entries per series — scenario name qualified by pool width
+/// Pair up entries per series — scenario name qualified by thread width
 /// (see [`LedgerEntry::series`]), so a threaded sweep is never silently
 /// compared against a sequential one. Entries are grouped in ledger
 /// order (append order is history order), optionally filtered to one
@@ -855,6 +861,7 @@ cout_quick = 300
         let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("scenarios");
         let corpus = load_corpus(&dir).unwrap();
         for required in [
+            "event_queue",
             "matching_posted",
             "matching_unexpected",
             "flow_churn",
@@ -881,7 +888,7 @@ cout_quick = 300
 
     #[test]
     fn ledger_lines_without_thread_fields_parse_as_sequential() {
-        // A line older than the worker pool: no `threads`,
+        // A line older than the threaded series: no `threads`,
         // no `host_cores`. It must still load, as a 1-thread entry.
         let line = "{\"scenario\": \"s1\", \"pr\": 5, \"rev\": \"abcd\", \"scale\": \"quick\", \
                     \"wall_ms\": 100.000, \"wall_min_ms\": 95.000, \"wall_max_ms\": 112.500, \

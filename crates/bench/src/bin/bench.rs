@@ -1,7 +1,7 @@
 //! The barometer CLI: record, compare, and render benchmark history.
 //!
 //! ```text
-//! bench record [--quick] [--threads N] [--pr N] [--rev R] [--filter SUBSTR]
+//! bench record --pr N [--quick] [--rev R] [--filter SUBSTR]
 //!              [--ledger results/barometer.jsonl] [--scenarios DIR]
 //! bench diff   [--from SEL] [--to SEL] [--scale quick|full] [--gate PCT]
 //! bench rank   [--scale quick|full]
@@ -13,14 +13,13 @@
 //! committed one. `--gate PCT` makes `diff` exit non-zero when any
 //! scenario's wall time rises more than PCT percent.
 //!
-//! `record --threads N` fans the fig8 sweeps out over an N-wide worker
-//! pool (other scenario kinds ignore it). The recorded entries carry the
-//! width, and `diff`/`rank` treat each width as its own series — a
-//! threaded measurement is never paired against a sequential one.
+//! `record` stamps every row with the PR number `--pr` names; it has no
+//! default. A scenario whose run or sanity check fails stops `record`
+//! with `bench: <scenario>: <reason>` and appends nothing.
 
 use adapt_bench::barometer::{
     append_entries, diff, gate, load_corpus, load_ledger, render_diff, render_rank, LedgerEntry,
-    Sel, CURRENT_PR, LEDGER_PATH,
+    Sel, LEDGER_PATH,
 };
 use adapt_bench::Scale;
 use std::path::PathBuf;
@@ -29,7 +28,6 @@ use std::process::ExitCode;
 struct Cli {
     cmd: String,
     quick: bool,
-    threads: Option<usize>,
     pr: Option<u32>,
     rev: Option<String>,
     ledger: PathBuf,
@@ -45,7 +43,6 @@ fn parse_cli() -> Result<Cli, String> {
     let mut cli = Cli {
         cmd: String::new(),
         quick: false,
-        threads: None,
         pr: None,
         rev: None,
         ledger: PathBuf::from(LEDGER_PATH),
@@ -63,15 +60,6 @@ fn parse_cli() -> Result<Cli, String> {
     while let Some(a) = args.next() {
         match a.as_str() {
             "--quick" => cli.quick = true,
-            "--threads" => {
-                let t: usize = value(&mut args, "--threads")?
-                    .parse()
-                    .map_err(|e| format!("--threads: {e}"))?;
-                if t == 0 {
-                    return Err("--threads must be at least 1".to_string());
-                }
-                cli.threads = Some(t);
-            }
             "--pr" => {
                 cli.pr = Some(
                     value(&mut args, "--pr")?
@@ -126,7 +114,9 @@ fn run(cli: Cli) -> Result<(), String> {
         "record" => {
             let scale = if cli.quick { Scale::Quick } else { Scale::Full };
             let scale_name = if cli.quick { "quick" } else { "full" };
-            let pr = cli.pr.unwrap_or(CURRENT_PR);
+            let pr = cli
+                .pr
+                .ok_or("record needs --pr N, the PR number stamped on the ledger rows")?;
             let rev = cli.rev.unwrap_or_else(git_rev);
             let corpus = load_corpus(&cli.scenarios)?;
             let corpus: Vec<_> = match &cli.filter {
@@ -138,10 +128,10 @@ fn run(cli: Cli) -> Result<(), String> {
             }
             let mut entries = Vec::new();
             for s in &corpus {
-                let r = s.run(scale, cli.threads);
+                let r = s.run(scale).map_err(|e| format!("{}: {e}", s.name))?;
                 println!(
-                    "{:<32} {:>10.2} ms ({:.2}-{:.2})  {:>12.0} events/s  t{}",
-                    r.name, r.wall_ms, r.wall_min_ms, r.wall_max_ms, r.events_per_sec, r.threads
+                    "{:<32} {:>10.2} ms ({:.2}-{:.2})  {:>12.0} events/s",
+                    r.name, r.wall_ms, r.wall_min_ms, r.wall_max_ms, r.events_per_sec
                 );
                 entries.push(LedgerEntry::from_result(&r, pr, &rev, scale));
             }

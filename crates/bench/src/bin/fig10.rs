@@ -7,7 +7,7 @@
 //! cargo run --release -p adapt-bench --bin fig10 [--scale quick]
 //! ```
 
-use adapt_bench::{parse_args, pool_grid, print_table, Scale};
+use adapt_bench::{par_grid, parse_args, print_table, Scale};
 use adapt_collectives::{execute, CollectiveCase, Library, OpKind};
 use adapt_topology::profiles;
 
@@ -29,7 +29,7 @@ fn main() {
     ];
 
     for op in [OpKind::Bcast, OpKind::Reduce] {
-        let cells: Vec<Vec<f64>> = pool_grid(&libs, &node_counts, move |library, nodes| {
+        let cells: Vec<Vec<f64>> = par_grid(&libs, &node_counts, |&library, &nodes| {
             let machine = profiles::cori(nodes);
             let nranks = machine.cpu_job_size();
             let case = CollectiveCase {

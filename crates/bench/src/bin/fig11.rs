@@ -8,7 +8,7 @@
 //! cargo run --release -p adapt-bench --bin fig11 [-- --mode sweep|scaling]
 //! ```
 
-use adapt_bench::{parse_args, pool_grid, print_table};
+use adapt_bench::{par_grid, parse_args, print_table};
 use adapt_collectives::{execute, OpKind};
 use adapt_gpu::{GpuCase, GpuLibrary};
 use adapt_topology::profiles;
@@ -22,7 +22,7 @@ const LIBS: [GpuLibrary; 3] = [
 fn sweep() {
     let sizes: Vec<u64> = [1u64, 2, 4, 8, 16, 32].iter().map(|m| m << 20).collect();
     for op in [OpKind::Bcast, OpKind::Reduce] {
-        let cells: Vec<Vec<f64>> = pool_grid(&LIBS, &sizes, move |library, msg_bytes| {
+        let cells: Vec<Vec<f64>> = par_grid(&LIBS, &sizes, |&library, &msg_bytes| {
             let machine = profiles::psg(8);
             let case = GpuCase {
                 nranks: machine.gpu_job_size(),
@@ -71,7 +71,7 @@ fn sweep() {
 fn scaling() {
     let node_counts = [1u32, 2, 4, 8];
     for op in [OpKind::Bcast, OpKind::Reduce] {
-        let cells: Vec<Vec<f64>> = pool_grid(&LIBS, &node_counts, move |library, nodes| {
+        let cells: Vec<Vec<f64>> = par_grid(&LIBS, &node_counts, |&library, &nodes| {
             let machine = profiles::psg(nodes);
             let case = GpuCase {
                 nranks: machine.gpu_job_size(),

@@ -10,15 +10,21 @@
 //! cargo run --release -p adapt-bench --bin fig7 -- --machine cori [--scale quick]
 //! ```
 
-use adapt_bench::{parse_args, pool_grid, print_table, CpuMachine, Scale};
+use adapt_bench::{par_grid, parse_args, print_table, CpuMachine, Scale};
 use adapt_collectives::{run_trial, CollectiveCase, Library, NoiseScope, OpKind, Trial};
+use std::num::NonZeroU32;
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
     let args = parse_args();
     let machine = CpuMachine::from_args(&args);
     let scale = Scale::from_args(&args);
     let (spec, nranks) = machine.instantiate(scale);
-    let iterations = if scale == Scale::Quick { 4 } else { 12 };
+    let iterations = if scale == Scale::Quick {
+        const { NonZeroU32::new(4).unwrap() }
+    } else {
+        const { NonZeroU32::new(12).unwrap() }
+    };
 
     let libs: Vec<Library> = match machine {
         CpuMachine::Cori => vec![
@@ -37,26 +43,35 @@ fn main() {
     let noise_levels = [0.0, 5.0, 10.0];
 
     for op in [OpKind::Bcast, OpKind::Reduce] {
-        let spec = spec.clone();
-        let cells: Vec<Vec<f64>> =
-            pool_grid(&libs, &noise_levels, move |library, noise_percent| {
-                run_trial(&Trial {
-                    case: CollectiveCase {
-                        machine: spec.clone(),
-                        nranks,
-                        op,
-                        library,
-                        msg_bytes: 4 << 20,
-                    },
-                    noise_percent,
-                    scope: NoiseScope::SparseNodes(4),
-                    iterations,
-                    repeats: 4,
-                    seed: 2018,
-                })
-                .mean_us
-                    / 1000.0
-            });
+        let cells = par_grid(&libs, &noise_levels, |&library, &noise_percent| {
+            run_trial(&Trial {
+                case: CollectiveCase {
+                    machine: spec.clone(),
+                    nranks,
+                    op,
+                    library,
+                    msg_bytes: 4 << 20,
+                },
+                noise_percent,
+                scope: NoiseScope::SparseNodes(4),
+                iterations,
+                repeats: const { NonZeroU32::new(4).unwrap() },
+                seed: 2018,
+            })
+            .map(|r| r.mean_us / 1000.0)
+            .map_err(|e| format!("{} at {noise_percent}% noise: {e}", library.label()))
+        });
+        let cells: Vec<Vec<f64>> = match cells
+            .into_iter()
+            .map(|row| row.into_iter().collect())
+            .collect::<Result<_, String>>()
+        {
+            Ok(cells) => cells,
+            Err(e) => {
+                eprintln!("fig7: {e}");
+                return ExitCode::FAILURE;
+            }
+        };
 
         let header = vec![
             "no noise".to_string(),
@@ -96,4 +111,5 @@ fn main() {
             &rows,
         );
     }
+    ExitCode::SUCCESS
 }

@@ -6,7 +6,7 @@
 //! cargo run --release -p adapt-bench --bin fig8 -- --machine cori [--scale quick]
 //! ```
 
-use adapt_bench::{parse_args, pool_grid, print_table, size_label, CpuMachine, Scale, FIG89_SIZES};
+use adapt_bench::{par_grid, parse_args, print_table, size_label, CpuMachine, Scale, FIG89_SIZES};
 use adapt_collectives::{execute, CollectiveCase, IntelAlg, Library, OpKind};
 
 fn main() {
@@ -38,8 +38,7 @@ fn main() {
     ];
 
     for (op, libs) in [(OpKind::Bcast, bcast_libs), (OpKind::Reduce, reduce_libs)] {
-        let spec = spec.clone();
-        let cells: Vec<Vec<f64>> = pool_grid(&libs, &FIG89_SIZES, move |library, msg_bytes| {
+        let cells: Vec<Vec<f64>> = par_grid(&libs, &FIG89_SIZES, |&library, &msg_bytes| {
             let case = CollectiveCase {
                 machine: spec.clone(),
                 nranks,

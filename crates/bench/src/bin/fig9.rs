@@ -4,7 +4,7 @@
 //! cargo run --release -p adapt-bench --bin fig9 -- --machine cori [--scale quick]
 //! ```
 
-use adapt_bench::{parse_args, pool_grid, print_table, size_label, CpuMachine, Scale, FIG89_SIZES};
+use adapt_bench::{par_grid, parse_args, print_table, size_label, CpuMachine, Scale, FIG89_SIZES};
 use adapt_collectives::{execute, CollectiveCase, Library, OpKind};
 
 fn main() {
@@ -31,8 +31,7 @@ fn main() {
     };
 
     for op in [OpKind::Bcast, OpKind::Reduce] {
-        let spec = spec.clone();
-        let cells: Vec<Vec<f64>> = pool_grid(&libs, &FIG89_SIZES, move |library, msg_bytes| {
+        let cells: Vec<Vec<f64>> = par_grid(&libs, &FIG89_SIZES, |&library, &msg_bytes| {
             let case = CollectiveCase {
                 machine: spec.clone(),
                 nranks,

@@ -12,7 +12,7 @@
 //! cargo run --release -p adapt-bench --bin noise_propagation [--scale quick]
 //! ```
 
-use adapt_bench::{parse_args, pool_map, print_table, Scale};
+use adapt_bench::{par_map, parse_args, print_table, Scale};
 use adapt_collectives::{run_trial, CollectiveCase, Library, NoiseScope, OpKind, Trial};
 use adapt_core::{topology_aware_tree, TopoTreeConfig, Tree};
 use adapt_mpi::{RunError, World};
@@ -20,6 +20,7 @@ use adapt_noise::{ClusterNoise, DurationLaw, NoiseSpec};
 use adapt_sim::rng::MasterSeed;
 use adapt_sim::time::Duration;
 use adapt_topology::{profiles, Placement};
+use std::num::NonZeroU32;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -32,7 +33,7 @@ fn main() -> ExitCode {
     // Noise lands mid-tree: an intermediate rank with both a parent and
     // children in every engine's topology.
     let victim = nranks / 2 + 1;
-    let iterations = 12;
+    let iterations = const { NonZeroU32::new(12).unwrap() };
 
     let libs = [
         (Library::OmpiBlocking, "blocking P2P (Alg 1)"),
@@ -40,12 +41,11 @@ fn main() -> ExitCode {
         (Library::OmpiAdapt, "ADAPT event-driven (Alg 3)"),
     ];
 
-    let trial_machine = machine.clone();
-    let rows: Vec<(String, Vec<String>)> = pool_map(libs.to_vec(), move |(library, label)| {
+    let rows = par_map(&libs, |&(library, label)| {
         let mk = |noise: f64| {
             run_trial(&Trial {
                 case: CollectiveCase {
-                    machine: trial_machine.clone(),
+                    machine: machine.clone(),
                     nranks,
                     op: OpKind::Bcast,
                     library,
@@ -54,22 +54,30 @@ fn main() -> ExitCode {
                 noise_percent: noise,
                 scope: NoiseScope::SingleRank(victim),
                 iterations,
-                repeats: 3,
+                repeats: const { NonZeroU32::new(3).unwrap() },
                 seed: 99,
             })
-            .mean_us
+            .map(|r| r.mean_us)
+            .map_err(|e| format!("{label} at {noise}% noise: {e}"))
         };
-        let clean = mk(0.0);
-        let noisy = mk(10.0);
-        (
+        let clean = mk(0.0)?;
+        let noisy = mk(10.0)?;
+        Ok((
             label.to_string(),
             vec![
                 format!("{:.2}ms", clean / 1000.0),
                 format!("{:.2}ms", noisy / 1000.0),
                 format!("{:.0}%", (noisy / clean - 1.0) * 100.0),
             ],
-        )
+        ))
     });
+    let rows: Vec<(String, Vec<String>)> = match rows.into_iter().collect::<Result<_, String>>() {
+        Ok(rows) => rows,
+        Err(e) => {
+            eprintln!("noise_propagation: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
 
     print_table(
         &format!("Noise propagation: 10% noise on single rank {victim} of {nranks}, 4MB broadcast"),

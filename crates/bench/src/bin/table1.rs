@@ -13,7 +13,7 @@
 //! ```
 
 use adapt_apps::{run_asp, AspConfig};
-use adapt_bench::{parse_args, pool_map, print_table, Scale};
+use adapt_bench::{par_map, parse_args, print_table, Scale};
 use adapt_collectives::Library;
 use adapt_sim::time::Duration;
 use adapt_topology::profiles;
@@ -39,10 +39,9 @@ fn main() -> ExitCode {
         Library::OmpiDefault, // "OMPI-tuned" in the paper's Table 1
     ];
 
-    let asp_machine = machine.clone();
-    let results = pool_map(libs.to_vec(), move |library| {
+    let results = par_map(&libs, |&library| {
         run_asp(&AspConfig {
-            machine: asp_machine.clone(),
+            machine: machine.clone(),
             nranks,
             library,
             row_bytes: 1 << 20,

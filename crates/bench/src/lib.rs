@@ -21,45 +21,72 @@
 pub mod barometer;
 pub mod perf;
 
-use adapt_sim::WorkerPool;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Evaluate a `rows × cols` grid of independent simulations on a
-/// [`WorkerPool`] spanning the host's cores, returning cells in row-major
-/// order. Every cell builds its own world inside the job, so the grid is
-/// embarrassingly parallel and the results are identical to the
-/// sequential nest at any pool width (the pool preserves submission
-/// order).
-pub fn pool_grid<R, C, T, F>(rows: &[R], cols: &[C], f: F) -> Vec<Vec<T>>
-where
-    R: Clone + Send + 'static,
-    C: Clone + Send + 'static,
-    T: Send + 'static,
-    F: Fn(R, C) -> T + Send + Sync + 'static,
-{
-    let pool = WorkerPool::new(WorkerPool::host_threads());
-    let items: Vec<(R, C)> = rows
-        .iter()
-        .flat_map(|r| cols.iter().map(|c| (r.clone(), c.clone())))
-        .collect();
-    let mut flat = pool.map(items, move |(r, c)| f(r, c)).into_iter();
-    rows.iter()
-        .map(|_| {
-            (0..cols.len())
-                .map(|_| flat.next().expect("grid"))
-                .collect()
-        })
-        .collect()
+/// Logical cores of this host (1 when the OS cannot say).
+pub fn host_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// One pooled map over `items` across the host's cores, order-preserving.
-pub fn pool_map<I, T, F>(items: Vec<I>, f: F) -> Vec<T>
-where
-    I: Send + 'static,
-    T: Send + 'static,
-    F: Fn(I) -> T + Send + Sync + 'static,
-{
-    WorkerPool::new(WorkerPool::host_threads()).map(items, f)
+/// Apply `f` to every item on scoped threads spanning the host's cores,
+/// returning the results in item order. Every item of the figure grids
+/// builds its own world, so the map is embarrassingly parallel and its
+/// output is identical to the sequential loop at any width.
+pub fn par_map<I: Sync, T: Send>(items: &[I], f: impl Fn(&I) -> T + Sync) -> Vec<T> {
+    par_map_on(host_cores(), items, f)
+}
+
+/// [`par_map`] on `width` threads: each thread claims the next unclaimed
+/// item index until none are left, keeping `(index, result)` pairs that
+/// are put back in item order once every thread has joined. A panicking
+/// item re-raises its panic on the caller's thread.
+fn par_map_on<I: Sync, T: Send>(width: usize, items: &[I], f: impl Fn(&I) -> T + Sync) -> Vec<T> {
+    let next = AtomicUsize::new(0);
+    let mut done: Vec<(usize, T)> = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..width.min(items.len()))
+            .map(|_| {
+                s.spawn(|| {
+                    let mut out = Vec::new();
+                    loop {
+                        // Relaxed: the counter only hands out indices; the
+                        // results travel back through `join`.
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(item) = items.get(i) else {
+                            return out;
+                        };
+                        out.push((i, f(item)));
+                    }
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| {
+                w.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, t)| t).collect()
+}
+
+/// Evaluate a `rows × cols` grid with [`par_map`], returning cells in
+/// row-major order.
+pub fn par_grid<R: Sync, C: Sync, T: Send>(
+    rows: &[R],
+    cols: &[C],
+    f: impl Fn(&R, &C) -> T + Sync,
+) -> Vec<Vec<T>> {
+    let cells: Vec<(&R, &C)> = rows
+        .iter()
+        .flat_map(|r| cols.iter().map(move |c| (r, c)))
+        .collect();
+    let mut flat = par_map(&cells, |&(r, c)| f(r, c)).into_iter();
+    rows.iter()
+        .map(|_| flat.by_ref().take(cols.len()).collect())
+        .collect()
 }
 
 /// Crude `--key value` argument parser (no external deps).
@@ -187,6 +214,45 @@ pub fn print_table(title: &str, header: &[String], rows: &[(String, Vec<String>)
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn par_map_keeps_item_order_when_wider_than_the_input() {
+        // The barrier holds every item until all five run at once, so
+        // each of the five threads computes exactly one item.
+        let items: Vec<u64> = (0..5).collect();
+        let all_running = std::sync::Barrier::new(items.len());
+        let out = par_map_on(8, &items, |&i| {
+            all_running.wait();
+            i * i
+        });
+        assert_eq!(out, vec![0, 1, 4, 9, 16]);
+        let grid = par_grid(&[1u64, 2], &[10u64, 20, 30], |r, c| r * c);
+        assert_eq!(grid, vec![vec![10, 20, 30], vec![20, 40, 60]]);
+    }
+
+    #[test]
+    fn par_map_of_nothing_is_empty() {
+        let out: Vec<u8> = par_map_on(4, &[] as &[u8], |&b| b);
+        assert!(out.is_empty());
+    }
+
+    #[test]
+    fn par_map_panic_reaches_the_caller() {
+        let caught = std::panic::catch_unwind(|| {
+            par_map_on(3, &[1u32, 2, 3, 4], |&i| {
+                if i == 3 {
+                    panic!("item {i} exploded");
+                }
+                i
+            })
+        });
+        let payload = caught.expect_err("a panicking item must re-raise on the caller");
+        let msg = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default();
+        assert_eq!(msg, "item 3 exploded");
+    }
 
     #[test]
     fn size_labels() {

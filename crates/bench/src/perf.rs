@@ -1,13 +1,14 @@
 //! Self-timed performance harness for the simulator's hot paths.
 //!
-//! The vendored criterion is an API stub, so this module carries its own
-//! measurement loop: every scenario runs `warmup` throwaway iterations and
-//! then `k` timed iterations with [`std::time::Instant`], reporting the
-//! **median** wall-clock so one noisy iteration cannot skew a recorded
-//! number. Three scenarios cover the three per-event hot paths:
+//! Every scenario runs `warmup` throwaway iterations and then `k` timed
+//! iterations with [`std::time::Instant`], reporting the **median**
+//! wall-clock so one noisy iteration cannot skew a recorded number. The
+//! layer scenarios drive one hot path each; the fig8 sweeps run whole
+//! collectives with one attachment each:
 //!
 //! | scenario | exercises |
 //! |---|---|
+//! | `event_queue` | the event queue alone, at the simulator's live depth and cancel share |
 //! | `matching_posted` | arrival matching against a long posted-receive list |
 //! | `matching_unexpected` | receive posting against long unexpected queues |
 //! | `flow_churn` | fair-share refresh on a congested link under flow churn |
@@ -22,16 +23,17 @@
 //! Every scenario's parameters come from the declarative TOML corpus
 //! (`crates/bench/scenarios/*.toml`); the `bench` binary runs them and
 //! records absolute numbers in the barometer ledger
-//! (`results/barometer.jsonl`, see [`crate::barometer`]).
+//! (`results/barometer.jsonl`, see [`crate::barometer`]). A scenario whose
+//! run fails, or whose sanity check does not hold, returns an error
+//! instead of a measurement.
 
 use crate::FIG89_SIZES;
 use adapt_collectives::{execute, CollectiveCase, Library, OpKind, Recording, RunSpec};
 use adapt_faults::FaultPlan;
 use adapt_mpi::{Completion, Op, Payload, ProgramCtx, RankProgram, RunResult, Token, WorldStats};
 use adapt_net::{FlowId, FlowScheduler, FlowSpec, Link, LinkClass, LinkId, NetStep, Network, Path};
-use adapt_sim::queue::{EventKey, EventQueue};
+use adapt_sim::queue::{EventKey, EventQueue, QueueAudit};
 use adapt_sim::time::{Duration as SimDuration, Time};
-use adapt_sim::WorkerPool;
 use adapt_topology::profiles;
 use std::sync::Arc;
 use std::time::Instant;
@@ -55,10 +57,6 @@ pub struct PerfResult {
     pub match_probes: u64,
     /// Fair-share recomputations in one iteration (0 where untracked).
     pub share_recomputes: u64,
-    /// Worker threads the scenario ran on (1 = the sequential engine).
-    /// Throughput at different widths is not comparable — the ledger keys
-    /// on this so a diff never pairs them silently.
-    pub threads: usize,
 }
 
 /// Wall-clock distribution of one timed scenario: the median that gets
@@ -79,26 +77,148 @@ pub struct Timing {
 /// median/min/max wall-clock plus the last iteration's payload. The
 /// median is what gets recorded (robust to a single noisy iteration); the
 /// spread is recorded alongside so a diff can tell signal from noise.
-pub fn time_median<T>(warmup: usize, k: usize, mut f: impl FnMut() -> T) -> (Timing, T) {
-    assert!(k >= 1);
+/// The first failing iteration's error is returned, as is an error for
+/// `k == 0`.
+pub fn time_median<T>(
+    warmup: usize,
+    k: usize,
+    mut f: impl FnMut() -> Result<T, String>,
+) -> Result<(Timing, T), String> {
     for _ in 0..warmup {
-        f();
+        f()?;
     }
     let mut samples = Vec::with_capacity(k);
     let mut last = None;
     for _ in 0..k {
         let start = Instant::now();
-        let out = f();
+        let out = f()?;
         samples.push(start.elapsed().as_secs_f64() * 1e3);
         last = Some(out);
     }
+    let Some(last) = last else {
+        return Err("a timed scenario needs at least one timed iteration".to_string());
+    };
     samples.sort_by(|a, b| a.total_cmp(b));
     let t = Timing {
         median_ms: samples[k / 2],
         min_ms: samples[0],
         max_ms: samples[k - 1],
     };
-    (t, last.expect("k >= 1"))
+    Ok((t, last))
+}
+
+/// `Ok` when `ok` holds, else the scenario error `why` describes.
+fn ensure(ok: bool, why: impl FnOnce() -> String) -> Result<(), String> {
+    if ok {
+        Ok(())
+    } else {
+        Err(why())
+    }
+}
+
+// ---------------------------------------------------------------------
+// Event queue: the queue layer alone, no world around it.
+// ---------------------------------------------------------------------
+
+/// Parameters of the event-queue scenario.
+#[derive(Clone, Copy, Debug)]
+pub struct QueueParams {
+    /// Live events the queue holds throughout the timed loop.
+    pub live: u64,
+    /// Pops in the timed loop (the final drain pops `live` more).
+    pub pops: u64,
+    /// Throwaway iterations before timing starts.
+    pub warmup: usize,
+    /// Timed iterations (median recorded).
+    pub iters: usize,
+}
+
+/// What one event-queue iteration did, for its conservation check.
+#[derive(Clone, Copy, Debug)]
+struct QueueTally {
+    scheduled: u64,
+    cancelled: u64,
+    popped: u64,
+    audit: QueueAudit,
+}
+
+/// Spread of the scattered scheduling delays, in nanoseconds.
+const QUEUE_SPAN_NS: u64 = 1 << 20;
+
+/// A hold model with the simulator's queue shape: `live` events at
+/// scattered instants, then `pops` pops. Every two pops schedule three
+/// events and cancel one — an untracked fire-once event, a tracked event
+/// that fires, and a tracked far-future event that replaces (cancels)
+/// the previous one, the way a flow's completion is rescheduled when its
+/// share changes — so the live count holds steady. Then the queue pops
+/// dry.
+fn queue_hold(live: u64, pops: u64) -> QueueTally {
+    let mut q = EventQueue::new();
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    let mut delay = move || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        1 + x % QUEUE_SPAN_NS
+    };
+    for i in 0..live {
+        q.schedule_untracked(Time(delay()), i);
+    }
+    let mut scheduled = live;
+    let mut cancelled = 0u64;
+    let mut popped = 0u64;
+    let mut replaced: Option<EventKey> = None;
+    for step in 0..pops {
+        let Some((now, _)) = q.pop() else { break };
+        popped += 1;
+        if step % 2 == 0 {
+            q.schedule_untracked(Time(now.0 + delay()), step);
+            q.schedule(Time(now.0 + delay()), step);
+            scheduled += 2;
+        } else {
+            if let Some(k) = replaced {
+                cancelled += u64::from(q.cancel(k));
+            }
+            replaced = Some(q.schedule(Time(now.0 + QUEUE_SPAN_NS + delay()), step));
+            scheduled += 1;
+        }
+    }
+    while q.pop().is_some() {
+        popped += 1;
+    }
+    QueueTally {
+        scheduled,
+        cancelled,
+        popped,
+        audit: q.audit(),
+    }
+}
+
+/// Event-queue throughput on the simulator's queue shape: `p.live`
+/// events held while `p.pops` pop, a third of the schedules cancelled.
+/// Checked to pop exactly the events scheduled minus those cancelled,
+/// with a consistent queue audit and no causality clamps.
+pub fn bench_event_queue(p: &QueueParams) -> Result<PerfResult, String> {
+    let (t, tally) = time_median(p.warmup, p.iters, || {
+        let tally = queue_hold(p.live, p.pops);
+        ensure(
+            tally.popped == tally.scheduled - tally.cancelled
+                && tally.audit.is_consistent()
+                && tally.audit.causality_violations == 0,
+            || format!("event queue lost or invented events: {tally:?}"),
+        )?;
+        Ok(tally)
+    })?;
+    Ok(PerfResult {
+        name: "event_queue".into(),
+        wall_ms: t.median_ms,
+        wall_min_ms: t.min_ms,
+        wall_max_ms: t.max_ms,
+        events: tally.popped,
+        events_per_sec: tally.popped as f64 / (t.median_ms / 1e3),
+        match_probes: 0,
+        share_recomputes: 0,
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -209,7 +329,7 @@ fn matching_world(
     count: u32,
     bytes: u64,
     receiver: impl Fn() -> Box<dyn RankProgram> + Send + Sync + 'static,
-) -> WorldStats {
+) -> Result<WorldStats, String> {
     let programs = Arc::new(move || {
         let sender = Box::new(FloodSender {
             count,
@@ -221,8 +341,8 @@ fn matching_world(
         vec![sender, receiver()]
     });
     execute(&RunSpec::new(profiles::minicluster(1, 1, 2), 2, programs))
-        .expect("a matching scenario completes audit-clean")
-        .stats
+        .map(|res| res.stats)
+        .map_err(|e| format!("matching run of {count} messages: {e}"))
 }
 
 /// Parameters of the two matching scenarios, normally loaded from the
@@ -241,19 +361,19 @@ pub struct MatchingParams {
 
 /// Posted-receive matching throughput (descending arrivals vs a long
 /// pre-posted list).
-pub fn bench_matching_posted(p: &MatchingParams) -> PerfResult {
+pub fn bench_matching_posted(p: &MatchingParams) -> Result<PerfResult, String> {
     let count = p.count;
     let (t, stats) = time_median(p.warmup, p.iters, || {
         matching_world(count, p.bytes, move || {
             Box::new(PrePoster { count, done: 0 })
         })
-    });
-    result("matching_posted", t, stats)
+    })?;
+    Ok(result("matching_posted", t, stats))
 }
 
 /// Unexpected-queue matching throughput (late posts vs a long unexpected
 /// queue).
-pub fn bench_matching_unexpected(p: &MatchingParams) -> PerfResult {
+pub fn bench_matching_unexpected(p: &MatchingParams) -> Result<PerfResult, String> {
     let count = p.count;
     let (t, stats) = time_median(p.warmup, p.iters, || {
         matching_world(count, p.bytes, move || {
@@ -263,8 +383,8 @@ pub fn bench_matching_unexpected(p: &MatchingParams) -> PerfResult {
                 done: 0,
             })
         })
-    });
-    result("matching_unexpected", t, stats)
+    })?;
+    Ok(result("matching_unexpected", t, stats))
 }
 
 // ---------------------------------------------------------------------
@@ -299,7 +419,7 @@ pub struct ChurnParams {
 /// funnel through one backbone link, and drive the engine dry. This is the
 /// fan-in congestion pattern of a large reduce: every start and drain
 /// perturbs the shared bottleneck.
-pub fn bench_flow_churn(p: &ChurnParams) -> PerfResult {
+pub fn bench_flow_churn(p: &ChurnParams) -> Result<PerfResult, String> {
     let (lanes, flows) = (p.lanes, p.flows);
     let (t, (events, perf)) = time_median(p.warmup, p.iters, || {
         let mut links = vec![Link {
@@ -361,11 +481,20 @@ pub fn bench_flow_churn(p: &ChurnParams) -> PerfResult {
                 }
             }
         }
-        assert_eq!(net.active_flows(), 0);
-        assert_eq!(net.injected_bytes(), net.delivered_bytes());
-        (events, net.perf_counters())
-    });
-    PerfResult {
+        ensure(
+            net.active_flows() == 0 && net.injected_bytes() == net.delivered_bytes(),
+            || {
+                format!(
+                    "flow churn did not drain: {} flows active, {} of {} bytes delivered",
+                    net.active_flows(),
+                    net.delivered_bytes(),
+                    net.injected_bytes()
+                )
+            },
+        )?;
+        Ok((events, net.perf_counters()))
+    })?;
+    Ok(PerfResult {
         name: "flow_churn".into(),
         wall_ms: t.median_ms,
         wall_min_ms: t.min_ms,
@@ -374,8 +503,7 @@ pub fn bench_flow_churn(p: &ChurnParams) -> PerfResult {
         events_per_sec: events as f64 / (t.median_ms / 1e3),
         match_probes: 0,
         share_recomputes: perf.share_recomputes,
-        threads: 1,
-    }
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -424,10 +552,6 @@ pub struct Fig8Params {
     pub iters: usize,
     /// Attachment under test.
     pub mode: Fig8Mode,
-    /// Worker-pool width for the sweep: the per-size runs are independent
-    /// worlds, so the pool maps one run per thread (largest sizes first).
-    /// 1 keeps the historical sequential sweep, inline on this thread.
-    pub threads: usize,
 }
 
 /// The spec of one fig8 size with `mode`'s attachment.
@@ -469,130 +593,139 @@ fn fig8_spec(case: &CollectiveCase, mode: Fig8Mode) -> RunSpec {
 }
 
 /// Run one spec of the sweep; a failed run is a broken scenario.
-fn run_fig8(case: &CollectiveCase, mode: Fig8Mode) -> RunResult {
-    execute(&fig8_spec(case, mode))
-        .unwrap_or_else(|e| panic!("fig8 {mode:?} {}B: {e}", case.msg_bytes))
+fn run_fig8(case: &CollectiveCase, mode: Fig8Mode) -> Result<RunResult, String> {
+    execute(&fig8_spec(case, mode)).map_err(|e| format!("fig8 {mode:?} {}B: {e}", case.msg_bytes))
 }
 
 /// One size of the fig8 sweep under `mode`'s attachment, with the
 /// attachment's own sanity checks.
-fn run_fig8_size(case: &CollectiveCase, mode: Fig8Mode) -> WorldStats {
-    let res = run_fig8(case, mode);
+fn run_fig8_size(case: &CollectiveCase, mode: Fig8Mode) -> Result<WorldStats, String> {
+    let res = run_fig8(case, mode)?;
+    let at = case.msg_bytes;
     match mode {
         Fig8Mode::Traced => {
-            let obs = res.obs.expect("recorded run carries observability data");
-            assert!(!obs.dispatches.is_empty() && !obs.gauges.is_empty());
+            ensure(
+                res.obs
+                    .as_ref()
+                    .is_some_and(|o| !o.dispatches.is_empty() && !o.gauges.is_empty()),
+                || format!("fig8 traced {at}B: no dispatch spans or gauges recorded"),
+            )?;
         }
         Fig8Mode::Streaming => {
-            let summary = res.summary.expect("streaming run carries a summary");
-            assert!(summary.msgs_posted > 0 && summary.dispatches > 0);
+            ensure(
+                res.summary
+                    .as_ref()
+                    .is_some_and(|s| s.msgs_posted > 0 && s.dispatches > 0),
+                || format!("fig8 streaming {at}B: the summary saw no messages or dispatches"),
+            )?;
         }
         Fig8Mode::Lossy(_) => {
-            assert!(res.stats.retransmits > 0, "loss must exercise recovery");
+            ensure(res.stats.retransmits > 0, || {
+                format!("fig8 lossy {at}B: loss never exercised recovery")
+            })?;
         }
         Fig8Mode::Monitored => {
-            let health = res.health.expect("monitored run carries a health report");
-            assert!(health.snapshots > 0, "the snapshot timer must have fired");
-            assert_eq!(
-                health.total_alerts(),
-                0,
-                "a clean sweep must not page anyone: {health:?}"
-            );
+            let Some(health) = &res.health else {
+                return Err(format!("fig8 monitored {at}B: no health report"));
+            };
+            ensure(health.snapshots > 0, || {
+                format!("fig8 monitored {at}B: the snapshot timer never fired")
+            })?;
+            ensure(health.total_alerts() == 0, || {
+                format!("fig8 monitored {at}B: a clean sweep paged the monitor: {health:?}")
+            })?;
         }
         Fig8Mode::Plain | Fig8Mode::InertFaults | Fig8Mode::InertKill => {}
     }
-    res.stats
+    Ok(res.stats)
+}
+
+/// A kill scheduled past the run's completion must not perturb the
+/// simulated schedule at all: kill-only plans keep the reliability layer
+/// off (no acks, no timers), so per-rank finish times and every counter
+/// except the kill/detection tallies must match the plain run.
+fn check_inert_kill(case: &CollectiveCase) -> Result<(), String> {
+    let at = case.msg_bytes;
+    let spec = fig8_spec(case, Fig8Mode::InertKill);
+    ensure(spec.faults.as_ref().is_some_and(|p| !p.is_inert()), || {
+        format!("fig8 inert kill {at}B: a kill plan must not read as inert")
+    })?;
+    let res = run_fig8(case, Fig8Mode::InertKill)?;
+    let plain = run_fig8(case, Fig8Mode::Plain)?;
+    let mut masked = res.stats;
+    ensure(
+        masked.ranks_killed == 1 && masked.failures_detected == 1,
+        || {
+            format!(
+                "fig8 inert kill {at}B: killed={} detected={}, expected 1 and 1",
+                masked.ranks_killed, masked.failures_detected
+            )
+        },
+    )?;
+    masked.ranks_killed = 0;
+    masked.failures_detected = 0;
+    // The Kill and Detect events themselves are the only extras.
+    masked.events = masked.events.saturating_sub(2);
+    ensure(
+        res.per_rank_finish == plain.per_rank_finish && masked == plain.stats,
+        || format!("fig8 inert kill {at}B: a kill-only plan added reliability overhead"),
+    )
+}
+
+/// The inert fault plan's bit-identical guarantee: every counter and
+/// per-rank finish time matches the plain run.
+fn check_inert_faults(case: &CollectiveCase) -> Result<(), String> {
+    let at = case.msg_bytes;
+    let spec = fig8_spec(case, Fig8Mode::InertFaults);
+    ensure(
+        spec.faults.as_ref().is_some_and(FaultPlan::is_inert),
+        || format!("fig8 inert faults {at}B: the plan is not inert"),
+    )?;
+    let res = run_fig8(case, Fig8Mode::InertFaults)?;
+    let plain = run_fig8(case, Fig8Mode::Plain)?;
+    ensure(
+        res.stats == plain.stats && res.per_rank_finish == plain.per_rank_finish,
+        || format!("fig8 inert faults {at}B: an inert plan changed the run"),
+    )
 }
 
 /// The fig8 sweep with explicit parameters: one collective run per
 /// message size, with `p.mode`'s attachment, summed stats per iteration.
-/// At `p.threads > 1` the independent per-size runs are fanned out on a
-/// [`WorkerPool`] (largest sizes first, so the longest run starts
-/// earliest); the summed counters are commutative, so the recorded totals
-/// are identical at any width — only the wall clock moves.
-pub fn bench_fig8(name: &str, p: &Fig8Params) -> PerfResult {
-    let sizes: &[u64] = &FIG89_SIZES;
+/// The inert modes' equivalence checks run once, outside the timed loop,
+/// so the recorded wall clock measures only the attached run and compares
+/// directly against `fig8_quick_bcast_256`.
+pub fn bench_fig8(name: &str, p: &Fig8Params) -> Result<PerfResult, String> {
     let spec = profiles::cori(p.nodes);
-    let nranks = p.nranks;
-    let mk_case = |msg_bytes| CollectiveCase {
-        machine: spec.clone(),
-        nranks,
-        op: OpKind::Bcast,
-        library: Library::OmpiAdapt,
-        msg_bytes,
-    };
-    if p.mode == Fig8Mode::InertKill {
-        // A kill scheduled past the run's completion must not perturb the
-        // simulated schedule at all: kill-only plans keep the reliability
-        // layer off (no acks, no timers), so per-rank finish times and
-        // every counter except the kill/detection tallies are asserted
-        // bit-identical to the plain run before timing starts.
-        for &msg_bytes in sizes {
-            let case = mk_case(msg_bytes);
-            let spec = fig8_spec(&case, Fig8Mode::InertKill);
-            let plan = spec.faults.as_ref().expect("a kill plan");
-            assert!(!plan.is_inert(), "a kill plan is not inert to the audit");
-            let res = run_fig8(&case, Fig8Mode::InertKill);
-            let plain = run_fig8(&case, Fig8Mode::Plain);
-            assert_eq!(res.per_rank_finish, plain.per_rank_finish);
-            let mut masked = res.stats;
-            assert_eq!(masked.ranks_killed, 1);
-            assert_eq!(masked.failures_detected, 1);
-            masked.ranks_killed = 0;
-            masked.failures_detected = 0;
-            // The Kill and Detect events themselves are the only extras.
-            assert_eq!(masked.events, plain.stats.events + 2);
-            masked.events = plain.stats.events;
-            assert_eq!(
-                masked, plain.stats,
-                "a kill-only plan must add zero reliability overhead"
-            );
+    let cases: Vec<CollectiveCase> = FIG89_SIZES
+        .iter()
+        .map(|&msg_bytes| CollectiveCase {
+            machine: spec.clone(),
+            nranks: p.nranks,
+            op: OpKind::Bcast,
+            library: Library::OmpiAdapt,
+            msg_bytes,
+        })
+        .collect();
+    for case in &cases {
+        match p.mode {
+            Fig8Mode::InertKill => check_inert_kill(case)?,
+            Fig8Mode::InertFaults => check_inert_faults(case)?,
+            _ => {}
         }
     }
-    if p.mode == Fig8Mode::InertFaults {
-        // The bit-identical guarantee, checked once outside the timed
-        // loop so the recorded wall clock measures only the inert-faulted
-        // run and compares directly against `fig8_quick_bcast_256`.
-        for &msg_bytes in sizes {
-            let case = mk_case(msg_bytes);
-            let spec = fig8_spec(&case, Fig8Mode::InertFaults);
-            assert!(spec.faults.as_ref().is_some_and(FaultPlan::is_inert));
-            let res = run_fig8(&case, Fig8Mode::InertFaults);
-            let plain = run_fig8(&case, Fig8Mode::Plain);
-            assert_eq!(
-                res.stats, plain.stats,
-                "an inert fault plan must leave every counter bit-identical"
-            );
-            assert_eq!(res.per_rank_finish, plain.per_rank_finish);
-        }
-    }
-    let threads = p.threads.max(1);
-    let pool = WorkerPool::new(threads);
-    // Longest-processing-time-first: the 4 MB run dominates the sweep, so
-    // it must be in flight from the first instant for the pool to pay off.
-    let mut order: Vec<u64> = sizes.to_vec();
-    order.sort_unstable_by(|a, b| b.cmp(a));
-    let mode = p.mode;
     let (t, stats_sum) = time_median(p.warmup, p.iters, || {
-        let jobs: Vec<Box<dyn FnOnce() -> WorldStats + Send>> = order
-            .iter()
-            .map(|&msg_bytes| {
-                let case = mk_case(msg_bytes);
-                Box::new(move || run_fig8_size(&case, mode))
-                    as Box<dyn FnOnce() -> WorldStats + Send>
-            })
-            .collect();
         let mut sum = WorldStats::default();
-        for stats in pool.run_batch(jobs) {
+        // Largest size first: the order the fig8 ledger history was
+        // timed in, so the series stays comparable.
+        for case in cases.iter().rev() {
+            let stats = run_fig8_size(case, p.mode)?;
             sum.events += stats.events;
             sum.match_probes += stats.match_probes;
             sum.net_share_recomputes += stats.net_share_recomputes;
         }
-        sum
-    });
-    let mut r = result(name, t, stats_sum);
-    r.threads = threads;
-    r
+        Ok(sum)
+    })?;
+    Ok(result(name, t, stats_sum))
 }
 
 fn result(name: &str, t: Timing, stats: WorldStats) -> PerfResult {
@@ -605,7 +738,6 @@ fn result(name: &str, t: Timing, stats: WorldStats) -> PerfResult {
         events_per_sec: stats.events as f64 / (t.median_ms / 1e3),
         match_probes: stats.match_probes,
         share_recomputes: stats.net_share_recomputes,
-        threads: 1,
     }
 }
 
@@ -621,7 +753,9 @@ mod tests {
             if i == 2 {
                 std::thread::sleep(std::time::Duration::from_millis(5));
             }
-        });
+            Ok(())
+        })
+        .unwrap();
         assert!(
             t.median_ms < 5.0,
             "median {} should dodge the 5ms outlier",
@@ -670,29 +804,45 @@ mod tests {
     }
 
     #[test]
-    fn fig8_totals_are_pool_width_invariant() {
-        // The pooled sweep only reorders which world runs when; the summed
-        // counters must not notice the pool width.
-        let mk = |threads| Fig8Params {
-            nodes: 1,
-            nranks: 32,
+    fn time_median_reports_failures_instead_of_panicking() {
+        assert!(time_median(0, 0, || Ok(())).is_err());
+        let mut i = 0;
+        let err = time_median(1, 3, || {
+            i += 1;
+            if i == 3 {
+                Err("iteration 3 failed".to_string())
+            } else {
+                Ok(i)
+            }
+        })
+        .unwrap_err();
+        assert_eq!(err, "iteration 3 failed");
+    }
+
+    #[test]
+    fn event_queue_pops_what_it_scheduled_minus_cancels() {
+        let tally = queue_hold(64, 1000);
+        // 64 prefilled + 3 per two pops; every replacement but the
+        // first cancels its predecessor.
+        assert_eq!(tally.scheduled, 64 + 1500);
+        assert_eq!(tally.cancelled, 499);
+        assert_eq!(tally.popped, tally.scheduled - tally.cancelled);
+        assert!(tally.audit.is_consistent(), "{:?}", tally.audit);
+        assert_eq!(tally.audit.causality_violations, 0);
+        let r = bench_event_queue(&QueueParams {
+            live: 64,
+            pops: 1000,
             warmup: 0,
             iters: 1,
-            mode: Fig8Mode::Plain,
-            threads,
-        };
-        let seq = bench_fig8("fig8_width_probe", &mk(1));
-        let par = bench_fig8("fig8_width_probe", &mk(4));
-        assert_eq!(seq.events, par.events);
-        assert_eq!(seq.match_probes, par.match_probes);
-        assert_eq!(seq.share_recomputes, par.share_recomputes);
-        assert_eq!(seq.threads, 1);
-        assert_eq!(par.threads, 4);
+        })
+        .unwrap();
+        assert_eq!(r.events, tally.popped);
     }
 
     #[test]
     fn matching_worlds_run_clean_at_tiny_scale() {
-        let stats = matching_world(64, 1024, || Box::new(PrePoster { count: 64, done: 0 }));
+        let stats =
+            matching_world(64, 1024, || Box::new(PrePoster { count: 64, done: 0 })).unwrap();
         assert_eq!(stats.messages, 64);
         let stats = matching_world(64, 1024, || {
             Box::new(LatePoster {
@@ -700,7 +850,8 @@ mod tests {
                 delay: SimDuration::from_millis(50),
                 done: 0,
             })
-        });
+        })
+        .unwrap();
         assert_eq!(stats.unexpected_matches, 64);
         assert!(stats.match_probes > 0);
     }

@@ -33,6 +33,7 @@ use adapt_sim::rng::{MasterSeed, StreamTag};
 use adapt_sim::time::Duration;
 use adapt_sim::Summary;
 use adapt_topology::{MachineSpec, Placement};
+use std::num::NonZeroU32;
 use std::sync::Arc;
 
 /// Which collective operation to run.
@@ -687,9 +688,9 @@ pub struct Trial {
     /// repeats in one simulated world with noise running continuously, so
     /// skew from one iteration carries into the next — which is exactly
     /// what amplifies synchronization-heavy designs in Figure 7.
-    pub iterations: u32,
+    pub iterations: NonZeroU32,
     /// Independent repetitions (fresh worlds, derived seeds).
-    pub repeats: u32,
+    pub repeats: NonZeroU32,
     /// Master seed.
     pub seed: u64,
 }
@@ -714,11 +715,10 @@ pub struct TrialResult {
 
 /// Run a full trial: `repeats` independent worlds, each timing
 /// `iterations` back-to-back operations, reporting per-operation times.
-/// Panics with the [`RunError`] of a repetition that fails.
-pub fn run_trial(trial: &Trial) -> TrialResult {
-    assert!(trial.iterations > 0 && trial.repeats > 0);
+/// Fails with the [`RunError`] of the first repetition that fails.
+pub fn run_trial(trial: &Trial) -> Result<TrialResult, Box<RunError>> {
     let case = trial.case.clone();
-    let iterations = trial.iterations;
+    let iterations = trial.iterations.get();
     // Chain `iterations` copies of the collective per rank.
     let chained: ProgramBuilder = Arc::new(move || {
         let mut per_rank: Vec<Vec<Box<dyn RankProgram>>> =
@@ -733,10 +733,10 @@ pub fn run_trial(trial: &Trial) -> TrialResult {
             .map(|phases| Box::new(crate::hier::PhasedProgram::new(phases)) as Box<dyn RankProgram>)
             .collect()
     });
-    let mut samples = Vec::with_capacity(trial.repeats as usize);
+    let mut samples = Vec::with_capacity(trial.repeats.get() as usize);
     let mut stats = WorldStats::default();
     let mut audit = AuditReport::default();
-    for rep in 0..trial.repeats {
+    for rep in 0..trial.repeats.get() {
         let spec = RunSpec {
             noise: Noise {
                 percent: trial.noise_percent,
@@ -749,27 +749,20 @@ pub fn run_trial(trial: &Trial) -> TrialResult {
                 chained.clone(),
             )
         };
-        let res = execute(&spec).unwrap_or_else(|e| {
-            panic!(
-                "{} {:?} {}B rep {rep}: {e}",
-                trial.case.library.label(),
-                trial.case.op,
-                trial.case.msg_bytes
-            )
-        });
-        samples.push(res.makespan.as_micros_f64() / trial.iterations as f64);
+        let res = execute(&spec)?;
+        samples.push(res.makespan.as_micros_f64() / f64::from(iterations));
         stats = res.stats;
         audit = res.audit;
     }
     let summary: Summary = samples.iter().copied().collect();
-    TrialResult {
+    Ok(TrialResult {
         mean_us: summary.mean(),
         min_us: summary.min(),
         max_us: summary.max(),
         samples,
         stats,
         audit,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -851,19 +844,21 @@ mod tests {
                 case: mini_case(lib, OpKind::Bcast, msg),
                 noise_percent: 0.0,
                 scope: NoiseScope::AllRanks,
-                iterations: 3,
-                repeats: 1,
+                iterations: const { NonZeroU32::new(3).unwrap() },
+                repeats: const { NonZeroU32::new(1).unwrap() },
                 seed: 7,
             })
+            .unwrap()
             .mean_us;
             let noisy = run_trial(&Trial {
                 case: mini_case(lib, OpKind::Bcast, msg),
                 noise_percent: 10.0,
                 scope: NoiseScope::AllRanks,
-                iterations: 8,
-                repeats: 2,
+                iterations: const { NonZeroU32::new(8).unwrap() },
+                repeats: const { NonZeroU32::new(2).unwrap() },
                 seed: 7,
             })
+            .unwrap()
             .mean_us;
             noisy / clean
         };
@@ -881,11 +876,14 @@ mod tests {
             case: mini_case(Library::OmpiAdapt, OpKind::Bcast, 1 << 20),
             noise_percent: 5.0,
             scope: NoiseScope::PerNode,
-            iterations: 4,
-            repeats: 2,
+            iterations: const { NonZeroU32::new(4).unwrap() },
+            repeats: const { NonZeroU32::new(2).unwrap() },
             seed: 11,
         };
-        assert_eq!(run_trial(&trial).samples, run_trial(&trial).samples);
+        assert_eq!(
+            run_trial(&trial).unwrap().samples,
+            run_trial(&trial).unwrap().samples
+        );
     }
 
     #[test]

@@ -353,7 +353,7 @@ pub struct World {
     /// node with zero lookahead (a flow launch instantly changes every
     /// contending flow's share), so the event stream is inherently
     /// sequential; parallelism lives one level up, across independent
-    /// runs ([`adapt_sim::WorkerPool`]).
+    /// runs (the figure grids of `adapt-bench`).
     queue: EventQueue<Ev>,
     ranks: Vec<RankState>,
     /// Start/Deliver/CTS items waiting for their rank's busy CPU, in

@@ -13,7 +13,5 @@
 //! synchronization-heavy baselines amplify it.
 
 pub mod model;
-pub mod stats;
 
 pub use model::{ClusterNoise, DurationLaw, NoiseSpec, RankNoise};
-pub use stats::SlowdownReport;

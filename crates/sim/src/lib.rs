@@ -13,7 +13,6 @@
 pub mod audit;
 pub mod fxhash;
 pub mod park;
-pub mod pool;
 pub mod queue;
 pub mod rng;
 pub mod stats;
@@ -21,7 +20,6 @@ pub mod time;
 
 pub use audit::{AuditReport, RankAudit};
 pub use park::ParkedBands;
-pub use pool::WorkerPool;
 pub use queue::{EventKey, EventQueue, QueueAudit};
 pub use rng::{MasterSeed, StreamTag};
 pub use stats::Summary;

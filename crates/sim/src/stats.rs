@@ -85,17 +85,6 @@ impl FromIterator<f64> for Summary {
     }
 }
 
-/// Exact percentile of a data set (nearest-rank method).
-/// Returns 0 for an empty slice. `p` is in `[0, 100]`.
-pub fn percentile(data: &mut [f64], p: f64) -> f64 {
-    if data.is_empty() {
-        return 0.0;
-    }
-    data.sort_by(|a, b| a.partial_cmp(b).expect("NaN in percentile input"));
-    let rank = ((p / 100.0) * data.len() as f64).ceil() as usize;
-    data[rank.clamp(1, data.len()) - 1]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,14 +106,5 @@ mod tests {
         assert_eq!(s.min(), 0.0);
         assert_eq!(s.max(), 0.0);
         assert_eq!(s.stddev(), 0.0);
-    }
-
-    #[test]
-    fn percentile_nearest_rank() {
-        let mut xs = [5.0, 1.0, 3.0, 2.0, 4.0];
-        assert_eq!(percentile(&mut xs, 50.0), 3.0);
-        assert_eq!(percentile(&mut xs, 100.0), 5.0);
-        assert_eq!(percentile(&mut xs, 1.0), 1.0);
-        assert_eq!(percentile(&mut [], 50.0), 0.0);
     }
 }

@@ -7,12 +7,14 @@
 //! ```
 
 use adapt::prelude::*;
+use std::num::NonZeroU32;
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
     let machine = profiles::minicluster(4, 2, 8);
     let nranks = machine.cpu_job_size();
     let msg = 4 << 20;
-    let iterations = 10;
+    let iterations = const { NonZeroU32::new(10).unwrap() };
 
     println!(
         "Broadcast of 4 MiB on {nranks} ranks, {iterations} iterations per cell.\n\
@@ -43,10 +45,19 @@ fn main() {
                 noise_percent: noise,
                 scope: adapt::collectives::NoiseScope::PerNode,
                 iterations,
-                repeats: 2,
+                repeats: const { NonZeroU32::new(2).unwrap() },
                 seed: 42,
             };
-            cells[i] = adapt::collectives::run_trial(&trial).mean_us;
+            cells[i] = match adapt::collectives::run_trial(&trial) {
+                Ok(r) => r.mean_us,
+                Err(e) => {
+                    eprintln!(
+                        "noise_resilience: {} at {noise}% noise: {e}",
+                        library.label()
+                    );
+                    return ExitCode::FAILURE;
+                }
+            };
         }
         println!(
             "{:<20} {:>10.1}us {:>10.1}us {:>10.1}us {:>8.0}% {:>8.0}%",
@@ -67,4 +78,5 @@ fn main() {
          through the noise (DMA needs no host CPU), and the delayed rank \n\
          catches up without stalling anyone else."
     );
+    ExitCode::SUCCESS
 }

@@ -5,6 +5,7 @@ use adapt::collectives::{Noise, NoiseScope};
 use adapt::noise::DurationLaw;
 use adapt::prelude::*;
 use bytes::Bytes;
+use std::num::NonZeroU32;
 use std::sync::Arc;
 
 #[test]
@@ -102,10 +103,11 @@ fn noise_resistance_ordering_holds_end_to_end() {
                 },
                 noise_percent: noise,
                 scope: NoiseScope::AllRanks,
-                iterations: 16,
-                repeats: 3,
+                iterations: const { NonZeroU32::new(16).unwrap() },
+                repeats: const { NonZeroU32::new(3).unwrap() },
                 seed: 4,
-            });
+            })
+            .expect("the noisy trial completes");
             assert!(tr.audit.is_clean(), "{}", tr.audit);
             tr.mean_us
         };

@@ -4,6 +4,7 @@
 
 use adapt::collectives::{execute, CollectiveCase, IntelAlg, Library, OpKind};
 use adapt::prelude::*;
+use std::num::NonZeroU32;
 use std::sync::Arc;
 
 fn case(library: Library, op: OpKind, msg: u64) -> CollectiveCase {
@@ -62,10 +63,11 @@ fn adapt_vs_waitall_on_same_tree() {
             case: case(library, OpKind::Bcast, 4 << 20),
             noise_percent: 10.0,
             scope: NoiseScope::AllRanks,
-            iterations: 8,
-            repeats: 3,
+            iterations: const { NonZeroU32::new(8).unwrap() },
+            repeats: const { NonZeroU32::new(3).unwrap() },
             seed: 6,
-        });
+        })
+        .expect("the noisy trial completes");
         assert!(tr.audit.is_clean(), "{}", tr.audit);
         tr.mean_us
     };
