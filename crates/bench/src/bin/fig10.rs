@@ -7,11 +7,12 @@
 //! cargo run --release -p adapt-bench --bin fig10 [--scale quick]
 //! ```
 
-use adapt_bench::{par_grid, parse_args, print_table, Scale};
+use adapt_bench::{parse_args, print_table, try_par_grid, Scale};
 use adapt_collectives::{execute, CollectiveCase, Library, OpKind};
 use adapt_topology::profiles;
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
     let args = parse_args();
     let scale = Scale::from_args(&args);
     // 8, 16, 24, 32 nodes -> 256..1024 ranks (paper sweeps 128-1024; 128
@@ -29,7 +30,7 @@ fn main() {
     ];
 
     for op in [OpKind::Bcast, OpKind::Reduce] {
-        let cells: Vec<Vec<f64>> = par_grid(&libs, &node_counts, |&library, &nodes| {
+        let cells = try_par_grid(&libs, &node_counts, |&library, &nodes| {
             let machine = profiles::cori(nodes);
             let nranks = machine.cpu_job_size();
             let case = CollectiveCase {
@@ -40,11 +41,16 @@ fn main() {
                 msg_bytes: 4 << 20,
             };
             execute(&case.spec())
-                .expect("plain runs complete audit-clean")
-                .makespan
-                .as_micros_f64()
-                / 1000.0
+                .map(|r| r.makespan.as_micros_f64() / 1000.0)
+                .map_err(|e| format!("{} 4M {nranks}p: {e}", library.label()))
         });
+        let cells: Vec<Vec<f64>> = match cells {
+            Ok(cells) => cells,
+            Err(e) => {
+                eprintln!("fig10: {e}");
+                return ExitCode::FAILURE;
+            }
+        };
 
         let header: Vec<String> = node_counts.iter().map(|n| format!("{}p", n * 32)).collect();
         let rows: Vec<(String, Vec<String>)> = libs
@@ -73,4 +79,5 @@ fn main() {
             adapt.last().unwrap() / adapt[0]
         );
     }
+    ExitCode::SUCCESS
 }

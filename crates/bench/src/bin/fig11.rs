@@ -8,10 +8,11 @@
 //! cargo run --release -p adapt-bench --bin fig11 [-- --mode sweep|scaling]
 //! ```
 
-use adapt_bench::{par_grid, parse_args, print_table};
+use adapt_bench::{parse_args, print_table, try_par_grid};
 use adapt_collectives::{execute, OpKind};
 use adapt_gpu::{GpuCase, GpuLibrary};
 use adapt_topology::profiles;
+use std::process::ExitCode;
 
 const LIBS: [GpuLibrary; 3] = [
     GpuLibrary::Mvapich,
@@ -19,10 +20,10 @@ const LIBS: [GpuLibrary; 3] = [
     GpuLibrary::OmpiAdapt,
 ];
 
-fn sweep() {
+fn sweep() -> Result<(), String> {
     let sizes: Vec<u64> = [1u64, 2, 4, 8, 16, 32].iter().map(|m| m << 20).collect();
     for op in [OpKind::Bcast, OpKind::Reduce] {
-        let cells: Vec<Vec<f64>> = par_grid(&LIBS, &sizes, |&library, &msg_bytes| {
+        let cells = try_par_grid(&LIBS, &sizes, |&library, &msg_bytes| {
             let machine = profiles::psg(8);
             let case = GpuCase {
                 nranks: machine.gpu_job_size(),
@@ -32,11 +33,9 @@ fn sweep() {
                 msg_bytes,
             };
             execute(&case.spec())
-                .expect("plain runs complete audit-clean")
-                .makespan
-                .as_micros_f64()
-                / 1000.0
-        });
+                .map(|r| r.makespan.as_micros_f64() / 1000.0)
+                .map_err(|e| format!("{} {}MB: {e}", library.label(), msg_bytes >> 20))
+        })?;
         let header: Vec<String> = sizes.iter().map(|s| format!("{}MB", s >> 20)).collect();
         let rows: Vec<(String, Vec<String>)> = LIBS
             .iter()
@@ -66,12 +65,13 @@ fn sweep() {
             cells[1].last().unwrap() / adapt
         );
     }
+    Ok(())
 }
 
-fn scaling() {
+fn scaling() -> Result<(), String> {
     let node_counts = [1u32, 2, 4, 8];
     for op in [OpKind::Bcast, OpKind::Reduce] {
-        let cells: Vec<Vec<f64>> = par_grid(&LIBS, &node_counts, |&library, &nodes| {
+        let cells = try_par_grid(&LIBS, &node_counts, |&library, &nodes| {
             let machine = profiles::psg(nodes);
             let case = GpuCase {
                 nranks: machine.gpu_job_size(),
@@ -81,11 +81,9 @@ fn scaling() {
                 msg_bytes: 32 << 20,
             };
             execute(&case.spec())
-                .expect("plain runs complete audit-clean")
-                .makespan
-                .as_micros_f64()
-                / 1000.0
-        });
+                .map(|r| r.makespan.as_micros_f64() / 1000.0)
+                .map_err(|e| format!("{} 32MB on {nodes} nodes: {e}", library.label()))
+        })?;
         let header: Vec<String> = node_counts
             .iter()
             .map(|n| format!("{}:{}", n, n * 4))
@@ -112,16 +110,21 @@ fn scaling() {
             &rows,
         );
     }
+    Ok(())
 }
 
-fn main() {
+fn main() -> ExitCode {
     let args = parse_args();
-    match args.get("mode").map(String::as_str) {
+    let run = match args.get("mode").map(String::as_str) {
         Some("sweep") => sweep(),
         Some("scaling") => scaling(),
-        _ => {
-            sweep();
-            scaling();
+        _ => sweep().and_then(|()| scaling()),
+    };
+    match run {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("fig11: {e}");
+            ExitCode::FAILURE
         }
     }
 }

@@ -10,7 +10,7 @@
 //! cargo run --release -p adapt-bench --bin fig7 -- --machine cori [--scale quick]
 //! ```
 
-use adapt_bench::{par_grid, parse_args, print_table, CpuMachine, Scale};
+use adapt_bench::{parse_args, print_table, try_par_grid, CpuMachine, Scale};
 use adapt_collectives::{run_trial, CollectiveCase, Library, NoiseScope, OpKind, Trial};
 use std::num::NonZeroU32;
 use std::process::ExitCode;
@@ -43,7 +43,7 @@ fn main() -> ExitCode {
     let noise_levels = [0.0, 5.0, 10.0];
 
     for op in [OpKind::Bcast, OpKind::Reduce] {
-        let cells = par_grid(&libs, &noise_levels, |&library, &noise_percent| {
+        let cells = try_par_grid(&libs, &noise_levels, |&library, &noise_percent| {
             run_trial(&Trial {
                 case: CollectiveCase {
                     machine: spec.clone(),
@@ -61,11 +61,7 @@ fn main() -> ExitCode {
             .map(|r| r.mean_us / 1000.0)
             .map_err(|e| format!("{} at {noise_percent}% noise: {e}", library.label()))
         });
-        let cells: Vec<Vec<f64>> = match cells
-            .into_iter()
-            .map(|row| row.into_iter().collect())
-            .collect::<Result<_, String>>()
-        {
+        let cells: Vec<Vec<f64>> = match cells {
             Ok(cells) => cells,
             Err(e) => {
                 eprintln!("fig7: {e}");

@@ -4,10 +4,13 @@
 //! cargo run --release -p adapt-bench --bin fig9 -- --machine cori [--scale quick]
 //! ```
 
-use adapt_bench::{par_grid, parse_args, print_table, size_label, CpuMachine, Scale, FIG89_SIZES};
+use adapt_bench::{
+    parse_args, print_table, size_label, try_par_grid, CpuMachine, Scale, FIG89_SIZES,
+};
 use adapt_collectives::{execute, CollectiveCase, Library, OpKind};
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
     let args = parse_args();
     let machine = CpuMachine::from_args(&args);
     let scale = Scale::from_args(&args);
@@ -31,7 +34,7 @@ fn main() {
     };
 
     for op in [OpKind::Bcast, OpKind::Reduce] {
-        let cells: Vec<Vec<f64>> = par_grid(&libs, &FIG89_SIZES, |&library, &msg_bytes| {
+        let cells = try_par_grid(&libs, &FIG89_SIZES, |&library, &msg_bytes| {
             let case = CollectiveCase {
                 machine: spec.clone(),
                 nranks,
@@ -40,11 +43,16 @@ fn main() {
                 msg_bytes,
             };
             execute(&case.spec())
-                .expect("plain runs complete audit-clean")
-                .makespan
-                .as_micros_f64()
-                / 1000.0 // ms
+                .map(|r| r.makespan.as_micros_f64() / 1000.0)
+                .map_err(|e| format!("{} {}: {e}", library.label(), size_label(msg_bytes)))
         });
+        let cells: Vec<Vec<f64>> = match cells {
+            Ok(cells) => cells,
+            Err(e) => {
+                eprintln!("fig9: {e}");
+                return ExitCode::FAILURE;
+            }
+        };
 
         let header: Vec<String> = FIG89_SIZES.iter().map(|&s| size_label(s)).collect();
         let rows: Vec<(String, Vec<String>)> = libs
@@ -86,4 +94,5 @@ fn main() {
         }
         println!();
     }
+    ExitCode::SUCCESS
 }

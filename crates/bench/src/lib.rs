@@ -89,6 +89,19 @@ pub fn par_grid<R: Sync, C: Sync, T: Send>(
         .collect()
 }
 
+/// [`par_grid`] over fallible cells: every cell's value, or the first
+/// error in row-major order.
+pub fn try_par_grid<R: Sync, C: Sync, T: Send, E: Send>(
+    rows: &[R],
+    cols: &[C],
+    f: impl Fn(&R, &C) -> Result<T, E> + Sync,
+) -> Result<Vec<Vec<T>>, E> {
+    par_grid(rows, cols, f)
+        .into_iter()
+        .map(|row| row.into_iter().collect())
+        .collect()
+}
+
 /// Crude `--key value` argument parser (no external deps).
 pub fn parse_args() -> HashMap<String, String> {
     let mut out = HashMap::new();

@@ -147,11 +147,10 @@ const QUEUE_SPAN_NS: u64 = 1 << 20;
 
 /// A hold model with the simulator's queue shape: `live` events at
 /// scattered instants, then `pops` pops. Every two pops schedule three
-/// events and cancel one — an untracked fire-once event, a tracked event
-/// that fires, and a tracked far-future event that replaces (cancels)
-/// the previous one, the way a flow's completion is rescheduled when its
-/// share changes — so the live count holds steady. Then the queue pops
-/// dry.
+/// events and cancel one — two fire-once events, and a far-future event
+/// that replaces (cancels) the previous one, the way a link's drain event
+/// is replaced when its share changes — so the live count holds steady.
+/// Then the queue pops dry.
 fn queue_hold(live: u64, pops: u64) -> QueueTally {
     let mut q = EventQueue::new();
     let mut x = 0x9E37_79B9_7F4A_7C15u64;
@@ -162,7 +161,7 @@ fn queue_hold(live: u64, pops: u64) -> QueueTally {
         1 + x % QUEUE_SPAN_NS
     };
     for i in 0..live {
-        q.schedule_untracked(Time(delay()), i);
+        q.schedule(Time(delay()), i);
     }
     let mut scheduled = live;
     let mut cancelled = 0u64;
@@ -172,7 +171,7 @@ fn queue_hold(live: u64, pops: u64) -> QueueTally {
         let Some((now, _)) = q.pop() else { break };
         popped += 1;
         if step % 2 == 0 {
-            q.schedule_untracked(Time(now.0 + delay()), step);
+            q.schedule(Time(now.0 + delay()), step);
             q.schedule(Time(now.0 + delay()), step);
             scheduled += 2;
         } else {

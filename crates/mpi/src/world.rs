@@ -261,9 +261,12 @@ world_stats! {
     rendezvous,
     /// Payload bytes delivered by the network.
     delivered_bytes,
-    /// Network-engine diagnostics: neighbour refresh scans.
+    /// Network-engine diagnostics: flows examined for a bottleneck move
+    /// (those crossing a link whose share fell, plus those bottlenecked on
+    /// a link whose share rose).
     net_refreshes,
-    /// Network-engine diagnostics: drain-event reschedules.
+    /// Network-engine diagnostics: pending drain events replaced because
+    /// their link's head flow or share changed.
     net_reschedules,
     /// Matching-engine diagnostics: queue entries examined while matching
     /// arrivals against posted receives and posted receives against the
@@ -271,8 +274,9 @@ world_stats! {
     /// engine is `match_probes / events` — the complexity claim made by
     /// the matching index is checkable from this number alone.
     match_probes,
-    /// Network-engine diagnostics: full path-minimum share recomputations
-    /// performed while refreshing flows after a perturbation.
+    /// Network-engine diagnostics: path-minimum share computations, one
+    /// per flow launch plus one per flow re-checked against its other
+    /// links when its bottleneck's share rose.
     net_share_recomputes,
     /// Flows lost to injected faults (loss draws and link-down windows).
     drops_injected,
@@ -571,7 +575,7 @@ impl World {
         );
         self.programs = programs;
         for r in 0..self.nranks() {
-            self.queue.schedule_untracked(
+            self.queue.schedule(
                 Time::ZERO,
                 Ev::Rank {
                     rank: r,
@@ -591,7 +595,7 @@ impl World {
             // First snapshot one interval in: at t=0 nothing has run, so
             // a snapshot there would only dilute every detector's window.
             let iv = h.start(self.placement.len(), &labels);
-            self.queue.schedule_untracked(Time(iv), Ev::Snapshot);
+            self.queue.schedule(Time(iv), Ev::Snapshot);
         }
         let mut sample_iv = 0;
         if self.obs_on {
@@ -937,7 +941,7 @@ impl World {
                         unreachable!("acks are consumed by the reliability layer")
                     }
                 };
-                self.queue.schedule_untracked(t, Ev::Rank { rank, item });
+                self.queue.schedule(t, Ev::Rank { rank, item });
             }
             NetStep::Dropped(d) => {
                 // An injected fault ate the flow: bandwidth was spent but
@@ -1008,7 +1012,7 @@ impl World {
                 let ready = self.cpu_ready(rank, t);
                 if ready > t {
                     if self.parked.park(rank as usize, ready, item) {
-                        self.queue.schedule_untracked(ready, Ev::Wake { rank });
+                        self.queue.schedule(ready, Ev::Wake { rank });
                     }
                     return;
                 }
@@ -1032,7 +1036,7 @@ impl World {
             let ready = self.cpu_ready(rank, t);
             if ready > t {
                 if self.parked.repark(r, ready) {
-                    self.queue.schedule_untracked(ready, Ev::Wake { rank });
+                    self.queue.schedule(ready, Ev::Wake { rank });
                 }
                 return;
             }
@@ -1057,7 +1061,7 @@ impl World {
     /// message whose protocol step produced it ([`NO_MSG`] for none).
     fn deliver(&mut self, at: Time, rank: Rank, c: Completion, msg: MsgId) {
         let item = RankItem::Deliver { c, msg };
-        self.queue.schedule_untracked(at, Ev::Rank { rank, item });
+        self.queue.schedule(at, Ev::Rank { rank, item });
     }
 
     /// Global core index of a rank (for the per-core copy-engine lanes).

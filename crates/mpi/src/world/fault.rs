@@ -209,7 +209,7 @@ impl Faults {
                 if label.is_none_or(|l| l == name) {
                     for (at, cap, lat) in bounds {
                         let link = link as u32;
-                        queue.schedule_untracked(at, Ev::FaultCmd { link, cap, lat });
+                        queue.schedule(at, Ev::FaultCmd { link, cap, lat });
                     }
                 }
             }
@@ -231,7 +231,7 @@ impl Faults {
         }
         kills.sort_unstable();
         for (at, rank) in kills {
-            queue.schedule_untracked(at, Ev::Kill { rank });
+            queue.schedule(at, Ev::Kill { rank });
         }
     }
 
@@ -505,7 +505,7 @@ impl World {
                 (from, back)
             }
         };
-        self.queue.schedule_untracked(
+        self.queue.schedule(
             t,
             Ev::Launch {
                 kind: FlowKind::Ack { key, from },
@@ -532,8 +532,7 @@ impl World {
         f.dead_at[rank as usize] = Some(t);
         f.any_dead = true;
         self.stats.ranks_killed += 1;
-        self.queue
-            .schedule_untracked(t + f.detect_delay, Ev::Detect { rank });
+        self.queue.schedule(t + f.detect_delay, Ev::Detect { rank });
         let state = &mut self.ranks[rank as usize];
         if state.finished_at.is_none() {
             // The killed rank's clock stops here. Counting it as finished

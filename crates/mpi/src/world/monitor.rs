@@ -94,7 +94,7 @@ impl World {
         }
         let next = t + Duration(h.monitor.interval_ns());
         if self.finished < self.nranks() && !self.queue.is_empty() {
-            self.queue.schedule_untracked(next, Ev::Snapshot);
+            self.queue.schedule(next, Ev::Snapshot);
         }
     }
 

@@ -228,7 +228,7 @@ impl World {
                     let at = self.finish_rank_work(rank, t, cost);
                     let path = self.fabric.route(from, to);
                     self.byte_audit.copy_posted += bytes;
-                    self.queue.schedule_untracked(
+                    self.queue.schedule(
                         at,
                         Ev::Launch {
                             kind: FlowKind::Copy { rank, token, bytes },
@@ -488,8 +488,7 @@ impl World {
     /// Schedule the launch of step `step` of message `m` over `path` at `at`.
     fn schedule_launch(&mut self, at: Time, m: MsgId, step: Step, path: Path, bytes: u64) {
         let kind = FlowKind::Msg(MsgFlow { msg: m, step });
-        self.queue
-            .schedule_untracked(at, Ev::Launch { kind, path, bytes });
+        self.queue.schedule(at, Ev::Launch { kind, path, bytes });
     }
 
     /// Deliver a RecvDone completion for message `m` to `rank`.

@@ -25,9 +25,62 @@
 //! 2. **Latency tail** — the path's propagation latency elapses; a
 //!    *delivery* event fires and the owner is handed the flow's tag.
 //!
+//! # Service clocks
+//!
+//! Shares move on every join and leave, so tracking each flow's remaining
+//! bytes eagerly would touch every neighbour at every perturbation.
+//! Instead each link keeps a *service clock* (the virtual time of a
+//! processor-sharing queue): the bytes served so far to any one flow
+//! bottlenecked on it, advanced by `share × elapsed` just before its share
+//! or its flows change. A draining flow waits in the min-heap of its
+//! *bottleneck* link (a link of its path with the smallest share) for a
+//! *target*: the clock value at which its last byte leaves. A share change
+//! re-rates every flow bottlenecked on the link without touching one of
+//! them, and each link schedules one drain event, for the head of its
+//! heap.
+//!
+//! Flows change heaps only when their bottleneck moves:
+//!
+//! * a join (or a capacity cut) lowers shares: flows on the link
+//!   bottlenecked elsewhere at a higher share move onto it;
+//! * a leave (or a capacity rise) raises shares: the link's own flows are
+//!   re-checked against the other links of their paths, and move to one
+//!   whose share is now lower.
+//!
+//! A link whose share does not move — an idle link taking its first flow
+//! or losing its last — is left alone, so an uncontended flow touches
+//! only its bottleneck's clock.
+//!
+//! # Exact drain times
+//!
+//! The clock orders a heap; it does not time the drain. Each draining flow
+//! also keeps its remaining bytes as of its last rate change, and each
+//! link logs its share changes while its heap is non-empty. A flow
+//! catches up on its link's log only when it becomes the head or moves,
+//! applying each change in order — `remaining −= rate × elapsed`, then the
+//! new rate — exactly as a per-flow reconciliation at every change would.
+//! Its drain event is then `last change + ⌈remaining / rate⌉` nanoseconds:
+//! exact up to that ceiling, with no tolerance that keeps a stale
+//! estimate and no drain event that fires early. A log is cleared when its
+//! heap empties, and caught up and cleared once it outgrows the heap.
+//!
+//! Two flows with equal targets on one link drain later launch first (by
+//! a per-flow sequence number), never in slab-slot order, so a reused
+//! slot cannot reorder same-instant drains. Later-first is the order the
+//! per-flow engine this one replaced produced with exact drain estimates;
+//! the GPU reduce of Figure 11 depends on it.
+//!
+//! # Scheduler contract
+//!
 //! The engine does not own the event queue (the MPI runtime does); it
 //! talks to it through [`FlowScheduler`], so flows, rank events, and noise
-//! share one deterministic timeline.
+//! share one deterministic timeline. A flow has at most one pending event:
+//! its link's head drain, or its delivery. When a link's head or share
+//! changes, the old head event is cancelled. A scheduler whose `cancel`
+//! does nothing (a trace replay that drops superseded events itself) may
+//! still deliver such an event; [`Network::handle_event`] recognises it —
+//! the flow is not its link's scheduled head for that instant — and
+//! returns [`NetStep::Progress`] without touching any clock or heap.
 
 use crate::links::{Link, Path, MAX_PATH};
 use adapt_sim::queue::EventKey;
@@ -72,8 +125,8 @@ pub struct Delivery {
 /// What a network event meant.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum NetStep {
-    /// Internal bookkeeping (a stale drain estimate corrected itself);
-    /// nothing to act on.
+    /// A drain event the network had superseded (only a scheduler that
+    /// does not cancel delivers one); nothing to act on.
     Progress,
     /// The flow's last byte left the sender: its buffer is reusable and it
     /// stopped consuming link capacity. Delivery follows after the path
@@ -95,42 +148,131 @@ pub enum NetStep {
 }
 
 #[derive(Debug)]
-enum Phase {
-    /// Consuming link capacity.
-    Draining {
-        /// Bytes left as of `last_update`.
-        remaining: f64,
-        /// Current rate, bytes/sec.
-        rate: f64,
-        /// When `remaining` was last reconciled.
-        last_update: Time,
-    },
-    /// Drained; waiting out the propagation latency.
-    Tail,
-}
-
-#[derive(Debug)]
 struct Flow {
     spec: FlowSpec,
-    phase: Phase,
     /// Marked lost at injection time by the fault layer: the flow drains
     /// and ties up bandwidth as usual, but delivery reports
     /// [`NetStep::Dropped`] instead of handing data to the receiver.
     doomed: bool,
-    event: EventKey,
-    /// Scheduled time of `event` (to judge whether a rate change moved the
-    /// estimate enough to warrant a reschedule).
-    event_time: Time,
     /// For each path position, this flow's index inside that link's
     /// `link_flows` list — a slot map that turns the leave-link update into
     /// an O(1) `swap_remove` instead of a linear `position()` scan.
     slots: [u32; MAX_PATH],
 }
 
+/// [`Network::bneck`] entry of a flow past its drain (in its latency
+/// tail), or of a free slot.
+const TAIL: u32 = u32::MAX;
+
+/// A draining flow in its bottleneck link's heap.
+#[derive(Clone, Copy, Debug)]
+struct Target {
+    /// The link's clock value at which the flow's last byte leaves.
+    at: f64,
+    /// The flow's launch order.
+    seq: u64,
+    /// The flow's slab index.
+    flow: u32,
+}
+
+impl Target {
+    /// Heap order: smaller target first; among equal targets, the later
+    /// launch first.
+    #[inline]
+    fn before(&self, other: &Target) -> bool {
+        self.at < other.at || (self.at == other.at && self.seq > other.seq)
+    }
+}
+
+/// A draining flow's remaining bytes as of its last rate change.
+#[derive(Clone, Copy, Debug, Default)]
+struct Drain {
+    /// Bytes left at `last`.
+    rem: f64,
+    /// When the rate last changed.
+    last: Time,
+    /// Rate since `last`, bytes/sec.
+    rate: f64,
+    /// Absolute index of the first entry of its bottleneck's share log
+    /// not yet applied.
+    lpos: usize,
+}
+
+impl Drain {
+    /// Apply one rate change at `t`. A change within 1e-9 relative is no
+    /// change at all.
+    #[inline]
+    fn rerate(&mut self, t: Time, rate: f64) {
+        if (self.rate - rate).abs() <= 1e-9 * rate.max(self.rate) {
+            return;
+        }
+        let dt = t.saturating_since(self.last).as_secs_f64();
+        self.rem = (self.rem - self.rate * dt).max(0.0);
+        self.last = t;
+        self.rate = rate;
+    }
+
+    /// When the last byte leaves at the current rate.
+    #[inline]
+    fn end(&self) -> Time {
+        self.last + Duration::from_secs_f64_ceil(self.rem / self.rate)
+    }
+}
+
+/// A link's service clock and the flows it bottlenecks.
+#[derive(Debug, Default)]
+struct Clock {
+    /// Bytes served to each flow bottlenecked here, counted from the last
+    /// time the heap was empty.
+    value: f64,
+    /// When `value` was last advanced.
+    updated: Time,
+    /// Draining flows whose bottleneck is this link: a binary min-heap in
+    /// [`Target::before`] order. Each flow's index in it is in
+    /// [`Network::hpos`].
+    heap: Vec<Target>,
+    /// The pending drain event: the head flow it is for and when it fires.
+    head: Option<(u32, Time)>,
+    /// Key of the pending drain event.
+    event: EventKey,
+    /// Share changes `(when, new rate)` since the heap was last empty or
+    /// the log last compacted.
+    log: Vec<(Time, f64)>,
+    /// Absolute index of `log[0]`.
+    log_base: usize,
+    /// The last log entry is the current perturbation's.
+    fresh: bool,
+    /// What the current perturbation did to the link (see
+    /// [`Network::touch`]): 0 nothing, 1 its heap changed, 2 its share
+    /// changed.
+    touched: u8,
+}
+
+impl Clock {
+    /// Absolute index one past the last log entry.
+    #[inline]
+    fn log_end(&self) -> usize {
+        self.log_base + self.log.len()
+    }
+
+    /// Apply the log entries in `[d.lpos, upto)` to a flow bottlenecked
+    /// here.
+    #[inline]
+    fn catch_up(&self, d: &mut Drain, upto: usize) {
+        while d.lpos < upto {
+            let (t, rate) = self.log[d.lpos - self.log_base];
+            d.rerate(t, rate);
+            d.lpos += 1;
+        }
+    }
+}
+
+/// A share log shorter than this is never compacted.
+const LOG_COMPACT_MIN: usize = 64;
+
 /// The flow-level network engine. Flows live in a slab (vector plus free
-/// list) so the per-event refresh of neighbouring flows is direct indexing
-/// rather than hashing — the hot path with tens of thousands of
-/// concurrent flows.
+/// list) so the per-event bookkeeping is direct indexing rather than
+/// hashing — the hot path with tens of thousands of concurrent flows.
 pub struct Network {
     links: Vec<Link>,
     /// Pristine `(capacity, latency)` of every link, kept so degradation
@@ -142,25 +284,33 @@ pub struct Network {
     /// Flows currently draining through each link (unordered slab indices).
     link_flows: Vec<Vec<u32>>,
     /// Cached equal-share rate of each link: `capacity / active.max(1)`,
-    /// maintained on every occupancy change. Queries fold cached values
-    /// instead of re-dividing, and the cache is what makes the refresh
-    /// prefilter possible: a neighbour whose current rate is unaffected by
-    /// the one share that moved is skipped without touching its state.
+    /// maintained on every occupancy change.
     link_share: Vec<f64>,
+    /// Service clock of each link; empty until the first flow drains
+    /// (see [`Network::clocks_ready`]).
+    clocks: Vec<Clock>,
+    /// Per slab slot: the bottleneck link of a draining flow, else [`TAIL`].
+    bneck: Vec<u32>,
+    /// Per slab slot: a draining flow's index in its bottleneck's heap.
+    hpos: Vec<u32>,
+    /// Per slab slot: a draining flow's remaining bytes.
+    drain: Vec<Drain>,
+    /// Launch sequence number of the next flow.
+    next_seq: u64,
     /// Cumulative bytes injected by `start_flow` (audit).
     injected_bytes: u64,
     /// Cumulative bytes delivered (diagnostics and audit).
     delivered_bytes: u64,
     /// Cumulative bytes consumed by doomed flows (injected faults).
     dropped_bytes: u64,
-    /// Scratch buffer: flows affected by the current perturbation, each
-    /// paired with the perturbed link's comparison share (post-join share
-    /// when a flow entered, pre-leave share when one left).
-    affected: Vec<(u32, f64)>,
-    /// Diagnostics: refresh scans and actual reschedules performed.
+    /// Links the current perturbation touched, in first-touch order; their
+    /// drain events are re-armed once, at its end.
+    touched: Vec<u32>,
+    /// Scratch: flows whose bottleneck moves, collected before moving them.
+    moves: Vec<u32>,
+    /// Diagnostics (see [`NetPerf`]).
     refreshes: u64,
     reschedules: u64,
-    /// Diagnostics: full path-minimum share recomputations.
     share_recomputes: u64,
 }
 
@@ -168,11 +318,15 @@ pub struct Network {
 /// runtime's `WorldStats`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NetPerf {
-    /// Neighbour flows visited while refreshing after a perturbation.
+    /// Flows examined for a bottleneck move: those crossing a link whose
+    /// share fell, plus those bottlenecked on a link whose share rose.
     pub refreshes: u64,
-    /// Drain events actually rescheduled (estimate moved materially).
+    /// Pending drain events replaced (cancelled and scheduled anew)
+    /// because their link's head or share changed.
     pub reschedules: u64,
-    /// Full path-minimum share recomputations performed.
+    /// Path-minimum share computations: one per flow launch, plus one per
+    /// flow re-checked against its other links when its bottleneck's share
+    /// rose.
     pub share_recomputes: u64,
 }
 
@@ -180,13 +334,62 @@ pub struct NetPerf {
 /// from floating-point corner cases. One byte per second.
 const MIN_RATE: f64 = 1.0;
 
-/// A drain event is rescheduled only when the new estimate moves by more
-/// than this fraction of the remaining drain time (or fires early). Small
-/// share fluctuations in steady pipelines thus keep their schedule; the
-/// drain event *self-corrects* — if it fires with bytes still unsent it
-/// re-arms at the true estimate — so accuracy is preserved, only
-/// fast-forwarded deliveries are delayed by at most this fraction.
-const RESCHED_TOL: f64 = 0.10;
+fn sift_up(heap: &mut [Target], hpos: &mut [u32], mut i: usize) {
+    let t = heap[i];
+    while i > 0 {
+        let parent = (i - 1) / 2;
+        if !t.before(&heap[parent]) {
+            break;
+        }
+        heap[i] = heap[parent];
+        hpos[heap[i].flow as usize] = i as u32;
+        i = parent;
+    }
+    heap[i] = t;
+    hpos[t.flow as usize] = i as u32;
+}
+
+fn sift_down(heap: &mut [Target], hpos: &mut [u32], mut i: usize) {
+    let t = heap[i];
+    let n = heap.len();
+    loop {
+        let mut c = 2 * i + 1;
+        if c >= n {
+            break;
+        }
+        if c + 1 < n && heap[c + 1].before(&heap[c]) {
+            c += 1;
+        }
+        if !heap[c].before(&t) {
+            break;
+        }
+        heap[i] = heap[c];
+        hpos[heap[i].flow as usize] = i as u32;
+        i = c;
+    }
+    heap[i] = t;
+    hpos[t.flow as usize] = i as u32;
+}
+
+fn heap_push(heap: &mut Vec<Target>, hpos: &mut [u32], t: Target) {
+    let i = heap.len();
+    heap.push(t);
+    sift_up(heap, hpos, i);
+}
+
+fn heap_remove(heap: &mut Vec<Target>, hpos: &mut [u32], i: usize) -> Target {
+    let removed = heap[i];
+    let last = heap.pop().expect("heap holds the removed entry");
+    if i < heap.len() {
+        heap[i] = last;
+        if i > 0 && last.before(&heap[(i - 1) / 2]) {
+            sift_up(heap, hpos, i);
+        } else {
+            sift_down(heap, hpos, i);
+        }
+    }
+    removed
+}
 
 impl Network {
     /// Create an engine over a fixed set of links.
@@ -205,10 +408,16 @@ impl Network {
             active: 0,
             link_flows: vec![Vec::new(); n],
             link_share,
+            clocks: Vec::new(),
+            bneck: Vec::new(),
+            hpos: Vec::new(),
+            drain: Vec::new(),
+            next_seq: 0,
             injected_bytes: 0,
             delivered_bytes: 0,
             dropped_bytes: 0,
-            affected: Vec::new(),
+            touched: Vec::new(),
+            moves: Vec::new(),
             refreshes: 0,
             reschedules: 0,
             share_recomputes: 0,
@@ -224,6 +433,9 @@ impl Network {
             }
             None => {
                 self.slab.push(Some(flow));
+                self.bneck.push(TAIL);
+                self.hpos.push(0);
+                self.drain.push(Drain::default());
                 (self.slab.len() - 1) as u32
             }
         }
@@ -241,7 +453,7 @@ impl Network {
     ///
     /// # Panics
     /// Panics if called while flows are active — the rescale would bypass
-    /// the reschedule machinery.
+    /// the service clocks.
     pub fn prescale_link(&mut self, link: u32, cap_factor: f64, lat_factor: f64) {
         assert_eq!(self.active, 0, "prescale_link requires an idle network");
         assert!(
@@ -284,9 +496,10 @@ impl Network {
 
     /// Visit every link currently carrying flows, for time-series
     /// sampling: calls `f(link_id, flow_count, utilization)` where
-    /// `utilization` is the summed drain rate of the link's flows over
-    /// its capacity (flows in tail contribute occupancy but no rate).
-    /// Idle links are skipped — a large machine has mostly-idle lanes.
+    /// `utilization` is the summed drain rate of the link's flows (each
+    /// its bottleneck link's share) over its capacity. Flows in tail no
+    /// longer occupy a link. Idle links are skipped — a large machine has
+    /// mostly-idle lanes.
     pub fn for_each_link_load(&self, mut f: impl FnMut(u32, usize, f64)) {
         for (l, flows) in self.link_flows.iter().enumerate() {
             if flows.is_empty() {
@@ -294,11 +507,7 @@ impl Network {
             }
             let mut used = 0.0;
             for &fi in flows {
-                if let Some(Some(flow)) = self.slab.get(fi as usize) {
-                    if let Phase::Draining { rate, .. } = flow.phase {
-                        used += rate;
-                    }
-                }
+                used += self.rate(self.bneck[fi as usize] as usize);
             }
             let cap = self.links[l].capacity;
             let util = if cap > 0.0 { used / cap } else { 0.0 };
@@ -324,23 +533,208 @@ impl Network {
         d
     }
 
-    /// Recompute a link's cached share after its occupancy changed. The
-    /// expression matches the one historical queries used
-    /// (`capacity / count.max(1)`), so cached values are bit-identical to
-    /// what an on-the-fly recomputation would produce.
-    fn set_share(&mut self, l: usize) {
+    /// Recompute a link's cached share after its occupancy or capacity
+    /// changed at `now`. When the share moves, the link's clock first runs
+    /// up to `now` at the old share, the link is marked touched, and the
+    /// change is logged for the flows bottlenecked on it. Returns whether
+    /// the share moved (a link going from no flow to one keeps its
+    /// share). The expression is `capacity / count.max(1)`, so cached
+    /// values are bit-identical to an on-the-fly recomputation.
+    fn set_share(&mut self, l: usize, now: Time) -> bool {
         let count = self.link_flows[l].len().max(1) as f64;
-        self.link_share[l] = self.links[l].capacity / count;
+        let share = self.links[l].capacity / count;
+        if share == self.link_share[l] {
+            return false;
+        }
+        self.advance(l, now);
+        self.link_share[l] = share;
+        self.touch(l, true);
+        let rate = self.rate(l);
+        let c = &mut self.clocks[l];
+        if !c.heap.is_empty() {
+            c.log.push((now, rate));
+            c.fresh = true;
+        }
+        true
     }
 
-    /// The equal-share rate a flow with `path` gets right now: the minimum
-    /// cached link share along the path, clamped at [`MIN_RATE`].
-    fn share_rate(&self, path: &Path) -> f64 {
-        let mut rate = f64::INFINITY;
-        for l in path {
-            rate = rate.min(self.link_share[l.0 as usize]);
+    /// The drain rate of a flow bottlenecked on link `l`.
+    #[inline]
+    fn rate(&self, l: usize) -> f64 {
+        self.link_share[l].max(MIN_RATE)
+    }
+
+    /// The first link of `path` with the smallest share: where a flow over
+    /// it is bottlenecked.
+    fn bottleneck(&self, path: &Path) -> usize {
+        let links = path.as_slice();
+        let mut b = links[0].0 as usize;
+        for l in &links[1..] {
+            if self.link_share[l.0 as usize] < self.link_share[b] {
+                b = l.0 as usize;
+            }
         }
-        rate.max(MIN_RATE)
+        b
+    }
+
+    /// Allocate the per-link clocks on first use. They are run state, and
+    /// at thousands of links the table is large enough that building it
+    /// with the world would add to every world's set-up time.
+    fn clocks_ready(&mut self) {
+        if self.clocks.is_empty() {
+            self.clocks.resize_with(self.links.len(), Clock::default);
+        }
+    }
+
+    /// Bring link `l`'s clock up to `now` at its current share. Called
+    /// before anything changes the link's share or heap.
+    #[inline]
+    fn advance(&mut self, l: usize, now: Time) {
+        let rate = self.rate(l);
+        let c = &mut self.clocks[l];
+        if now > c.updated {
+            if !c.heap.is_empty() {
+                c.value += rate * now.saturating_since(c.updated).as_secs_f64();
+            }
+            c.updated = now;
+        }
+    }
+
+    /// Note that the current perturbation changed link `l`'s heap, or also
+    /// its share (`share_moved`), so its drain event is re-armed at the end.
+    #[inline]
+    fn touch(&mut self, l: usize, share_moved: bool) {
+        let c = &mut self.clocks[l];
+        if c.touched == 0 {
+            self.touched.push(l as u32);
+        }
+        c.touched = c.touched.max(1 + share_moved as u8);
+    }
+
+    /// Move draining flow `g` from its bottleneck's heap to link `to`'s,
+    /// carrying its remaining bytes from one clock to the other. The flow
+    /// catches up on the old link's share changes from before this
+    /// perturbation (it never ran at the old link's new share) and changes
+    /// rate now, to the new link's.
+    fn move_flow(&mut self, g: u32, to: usize, now: Time) {
+        let from = self.bneck[g as usize] as usize;
+        self.advance(from, now);
+        self.advance(to, now);
+        let pos = self.hpos[g as usize] as usize;
+        let t = heap_remove(&mut self.clocks[from].heap, &mut self.hpos, pos);
+        let c = &self.clocks[from];
+        let d = &mut self.drain[g as usize];
+        c.catch_up(d, c.log_end() - c.fresh as usize);
+        d.rerate(now, self.link_share[to].max(MIN_RATE));
+        d.lpos = self.clocks[to].log_end();
+        let remaining = (t.at - c.value).max(0.0);
+        let at = self.clocks[to].value + remaining;
+        heap_push(
+            &mut self.clocks[to].heap,
+            &mut self.hpos,
+            Target { at, ..t },
+        );
+        self.bneck[g as usize] = to as u32;
+        self.touch(from, false);
+        self.touch(to, false);
+    }
+
+    /// Link `l`'s share fell: flows crossing it that are bottlenecked
+    /// elsewhere at a higher share now bottleneck here.
+    fn pull_onto(&mut self, l: usize, now: Time) {
+        let share = self.link_share[l];
+        let flows = &self.link_flows[l];
+        self.refreshes += flows.len() as u64;
+        self.moves.clear();
+        for &g in flows {
+            let b = self.bneck[g as usize] as usize;
+            if b != l && share < self.link_share[b] {
+                self.moves.push(g);
+            }
+        }
+        for i in 0..self.moves.len() {
+            let g = self.moves[i];
+            self.move_flow(g, l, now);
+        }
+    }
+
+    /// Link `l`'s share rose: each flow bottlenecked here is re-checked
+    /// against the other links of its path and moves to one whose share is
+    /// now lower. Flows bottlenecked elsewhere cannot speed up.
+    fn release_from(&mut self, l: usize, now: Time) {
+        let share = self.link_share[l];
+        let heap = &self.clocks[l].heap;
+        self.refreshes += heap.len() as u64;
+        self.share_recomputes += heap.len() as u64;
+        self.moves.clear();
+        for t in heap {
+            let f = self.slab[t.flow as usize].as_ref().expect("queued flow");
+            if f.spec
+                .path
+                .into_iter()
+                .any(|k| self.link_share[k.0 as usize] < share)
+            {
+                self.moves.push(t.flow);
+            }
+        }
+        for i in 0..self.moves.len() {
+            let g = self.moves[i];
+            let path = self.slab[g as usize]
+                .as_ref()
+                .expect("queued flow")
+                .spec
+                .path;
+            let to = self.bottleneck(&path);
+            self.move_flow(g, to, now);
+        }
+    }
+
+    /// End of a perturbation: give every touched link's heap head a drain
+    /// event at its exact time. A link whose share and head are unchanged
+    /// keeps its event; an emptied link cancels its event and resets its
+    /// clock and log.
+    fn rearm_touched(&mut self, now: Time, sched: &mut impl FlowScheduler) {
+        for i in 0..self.touched.len() {
+            let l = self.touched[i] as usize;
+            let c = &mut self.clocks[l];
+            let share_moved = c.touched == 2;
+            c.touched = 0;
+            c.fresh = false;
+            let Some(&top) = c.heap.first() else {
+                if c.head.take().is_some() {
+                    sched.cancel(c.event);
+                }
+                c.value = 0.0;
+                c.log_base += c.log.len();
+                c.log.clear();
+                continue;
+            };
+            if c.log.len() >= LOG_COMPACT_MIN.max(2 * c.heap.len()) {
+                // Every queued flow applies the whole log now instead of
+                // later: the same work, and the log's memory is freed.
+                for t in &c.heap {
+                    c.catch_up(&mut self.drain[t.flow as usize], c.log_end());
+                }
+                c.log_base += c.log.len();
+                c.log.clear();
+            }
+            if !share_moved && c.head.is_some_and(|(f, _)| f == top.flow) {
+                continue;
+            }
+            let d = &mut self.drain[top.flow as usize];
+            c.catch_up(d, c.log_end());
+            let at = d.end().max(now);
+            if c.head == Some((top.flow, at)) {
+                continue;
+            }
+            if c.head.is_some() {
+                sched.cancel(c.event);
+                self.reschedules += 1;
+            }
+            c.event = sched.schedule(at, FlowId(top.flow as u64));
+            c.head = Some((top.flow, at));
+        }
+        self.touched.clear();
     }
 
     /// Time a hypothetical `bytes`-sized transfer over `path` would take
@@ -353,14 +747,14 @@ impl Network {
         if bytes == 0 || path.is_empty() {
             return latency;
         }
-        latency + Duration::from_secs_f64_ceil(bytes as f64 / self.share_rate(path))
+        latency + Duration::from_secs_f64_ceil(bytes as f64 / self.rate(self.bottleneck(path)))
     }
 
     /// Scale one link's capacity and latency to `cap_factor` / `lat_factor`
     /// times its *base* values (factors of 1.0 restore the link). Flows
-    /// currently draining through the link are re-rated immediately via the
-    /// usual refresh; latency changes apply to drains and launches that
-    /// happen after the call.
+    /// currently draining through the link are re-rated immediately;
+    /// latency changes apply to drains and launches that happen after the
+    /// call.
     pub fn scale_link(
         &mut self,
         now: Time,
@@ -371,26 +765,18 @@ impl Network {
     ) {
         let l = link as usize;
         let (base_cap, base_lat) = self.base_links[l];
+        self.clocks_ready();
         self.links[l].capacity = base_cap * cap_factor;
         self.links[l].latency =
             Duration::from_nanos((base_lat.as_nanos() as f64 * lat_factor).round() as u64);
         let old_share = self.link_share[l];
-        self.set_share(l);
-        let new_share = self.link_share[l];
-        if new_share == old_share {
-            return;
+        self.set_share(l, now);
+        if self.link_share[l] < old_share {
+            self.pull_onto(l, now);
+        } else if self.link_share[l] > old_share {
+            self.release_from(l, now);
         }
-        // Reuse the join/leave refresh machinery: shares that fell compare
-        // against the new (lower) value, shares that rose against the old
-        // one — the same dismissal logic as flow churn (see
-        // `refresh_affected`).
-        let rose = new_share > old_share;
-        let cmp = if rose { old_share } else { new_share };
-        self.affected.clear();
-        for &fid in &self.link_flows[l] {
-            self.affected.push((fid, cmp));
-        }
-        self.refresh_affected(now, sched, rose);
+        self.rearm_touched(now, sched);
     }
 
     /// Inject a new flow at time `now`. Returns its id; a delivery (or
@@ -414,78 +800,57 @@ impl Network {
         doomed: bool,
         sched: &mut impl FlowScheduler,
     ) -> FlowId {
-        let latency = self.path_latency(&spec.path);
         self.injected_bytes += spec.bytes;
-
-        if spec.bytes == 0 || spec.path.is_empty() {
-            // Control message or purely local hand-off: latency only.
-            // Reserve the slot first so the scheduled event's id is right.
-            let id = self.alloc(Flow {
-                spec,
-                phase: Phase::Tail,
-                doomed,
-                event: EventKey::default(),
-                event_time: now + latency,
-                slots: [0; MAX_PATH],
-            });
-            let event = sched.schedule(now + latency, FlowId(id as u64));
-            self.slab[id as usize]
-                .as_mut()
-                .expect("just allocated")
-                .event = event;
-            return FlowId(id as u64);
-        }
-
+        let seq = self.next_seq;
+        self.next_seq += 1;
         let id = self.alloc(Flow {
             spec,
-            phase: Phase::Draining {
-                remaining: spec.bytes as f64,
-                rate: 0.0,
-                last_update: now,
-            },
             doomed,
-            event: EventKey::default(),
-            event_time: Time::MAX,
             slots: [0; MAX_PATH],
         });
-        // Join the links, recording this flow's slot in each list and
-        // refreshing the cached shares as occupancy grows.
+        if spec.bytes == 0 || spec.path.is_empty() {
+            // Control message or purely local hand-off: latency only.
+            let latency = self.path_latency(&spec.path);
+            sched.schedule(now + latency, FlowId(id as u64));
+            return FlowId(id as u64);
+        }
+        // Join the links; shares fall except on a link that was idle.
+        self.clocks_ready();
+        let mut fell = [false; MAX_PATH];
         for (i, l) in spec.path.as_slice().iter().enumerate() {
-            let v = &mut self.link_flows[l.0 as usize];
+            let l = l.0 as usize;
+            let v = &mut self.link_flows[l];
             v.push(id);
             let slot = (v.len() - 1) as u32;
             self.slab[id as usize]
                 .as_mut()
                 .expect("just allocated")
                 .slots[i] = slot;
-            self.set_share(l.0 as usize);
-        }
-        // Collect the neighbours whose share may have changed, paired with
-        // the post-join share of the link they were found on. The new flow
-        // sits at the tail of every list it joined; skipping it reproduces
-        // the pre-join neighbour set exactly.
-        self.affected.clear();
-        for l in &spec.path {
-            let share = self.link_share[l.0 as usize];
-            for &fid in &self.link_flows[l.0 as usize] {
-                if fid != id {
-                    self.affected.push((fid, share));
-                }
-            }
+            fell[i] = self.set_share(l, now);
         }
         self.share_recomputes += 1;
-        let rate = self.share_rate(&spec.path);
-        let drain_in = Duration::from_secs_f64_ceil(spec.bytes as f64 / rate);
-        let event = sched.schedule(now + drain_in, FlowId(id as u64));
-        {
-            let f = self.slab[id as usize].as_mut().expect("just allocated");
-            f.event = event;
-            f.event_time = now + drain_in;
-            if let Phase::Draining { rate: r, .. } = &mut f.phase {
-                *r = rate;
+        let b = self.bottleneck(&spec.path);
+        self.advance(b, now);
+        self.touch(b, false);
+        let at = self.clocks[b].value + spec.bytes as f64;
+        self.bneck[id as usize] = b as u32;
+        self.drain[id as usize] = Drain {
+            rem: spec.bytes as f64,
+            last: now,
+            rate: self.rate(b),
+            lpos: self.clocks[b].log_end(),
+        };
+        heap_push(
+            &mut self.clocks[b].heap,
+            &mut self.hpos,
+            Target { at, seq, flow: id },
+        );
+        for (i, l) in spec.path.as_slice().iter().enumerate() {
+            if fell[i] {
+                self.pull_onto(l.0 as usize, now);
             }
         }
-        self.refresh_affected(now, sched, false);
+        self.rearm_touched(now, sched);
         FlowId(id as u64)
     }
 
@@ -499,89 +864,9 @@ impl Network {
         sched: &mut impl FlowScheduler,
     ) -> NetStep {
         let idx = flow.0 as usize;
-        let draining = matches!(
-            self.slab[idx]
-                .as_ref()
-                .expect("event for unknown flow")
-                .phase,
-            Phase::Draining { .. }
-        );
-        if draining {
-            // Reconcile; if the stale schedule fired before the bytes are
-            // really out, re-arm at the true estimate (self-correction).
-            {
-                let f = self.slab[idx].as_mut().expect("flow vanished");
-                if let Phase::Draining {
-                    remaining,
-                    rate,
-                    last_update,
-                } = &mut f.phase
-                {
-                    let drained = *rate * now.saturating_since(*last_update).as_secs_f64();
-                    *remaining = (*remaining - drained).max(0.0);
-                    *last_update = now;
-                    if *remaining > 1.0 {
-                        let drain_in = Duration::from_secs_f64_ceil(*remaining / *rate);
-                        let event = sched.schedule(now + drain_in, flow);
-                        f.event = event;
-                        f.event_time = now + drain_in;
-                        return NetStep::Progress;
-                    }
-                }
-            }
-            let (path, tag, bytes) = {
-                let f = self.slab[idx].as_mut().expect("flow vanished");
-                f.phase = Phase::Tail;
-                (f.spec.path, f.spec.tag, f.spec.bytes)
-            };
-            // Remember each link's share while this flow still occupies it —
-            // the refresh prefilter needs the pre-leave value to tell which
-            // neighbours were actually bottlenecked here.
-            let mut old_shares = [0.0f64; MAX_PATH];
-            for (i, l) in path.as_slice().iter().enumerate() {
-                old_shares[i] = self.link_share[l.0 as usize];
-            }
-            // Stop consuming capacity; neighbours speed up. The slot map
-            // makes each leave O(1): swap_remove this flow's recorded slot,
-            // then repoint the slot of whichever flow got moved into it.
-            for i in 0..path.len() {
-                let l = path.as_slice()[i].0 as usize;
-                let pos = self.slab[idx].as_ref().expect("flow vanished").slots[i] as usize;
-                let v = &mut self.link_flows[l];
-                debug_assert_eq!(v[pos], flow.0 as u32, "slot map out of sync");
-                let last = v.len() - 1;
-                v.swap_remove(pos);
-                if pos != last {
-                    let moved = v[pos];
-                    let mf = self.slab[moved as usize]
-                        .as_mut()
-                        .expect("moved flow vanished");
-                    for (j, ml) in mf.spec.path.as_slice().iter().enumerate() {
-                        if ml.0 as usize == l && mf.slots[j] as usize == last {
-                            mf.slots[j] = pos as u32;
-                            break;
-                        }
-                    }
-                }
-                self.set_share(l);
-            }
-            self.affected.clear();
-            for (i, l) in path.as_slice().iter().enumerate() {
-                for &fid in &self.link_flows[l.0 as usize] {
-                    self.affected.push((fid, old_shares[i]));
-                }
-            }
-            let latency = self.path_latency(&path);
-            let event = sched.schedule(now + latency, flow);
-            {
-                let f = self.slab[idx].as_mut().expect("flow vanished");
-                f.event = event;
-                f.event_time = now + latency;
-            }
-            self.refresh_affected(now, sched, true);
-            NetStep::Drained { flow, tag, bytes }
-        } else {
-            let f = self.slab[idx].take().expect("flow vanished");
+        let b = self.bneck[idx];
+        if b == TAIL {
+            let f = self.slab[idx].take().expect("event for unknown flow");
             self.active -= 1;
             self.free.push(flow.0 as u32);
             let delivery = Delivery {
@@ -589,93 +874,61 @@ impl Network {
                 tag: f.spec.tag,
                 bytes: f.spec.bytes,
             };
-            if f.doomed {
+            return if f.doomed {
                 self.dropped_bytes += f.spec.bytes;
                 NetStep::Dropped(delivery)
             } else {
                 self.delivered_bytes += f.spec.bytes;
                 NetStep::Delivered(delivery)
+            };
+        }
+        let b = b as usize;
+        if self.clocks[b].head != Some((flow.0 as u32, now)) {
+            return NetStep::Progress;
+        }
+        // The head of its link's heap drained: the event is spent.
+        self.clocks[b].head = None;
+        let f = self.slab[idx].as_ref().expect("draining flow");
+        let (path, tag, bytes, slots) = (f.spec.path, f.spec.tag, f.spec.bytes, f.slots);
+        self.advance(b, now);
+        let pos = self.hpos[idx] as usize;
+        heap_remove(&mut self.clocks[b].heap, &mut self.hpos, pos);
+        self.bneck[idx] = TAIL;
+        self.touch(b, false);
+        let mut rose = [false; MAX_PATH];
+        // Stop consuming capacity; neighbours speed up. The slot map
+        // makes each leave O(1): swap_remove this flow's recorded slot,
+        // then repoint the slot of whichever flow got moved into it.
+        for (i, l) in path.as_slice().iter().enumerate() {
+            let l = l.0 as usize;
+            let pos = slots[i] as usize;
+            let v = &mut self.link_flows[l];
+            debug_assert_eq!(v[pos], flow.0 as u32, "slot map out of sync");
+            let last = v.len() - 1;
+            v.swap_remove(pos);
+            if pos != last {
+                let moved = v[pos];
+                let mf = self.slab[moved as usize]
+                    .as_mut()
+                    .expect("moved flow vanished");
+                for (j, ml) in mf.spec.path.as_slice().iter().enumerate() {
+                    if ml.0 as usize == l && mf.slots[j] as usize == last {
+                        mf.slots[j] = pos as u32;
+                        break;
+                    }
+                }
+            }
+            rose[i] = self.set_share(l, now);
+        }
+        let latency = self.path_latency(&path);
+        sched.schedule(now + latency, flow);
+        for (i, l) in path.as_slice().iter().enumerate() {
+            if rose[i] {
+                self.release_from(l.0 as usize, now);
             }
         }
-    }
-
-    /// Re-derive the rate of every affected flow, reconciling its remaining
-    /// bytes at the old rate and rescheduling its drain event if the rate
-    /// moved.
-    ///
-    /// `rose` says which way the perturbed link's share moved (a flow left:
-    /// shares rise; a flow joined: shares fall). Each affected entry
-    /// carries that link's comparison share, which lets most neighbours be
-    /// dismissed in O(1) without recomputing their path minimum:
-    ///
-    /// * shares **fell** to `s`: a neighbour running at `rate <= s` keeps
-    ///   its bottleneck (its path minimum is at most `s`), so its rate is
-    ///   literally unchanged;
-    /// * shares **rose** from `s`: a neighbour running at `rate < s` was
-    ///   bottlenecked on some *other* link, so raising this one cannot
-    ///   move its minimum.
-    ///
-    /// Both dismissals coincide exactly with cases where the full
-    /// recomputation would return a bit-identical rate and the epsilon
-    /// check below would skip anyway — the prefilter changes which work is
-    /// done, never the outcome.
-    fn refresh_affected(&mut self, now: Time, sched: &mut impl FlowScheduler, rose: bool) {
-        let affected = std::mem::take(&mut self.affected);
-        self.refreshes += affected.len() as u64;
-        let mut reschedules = 0u64;
-        for &(id, cmp) in &affected {
-            let f = self.slab[id as usize]
-                .as_ref()
-                .expect("affected flow vanished");
-            let current = match f.phase {
-                Phase::Draining { rate, .. } => rate,
-                Phase::Tail => continue,
-            };
-            let unaffected = if rose { current < cmp } else { current <= cmp };
-            if unaffected {
-                continue;
-            }
-            let path = f.spec.path;
-            self.share_recomputes += 1;
-            let new_rate = self.share_rate(&path);
-            let f = self.slab[id as usize]
-                .as_mut()
-                .expect("affected flow vanished");
-            let event_time = f.event_time;
-            let Phase::Draining {
-                remaining,
-                rate,
-                last_update,
-            } = &mut f.phase
-            else {
-                continue;
-            };
-            if (*rate - new_rate).abs() <= 1e-9 * new_rate.max(*rate) {
-                continue;
-            }
-            // Reconcile progress at the old rate, then switch.
-            let dt = now.saturating_since(*last_update).as_secs_f64();
-            *remaining = (*remaining - *rate * dt).max(0.0);
-            *last_update = now;
-            *rate = new_rate;
-            // Keep the existing event unless the estimate moved materially:
-            // a late event self-corrects on firing, an early one re-arms.
-            let drain_in = Duration::from_secs_f64_ceil(*remaining / new_rate);
-            let estimate = now + drain_in;
-            let scheduled_in = event_time.saturating_since(now).as_nanos() as f64;
-            let shift = (estimate.as_nanos() as f64 - event_time.as_nanos() as f64).abs();
-            if shift <= (scheduled_in.max(drain_in.as_nanos() as f64)) * RESCHED_TOL {
-                continue;
-            }
-            reschedules += 1;
-            let old_event = f.event;
-            let new_event = sched.schedule(estimate, FlowId(id as u64));
-            f.event = new_event;
-            f.event_time = estimate;
-            sched.cancel(old_event);
-        }
-        self.reschedules += reschedules;
-        self.affected = affected;
+        self.rearm_touched(now, sched);
+        NetStep::Drained { flow, tag, bytes }
     }
 
     /// Test-only invariant: every cached link share equals the formula
@@ -711,6 +964,36 @@ impl Network {
                     "flow {id} at link {l} pos {pos} has no matching slot"
                 );
             }
+        }
+    }
+
+    /// Test-only invariant: every draining flow sits in the heap of a
+    /// minimum-share link of its path at its recorded position, every
+    /// heap is ordered, and every non-empty heap has a drain event for its
+    /// head.
+    #[cfg(test)]
+    fn check_clocks(&self) {
+        for (i, f) in self.slab.iter().enumerate() {
+            let Some(f) = f else { continue };
+            let b = self.bneck[i];
+            if b == TAIL {
+                continue;
+            }
+            let min = self.link_share[self.bottleneck(&f.spec.path)];
+            assert_eq!(self.link_share[b as usize], min, "bottleneck of flow {i}");
+            let t = self.clocks[b as usize].heap[self.hpos[i] as usize];
+            assert_eq!(t.flow as usize, i, "heap position of flow {i}");
+        }
+        for (l, c) in self.clocks.iter().enumerate() {
+            for (j, t) in c.heap.iter().enumerate().skip(1) {
+                assert!(!t.before(&c.heap[(j - 1) / 2]), "heap order on link {l}");
+            }
+            assert_eq!(
+                c.head.map(|(f, _)| f),
+                c.heap.first().map(|t| t.flow),
+                "head event of link {l}"
+            );
+            assert_eq!(c.touched, 0);
         }
     }
 }
@@ -794,7 +1077,7 @@ mod tests {
         let deliveries = drive_until_delivery(&mut net, &mut q);
         assert_eq!(deliveries.len(), 2);
         for (t, _) in deliveries {
-            assert!(t.as_nanos().abs_diff(2_000_000) <= 2);
+            assert_eq!(t.as_nanos(), 2_000_000);
         }
     }
 
@@ -818,7 +1101,7 @@ mod tests {
         let deliveries = drive_until_delivery(&mut net, &mut q);
         // 3 MB at 3 GB/s = 1 ms each.
         for (t, _) in &deliveries {
-            assert!(t.as_nanos().abs_diff(1_000_000) <= 2);
+            assert_eq!(t.as_nanos(), 1_000_000);
         }
     }
 
@@ -879,8 +1162,8 @@ mod tests {
         let deliveries = drive_until_delivery(&mut net, &mut q);
         let t_b = deliveries.iter().find(|(_, d)| d.tag == 1).unwrap().0;
         let t_a = deliveries.iter().find(|(_, d)| d.tag == 0).unwrap().0;
-        assert!(t_b.as_nanos().abs_diff(2_500_000) <= 2, "B at {t_b:?}");
-        assert!(t_a.as_nanos().abs_diff(3_000_000) <= 4, "A at {t_a:?}");
+        assert_eq!(t_b.as_nanos(), 2_500_000, "B at {t_b:?}");
+        assert_eq!(t_a.as_nanos(), 3_000_000, "A at {t_a:?}");
     }
 
     #[test]
@@ -926,11 +1209,44 @@ mod tests {
         let deliveries = drive_until_delivery(&mut net, &mut q);
         // A and B: 0.5 MB at 0.5 GB/s = 1 ms. C: 1.5 MB at 1.5 GB/s = 1 ms.
         for (t, d) in &deliveries {
-            assert!(
-                t.as_nanos().abs_diff(1_000_000) <= 2,
-                "flow {} at {t:?}",
-                d.tag
-            );
+            assert_eq!(t.as_nanos(), 1_000_000, "flow {} at {t:?}", d.tag);
+        }
+    }
+
+    #[test]
+    fn equal_targets_drain_later_launch_first() {
+        // Two identical flows on one link drain at the same instant; the
+        // later launch drains first, in a fresh slot (higher index) or a
+        // reused one (lower index) alike.
+        for reuse in [false, true] {
+            let mut net = one_link(1e9, 0);
+            let mut q = Q(EventQueue::new());
+            let spec = |bytes, tag| FlowSpec {
+                path: Path::new(&[LinkId(0)]),
+                bytes,
+                tag,
+            };
+            if reuse {
+                // Occupy slot 0 with a control message, then free it.
+                net.start_flow(Time::ZERO, spec(0, 9), &mut q);
+            }
+            net.start_flow(Time::ZERO, spec(1_000, 0), &mut q);
+            if reuse {
+                let (t, fid) = q.0.pop().unwrap();
+                assert!(matches!(
+                    net.handle_event(t, fid, &mut q),
+                    NetStep::Delivered(d) if d.tag == 9
+                ));
+            }
+            let second = net.start_flow(Time::ZERO, spec(1_000, 1), &mut q);
+            assert_eq!(second.0, if reuse { 0 } else { 1 });
+            let mut drained = Vec::new();
+            while let Some((t, fid)) = q.0.pop() {
+                if let NetStep::Drained { tag, .. } = net.handle_event(t, fid, &mut q) {
+                    drained.push((t.as_nanos(), tag));
+                }
+            }
+            assert_eq!(drained, vec![(2_000, 1), (2_000, 0)], "reuse={reuse}");
         }
     }
 
@@ -1024,6 +1340,7 @@ mod tests {
                 net.handle_event(t, fid, &mut q);
                 net.check_share_cache();
                 net.check_slots();
+                net.check_clocks();
             }
             for (i, p) in paths.iter().enumerate() {
                 seed = seed
@@ -1042,12 +1359,14 @@ mod tests {
                 tag += 1;
                 net.check_share_cache();
                 net.check_slots();
+                net.check_clocks();
             }
         }
         while let Some((t, fid)) = q.0.pop() {
             net.handle_event(t, fid, &mut q);
             net.check_share_cache();
             net.check_slots();
+            net.check_clocks();
         }
         assert_eq!(net.active_flows(), 0);
         assert_eq!(net.injected_bytes(), net.delivered_bytes());
@@ -1091,8 +1410,8 @@ mod tests {
         assert_eq!(delivered.len(), 1);
         assert_eq!(dropped[0].1.tag, 0);
         // Both flows shared the link: each finishes around 2 ms.
-        assert!(dropped[0].0.as_nanos().abs_diff(2_000_000) <= 2);
-        assert!(delivered[0].0.as_nanos().abs_diff(2_000_000) <= 2);
+        assert_eq!(dropped[0].0.as_nanos(), 2_000_000);
+        assert_eq!(delivered[0].0.as_nanos(), 2_000_000);
         assert_eq!(net.dropped_bytes(), 1_000_000);
         assert_eq!(net.delivered_bytes(), 1_000_000);
         assert_eq!(
@@ -1125,8 +1444,9 @@ mod tests {
         net.check_share_cache();
         let d = drive_until_delivery(&mut net, &mut q);
         assert_eq!(d.len(), 1);
-        assert!(
-            d[0].0.as_nanos().abs_diff(5_500_000) <= 4,
+        assert_eq!(
+            d[0].0.as_nanos(),
+            5_500_000,
             "degraded delivery at {:?}",
             d[0].0
         );

@@ -141,3 +141,283 @@ proptest! {
         prop_assert!((got_s - expect_s).abs() / expect_s < 1e-6);
     }
 }
+
+/// One flow of a generated workload: start time (ns), path (link
+/// indices), bytes.
+type FlowPlan = (u64, Vec<u32>, u64);
+
+/// Brute-force equal-share reference, sharing no code with the engine: a
+/// fluid model that, at every start and drain, recomputes every draining
+/// flow's rate from scratch as the minimum over its path of
+/// `capacity / flows on the link`, then advances to the next start or
+/// drain. O(n²) per event. Returns each flow's delivery time in ns.
+fn equal_share_reference(caps: &[f64], lat_ns: &[u64], flows: &[FlowPlan]) -> Vec<f64> {
+    let n = flows.len();
+    let latency = |i: usize| flows[i].1.iter().map(|&l| lat_ns[l as usize]).sum::<u64>() as f64;
+    let mut rem: Vec<f64> = flows.iter().map(|f| f.2 as f64).collect();
+    // 0: not started, 1: draining, 2: drained.
+    let mut state = vec![0u8; n];
+    let mut out = vec![f64::NAN; n];
+    let mut t = 0.0f64;
+    loop {
+        // Start everything due now; zero-byte and empty-path flows only
+        // pay latency.
+        for i in 0..n {
+            if state[i] == 0 && flows[i].0 as f64 <= t {
+                if flows[i].2 == 0 || flows[i].1.is_empty() {
+                    state[i] = 2;
+                    out[i] = flows[i].0 as f64 + latency(i);
+                } else {
+                    state[i] = 1;
+                }
+            }
+        }
+        let mut count = vec![0usize; caps.len()];
+        for i in (0..n).filter(|&i| state[i] == 1) {
+            for &l in &flows[i].1 {
+                count[l as usize] += 1;
+            }
+        }
+        // Bytes per ns.
+        let rate: Vec<f64> = (0..n)
+            .map(|i| {
+                flows[i]
+                    .1
+                    .iter()
+                    .map(|&l| caps[l as usize] / count[l as usize].max(1) as f64 / 1e9)
+                    .fold(f64::INFINITY, f64::min)
+            })
+            .collect();
+        let next_start = (0..n)
+            .filter(|&i| state[i] == 0)
+            .map(|i| flows[i].0 as f64)
+            .fold(f64::INFINITY, f64::min);
+        let next_drain = (0..n)
+            .filter(|&i| state[i] == 1)
+            .map(|i| t + rem[i] / rate[i])
+            .fold(f64::INFINITY, f64::min);
+        let next = next_start.min(next_drain);
+        if !next.is_finite() {
+            return out;
+        }
+        for i in 0..n {
+            if state[i] != 1 {
+                continue;
+            }
+            if t + rem[i] / rate[i] <= next * (1.0 + 1e-12) {
+                state[i] = 2;
+                out[i] = next + latency(i);
+            } else {
+                rem[i] -= rate[i] * (next - t);
+            }
+        }
+        t = next;
+    }
+}
+
+/// Drive `flows` (sorted by start) through the engine over `sched`,
+/// which pops with `pop`; returns each flow's delivery time and how many
+/// superseded events the engine was handed.
+fn run_engine<S: FlowScheduler>(
+    caps: &[f64],
+    lat_ns: &[u64],
+    flows: &[FlowPlan],
+    sched: &mut S,
+    pop: impl Fn(&mut S) -> Option<(Time, FlowId)>,
+    peek: impl Fn(&mut S) -> Option<Time>,
+) -> (Vec<u64>, usize) {
+    let mut net = Network::new(
+        caps.iter()
+            .zip(lat_ns)
+            .map(|(&capacity, &lat)| Link {
+                class: LinkClass::Backbone,
+                capacity,
+                latency: Duration::from_nanos(lat),
+            })
+            .collect(),
+    );
+    let mut out = vec![u64::MAX; flows.len()];
+    let mut superseded = 0;
+    let mut step = |net: &mut Network, sched: &mut S, out: &mut Vec<u64>| {
+        let (t, fid) = pop(sched).expect("peeked");
+        match net.handle_event(t, fid, sched) {
+            NetStep::Delivered(d) => out[d.tag as usize] = t.as_nanos(),
+            NetStep::Progress => superseded += 1,
+            _ => {}
+        }
+    };
+    for (i, (start, path, bytes)) in flows.iter().enumerate() {
+        while peek(sched).is_some_and(|t| t <= Time(*start)) {
+            step(&mut net, sched, &mut out);
+        }
+        let links: Vec<LinkId> = path.iter().map(|&l| LinkId(l)).collect();
+        net.start_flow(
+            Time(*start),
+            FlowSpec {
+                path: Path::new(&links),
+                bytes: *bytes,
+                tag: i as u64,
+            },
+            sched,
+        );
+    }
+    while peek(sched).is_some() {
+        step(&mut net, sched, &mut out);
+    }
+    assert_eq!(net.active_flows(), 0);
+    (out, superseded)
+}
+
+/// A scheduler whose `cancel` does nothing, like a trace replay: it
+/// drops an event only when a later one was scheduled for the same flow
+/// slot (a per-slot generation number), so events the network superseded
+/// by cancelling still fire.
+#[derive(Default)]
+struct NoCancel {
+    heap: std::collections::BinaryHeap<std::cmp::Reverse<(Time, u64, u64, u32)>>,
+    seq: u64,
+    gen: Vec<u32>,
+}
+
+impl FlowScheduler for NoCancel {
+    fn schedule(&mut self, at: Time, flow: FlowId) -> EventKey {
+        let slot = flow.0 as usize;
+        if self.gen.len() <= slot {
+            self.gen.resize(slot + 1, 0);
+        }
+        self.gen[slot] += 1;
+        self.seq += 1;
+        self.heap
+            .push(std::cmp::Reverse((at, self.seq, flow.0, self.gen[slot])));
+        EventKey::default()
+    }
+    fn cancel(&mut self, _key: EventKey) {}
+}
+
+impl NoCancel {
+    fn peek(&mut self) -> Option<Time> {
+        while let Some(&std::cmp::Reverse((t, _, slot, gen))) = self.heap.peek() {
+            if self.gen[slot as usize] == gen {
+                return Some(t);
+            }
+            self.heap.pop();
+        }
+        None
+    }
+    fn pop(&mut self) -> Option<(Time, FlowId)> {
+        self.peek()?;
+        self.heap
+            .pop()
+            .map(|std::cmp::Reverse((t, _, slot, _))| (t, FlowId(slot)))
+    }
+}
+
+/// A random network of one to four links (capacity, latency) and up to
+/// 13 flows over paths of distinct links, sorted by start.
+fn plan_strategy() -> impl Strategy<Value = (Vec<f64>, Vec<u64>, Vec<FlowPlan>)> {
+    (
+        1u32..5,
+        proptest::collection::vec(1e8f64..2e10, 4),
+        proptest::collection::vec(0u64..2_000, 4),
+        proptest::collection::vec(
+            (
+                0u64..200_000,
+                proptest::collection::vec(0u32..4, 1..4),
+                0u64..2_000_000,
+            ),
+            1..14,
+        ),
+    )
+        .prop_map(|(links, mut caps, mut lat, mut flows)| {
+            caps.truncate(links as usize);
+            lat.truncate(links as usize);
+            for f in &mut flows {
+                let mut seen = Vec::new();
+                for l in &mut f.1 {
+                    *l %= links;
+                }
+                f.1.retain(|l| {
+                    let new = !seen.contains(l);
+                    seen.push(*l);
+                    new
+                });
+            }
+            flows.sort_by_key(|f| f.0);
+            (caps, lat, flows)
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Random multi-link paths with staggered starts against the
+    /// brute-force reference. Each drain event fires at the ceiling of its
+    /// exact time, up to 1 ns late; a late drain reaches another flow only
+    /// through the share it held a little longer, which delays that flow
+    /// by less than the lateness. So a delivery is off by less than one
+    /// nanosecond per drain in the run, and the bound is the flow count.
+    #[test]
+    fn engine_matches_brute_force_equal_share(plan in plan_strategy()) {
+        let (caps, lat, flows) = plan;
+        let want = equal_share_reference(&caps, &lat, &flows);
+        let mut q = Q(EventQueue::new());
+        let (got, superseded) = run_engine(
+            &caps, &lat, &flows, &mut q,
+            |q| q.0.pop(),
+            |q| q.0.peek_time(),
+        );
+        prop_assert_eq!(superseded, 0, "a real queue never delivers a cancelled event");
+        let bound = flows.len() as f64;
+        for (i, (&g, &w)) in got.iter().zip(&want).enumerate() {
+            prop_assert!(
+                (g as f64 - w).abs() <= bound,
+                "flow {} delivered at {} ns, reference {} ns (bound {} ns)", i, g, w, bound
+            );
+        }
+    }
+
+    /// The replay contract: a scheduler whose `cancel` does nothing sees
+    /// the superseded events fire, and the engine answers them with
+    /// `Progress` without touching its state, so every delivery lands on
+    /// the same nanosecond as with a real queue.
+    #[test]
+    fn no_op_cancel_reproduces_a_real_queue(plan in plan_strategy()) {
+        let (caps, lat, flows) = plan;
+        let mut q = Q(EventQueue::new());
+        let (real, _) = run_engine(&caps, &lat, &flows, &mut q, |q| q.0.pop(), |q| q.0.peek_time());
+        let mut r = NoCancel::default();
+        let (replayed, _) = run_engine(&caps, &lat, &flows, &mut r, NoCancel::pop, NoCancel::peek);
+        prop_assert_eq!(real, replayed);
+    }
+}
+
+/// The replay contract is exercised, not vacuous: a congested fan-in
+/// hands the no-op-cancel scheduler superseded events.
+#[test]
+fn no_op_cancel_sees_superseded_events() {
+    let caps = [4e9, 1e9, 2e9, 3e9];
+    let lat = [100, 200, 300, 400];
+    let flows: Vec<FlowPlan> = (0..60u64)
+        .map(|i| {
+            (
+                i * 1_500,
+                vec![1 + (i % 3) as u32, 0],
+                50_000 + (i % 7) * 20_000,
+            )
+        })
+        .collect();
+    let mut q = Q(EventQueue::new());
+    let (real, _) = run_engine(
+        &caps,
+        &lat,
+        &flows,
+        &mut q,
+        |q| q.0.pop(),
+        |q| q.0.peek_time(),
+    );
+    let mut r = NoCancel::default();
+    let (replayed, superseded) =
+        run_engine(&caps, &lat, &flows, &mut r, NoCancel::pop, NoCancel::peek);
+    assert!(superseded > 0, "no superseded event reached the engine");
+    assert_eq!(real, replayed);
+}

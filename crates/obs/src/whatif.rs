@@ -703,7 +703,7 @@ impl<'a> Replay<'a> {
     fn run(mut self) -> Result<Prediction, String> {
         let data = self.data;
         for r in 0..self.nranks {
-            self.q.schedule_untracked(
+            self.q.schedule(
                 Time::ZERO,
                 REv::Deliver {
                     rank: r as u32,
@@ -764,7 +764,7 @@ impl<'a> Replay<'a> {
                 let f = &data.flows[self.net2rec[flow.0 as usize]];
                 if matches!(f.class, FlowClass::Eager | FlowClass::Rndv) {
                     let m = f.msg.expect("data flow has a message");
-                    self.q.schedule_untracked(
+                    self.q.schedule(
                         t,
                         REv::Deliver {
                             rank: data.msgs[m as usize].src,
@@ -783,7 +783,7 @@ impl<'a> Replay<'a> {
                     },
                     _ => REv::Arrive(fi),
                 };
-                self.q.schedule_untracked(t, ev);
+                self.q.schedule(t, ev);
             }
             NetStep::Dropped(_) => return Err("replayed network dropped a flow".into()),
         }
@@ -831,13 +831,15 @@ impl<'a> Replay<'a> {
                 let pure = self.proto_cost(m, 2);
                 self.busy[dst] = self.sched[dst].finish_work(e, pure);
             }
-            FlowClass::Eager | FlowClass::Rndv => self.q.schedule_untracked(
-                t,
-                REv::Deliver {
-                    rank: mr.dst,
-                    key: TrigKey::RecvDone(m as u64),
-                },
-            ),
+            FlowClass::Eager | FlowClass::Rndv => {
+                self.q.schedule(
+                    t,
+                    REv::Deliver {
+                        rank: mr.dst,
+                        key: TrigKey::RecvDone(m as u64),
+                    },
+                );
+            }
             FlowClass::Rts => {
                 // Posted match: CTS handshake at cpu_ready.
                 let e = self.cpu_ready(dst, t);
@@ -847,7 +849,7 @@ impl<'a> Replay<'a> {
                     .cts_flow
                     .get(&(m as u64))
                     .ok_or_else(|| format!("message {m}: CTS flow missing"))?;
-                self.q.schedule_untracked(end, REv::Launch(cfi));
+                self.q.schedule(end, REv::Launch(cfi));
             }
             FlowClass::Copy | FlowClass::Ack => {
                 unreachable!("copies/acks never take the arrival path")
@@ -874,7 +876,7 @@ impl<'a> Replay<'a> {
         let ready = self.cpu_ready(r, t);
         if ready > t {
             if self.parked.park(r, ready, item) {
-                self.q.schedule_untracked(ready, REv::Wake { rank });
+                self.q.schedule(ready, REv::Wake { rank });
             }
             return Ok(());
         }
@@ -893,7 +895,7 @@ impl<'a> Replay<'a> {
             let ready = self.cpu_ready(r, t);
             if ready > t {
                 if self.parked.repark(r, ready) {
-                    self.q.schedule_untracked(ready, REv::Wake { rank });
+                    self.q.schedule(ready, REv::Wake { rank });
                 }
                 return Ok(());
             }
@@ -918,7 +920,7 @@ impl<'a> Replay<'a> {
                     .rndv_flow
                     .get(&m)
                     .ok_or_else(|| format!("message {m}: payload flow missing"))?;
-                self.q.schedule_untracked(end, REv::Launch(rfi));
+                self.q.schedule(end, REv::Launch(rfi));
                 return Ok(());
             }
             Parked::Deliver(key) => key,
@@ -931,34 +933,25 @@ impl<'a> Replay<'a> {
         let plan = &self.plans[di];
         for (off, act) in &plan.acts {
             let at = self.sched[r].finish_work(t, *off);
+            let deliver = |key| REv::Deliver { rank, key };
             match act {
-                Act::Launch(fi) => self.q.schedule_untracked(at, REv::Launch(*fi)),
-                Act::LocalSendDone(m) => self.q.schedule_untracked(
-                    at,
-                    REv::Deliver {
-                        rank,
-                        key: TrigKey::SendDone(*m),
-                    },
-                ),
-                Act::CompleteRecv(m) => self.q.schedule_untracked(
-                    at,
-                    REv::Deliver {
-                        rank,
-                        key: TrigKey::RecvDone(*m),
-                    },
-                ),
-                Act::ComputeDone(tok) => self.q.schedule_untracked(
-                    at,
-                    REv::Deliver {
-                        rank,
-                        key: TrigKey::ComputeDone(*tok),
-                    },
-                ),
+                Act::Launch(fi) => {
+                    self.q.schedule(at, REv::Launch(*fi));
+                }
+                Act::LocalSendDone(m) => {
+                    self.q.schedule(at, deliver(TrigKey::SendDone(*m)));
+                }
+                Act::CompleteRecv(m) => {
+                    self.q.schedule(at, deliver(TrigKey::RecvDone(*m)));
+                }
+                Act::ComputeDone(tok) => {
+                    self.q.schedule(at, deliver(TrigKey::ComputeDone(*tok)));
+                }
                 Act::Gpu { token, dur } => {
                     let start = self.gpu_busy[r].max(at);
                     let done = start + *dur;
                     self.gpu_busy[r] = done;
-                    self.q.schedule_untracked(
+                    self.q.schedule(
                         done,
                         REv::Deliver {
                             rank,

@@ -396,7 +396,7 @@ mod tests {
             _ => None,
         };
         if let Some(at) = at.filter(|at| at.0 < HORIZON) {
-            q.schedule_untracked(at, Ev::Item { owner, id: child });
+            q.schedule(at, Ev::Item { owner, id: child });
         }
     }
 
@@ -411,10 +411,10 @@ mod tests {
                 let at = Time(rng.random_range(0..HORIZON / 2));
                 if rng.random_bool(0.2) {
                     let cost = rng.random_range(1..30u64);
-                    q.schedule_untracked(at, Ev::Bump { owner, cost });
+                    q.schedule(at, Ev::Bump { owner, cost });
                 } else {
                     let id = rng.random::<u64>();
-                    q.schedule_untracked(at, Ev::Item { owner, id });
+                    q.schedule(at, Ev::Item { owner, id });
                 }
             }
             let mut windows = Vec::new();
@@ -444,7 +444,7 @@ mod tests {
                 Ev::Item { owner, id } => {
                     let ready = cpus[owner].ready(t);
                     if ready > t {
-                        q.schedule_untracked(ready, Ev::Item { owner, id });
+                        q.schedule(ready, Ev::Item { owner, id });
                     } else {
                         serve(&mut q, &mut cpus[owner], &mut logs[owner], t, owner, id);
                     }
@@ -471,7 +471,7 @@ mod tests {
                     let ready = cpus[owner].ready(t);
                     if ready > t {
                         if parked.park(owner, ready, id) {
-                            q.schedule_untracked(ready, Ev::Wake { owner });
+                            q.schedule(ready, Ev::Wake { owner });
                         }
                     } else {
                         serve(&mut q, &mut cpus[owner], &mut logs[owner], t, owner, id);
@@ -487,7 +487,7 @@ mod tests {
                         let ready = cpus[owner].ready(t);
                         if ready > t {
                             if parked.repark(owner, ready) {
-                                q.schedule_untracked(ready, Ev::Wake { owner });
+                                q.schedule(ready, Ev::Wake { owner });
                             }
                             break;
                         }

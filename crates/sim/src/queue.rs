@@ -1,73 +1,79 @@
 //! Deterministic event queue.
 //!
-//! A binary min-heap keyed on `(time, sequence)`. The sequence number is a
+//! Events pop in `(time, sequence)` order. The sequence number is a
 //! monotonically increasing insertion counter, so two events scheduled for
 //! the same instant pop in insertion order. This makes every simulation run
 //! a pure function of its inputs and seeds.
 //!
-//! Cancellation is supported through [`EventKey`]s: `cancel` marks a
-//! scheduled entry dead without paying for heap surgery, and dead entries
-//! are skipped on pop (lazy deletion). Liveness is tracked by a single
-//! `pending` set holding exactly the sequence numbers that are scheduled
-//! and not yet popped or cancelled, so cancelling an event that has already
-//! fired (or was already cancelled) is a detectable no-op rather than a
-//! corruption of the live count, and the bookkeeping never outgrows the
-//! heap contents.
+//! Two stores hold the scheduled entries:
 //!
-//! Most simulator events are never cancelled — rank steps, callback
-//! completions, flow launches all fire exactly once. Routing them through
-//! the cancellation bookkeeping costs two hash-table operations per event
-//! (insert on schedule, remove on pop), which profiling shows is the
-//! single largest line item in the event loop. [`EventQueue::schedule_untracked`]
-//! is the fast path for those: the entry carries a `tracked: false` flag,
-//! skips the `pending` set entirely, and is counted live by a plain
-//! integer. Pop order is identical either way — both paths draw sequence
-//! numbers from the same counter, so `(time, seq)` ordering (and hence
-//! every golden trace) is unaffected by which path scheduled an event.
+//! * a 4-ary min-heap of 24-byte `(time, seq, slot)` keys for the future;
+//! * a FIFO *lane* for the present: an event scheduled for the instant of
+//!   the last pop (a quarter to a third of all schedules in the suite
+//!   workloads — the handler a message completion wakes, the step a drain
+//!   unblocks) is appended to the lane instead of sifting through the
+//!   heap. Its sequence number is the largest yet and its time the
+//!   smallest possible, so the lane stays sorted by `(time, seq)` for
+//!   free.
 //!
-//! Payloads are stored out-of-line in a slot slab and the heap sifts only
-//! 24-byte `(time, seq, slot)` keys. With the MPI world's ~72-byte event
-//! enum, sifting full entries made heap push/pop ~70% of event-loop time
-//! (gprofng, fig8 sweep); the indirection removes the payload `memcpy`
-//! from every sift level while leaving pop order — a pure function of
-//! `(time, seq)` — untouched.
+//! `pop` takes the lane front or the heap head, whichever is smaller by
+//! `(time, seq)`: a heap entry at the current instant with a lower
+//! sequence number (scheduled before the clock got there) still pops
+//! first, so the pop order is exactly that of one heap.
+//!
+//! Payloads are stored out-of-line in a slot slab, so heap sifts move only
+//! the keys. Each slot also carries its owner's sequence number (its
+//! *stamp*). An [`EventKey`] names a slot and a sequence number; `cancel`
+//! is one indexed compare — the stamp matches and the slot still holds a
+//! payload exactly while the event is scheduled and neither popped nor
+//! cancelled — after which the stamp is cleared and the entry left behind
+//! as debris (lazy deletion). A key whose event fired, was cancelled, or
+//! whose slot was since reused returns `false` and leaves the live count
+//! intact. Every event is cancellable; there is no separate untracked
+//! path.
 //!
 //! Lazy deletion alone lets cancelled debris pile up: a noise-heavy run
-//! whose drain events are rescheduled far more often than they fire can
-//! carry a heap many times its live size. Whenever the debris exceeds the
-//! live entries (and the heap is big enough to care), the queue rebuilds
-//! itself keeping only live entries — an O(heap) pass paid at most once
-//! per heap-doubling of cancellations, so the amortized cost per cancel is
-//! O(1) and heap occupancy stays within a constant factor of the live
+//! whose events are rescheduled far more often than they fire can carry
+//! heap and lane many times their live size. Whenever the debris exceeds
+//! the live entries (and the queue is big enough to care), the queue
+//! rebuilds itself keeping only live entries — an O(entries) pass paid at
+//! most once per doubling of cancellations, so the amortized cost per
+//! cancel is O(1) and occupancy stays within a constant factor of the live
 //! count.
 
-use crate::fxhash::FxHashSet;
 use crate::time::Time;
+use std::collections::VecDeque;
 
-/// Sequence number reserved for [`EventKey::default`]. `schedule` hands out
-/// sequence numbers counting up from zero, so this value is never assigned
-/// to a real event.
+/// Sequence number reserved for [`EventKey::default`] and for the stamp
+/// of a slot with no scheduled event. `schedule` hands out sequence
+/// numbers counting up from zero, so this value is never assigned to a
+/// real event.
 const SENTINEL_SEQ: u64 = u64::MAX;
 
-/// Heaps smaller than this are never compacted — the rebuild would cost
-/// more than the debris it reclaims.
+/// Queues with fewer entries than this are never compacted — the rebuild
+/// would cost more than the debris it reclaims.
 const COMPACT_MIN_HEAP: usize = 64;
 
 /// Handle to a scheduled event, usable for cancellation. The default key
-/// is a reserved sentinel (`u64::MAX`) that never matches a live event:
-/// cancelling it is always a no-op returning `false`.
+/// is a reserved sentinel that never matches a live event: cancelling it
+/// is always a no-op returning `false`.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct EventKey {
     seq: u64,
+    slot: u32,
 }
 
 impl Default for EventKey {
     fn default() -> Self {
-        EventKey { seq: SENTINEL_SEQ }
+        EventKey {
+            seq: SENTINEL_SEQ,
+            slot: u32::MAX,
+        }
     }
 }
 
-/// One heap entry: ordering key plus the slab slot holding the payload.
+/// One heap or lane entry: ordering key plus the slab slot holding the
+/// payload.
 ///
 /// The payload itself lives out-of-line in [`EventQueue`]'s slab, so heap
 /// sift operations move this 24-byte POD instead of the full event — with
@@ -80,16 +86,12 @@ struct Entry {
     seq: u64,
     /// Index into the slab where the payload waits.
     slot: u32,
-    /// Whether this entry participates in cancellation bookkeeping. An
-    /// untracked entry is always live; a tracked one is live iff its seq
-    /// is in the `pending` set.
-    tracked: bool,
 }
 
 impl Entry {
-    /// Heap ordering key. `(time, seq)` is a *strict* total order (seqs
-    /// are unique), so every correct min-heap pops the same sequence —
-    /// the heap's internal shape can never influence a simulation.
+    /// Ordering key. `(time, seq)` is a *strict* total order (seqs are
+    /// unique), so every correct min-heap pops the same sequence — the
+    /// heap's internal shape can never influence a simulation.
     ///
     /// Packed as `time << 64 | seq`: a single `u128` compare is
     /// branchless (sub/sbb), where the equivalent tuple compare turns
@@ -230,12 +232,11 @@ impl MinHeap {
 pub struct QueueAudit {
     /// Live events as reported by [`EventQueue::len`] (the live counter).
     pub reported_live: usize,
-    /// Live events actually present in the heap (full scan counting
-    /// untracked entries plus tracked entries whose sequence is in the
-    /// pending set).
+    /// Live events actually present in heap and lane (full scan counting
+    /// the entries whose slot still carries their stamp).
     pub actual_live: usize,
-    /// Total heap entries, including cancelled debris awaiting lazy
-    /// removal.
+    /// Total heap and lane entries, including cancelled debris awaiting
+    /// lazy removal.
     pub heap_total: usize,
     /// Number of schedule calls that targeted the past and were clamped
     /// forward (see [`EventQueue::schedule`]).
@@ -251,24 +252,26 @@ impl QueueAudit {
 
 /// A deterministic time-ordered event queue.
 pub struct EventQueue<E> {
+    /// Entries after the current instant, and current-instant entries
+    /// scheduled before the clock got there.
     heap: MinHeap,
+    /// Entries scheduled for the current instant while it was current, in
+    /// sequence order.
+    lane: VecDeque<Entry>,
     /// Payload storage, indexed by [`Entry::slot`]. A slot is occupied
-    /// from schedule until its entry pops (live or as lazy-deleted
-    /// debris), then recycled through `free`. Payloads are written once
-    /// and read once — they never participate in heap sifts.
+    /// from schedule until its entry leaves heap or lane (popped, or
+    /// dropped as debris), then recycled through `free`. Payloads are
+    /// written once and read once — they never participate in heap sifts.
     slab: Vec<Option<E>>,
+    /// Per slot: the sequence number of the event it was last given,
+    /// cleared to [`SENTINEL_SEQ`] when that event is cancelled. A popped
+    /// event's slot keeps its stamp but holds no payload.
+    stamps: Vec<u64>,
     /// Recycled slab slots.
     free: Vec<u32>,
     next_seq: u64,
-    /// Sequence numbers of *tracked* entries that are scheduled and
-    /// neither popped nor cancelled. A tracked entry in the heap is live
-    /// iff its seq is here, so cancelling an event that already fired (or
-    /// was already cancelled) is a detectable no-op, and the bookkeeping
-    /// never outgrows the heap contents. Untracked entries bypass this set.
-    pending: FxHashSet<u64>,
-    /// Live entries (tracked + untracked). Kept as a counter so the hot
-    /// untracked path touches no hash table; the audit layer cross-checks
-    /// it against the heap.
+    /// Live entries. Kept as a counter; the audit layer cross-checks it
+    /// against heap and lane.
     live: usize,
     /// Last time popped; used to detect causality violations.
     last_popped: Time,
@@ -289,10 +292,11 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: MinHeap::default(),
+            lane: VecDeque::new(),
             slab: Vec::new(),
+            stamps: Vec::new(),
             free: Vec::new(),
             next_seq: 0,
-            pending: FxHashSet::default(),
             live: 0,
             last_popped: Time::ZERO,
             causality_violations: 0,
@@ -300,30 +304,47 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Rebuild the heap keeping only live entries once cancelled debris
-    /// outnumbers them. Pop order is unaffected — `(time, seq)` is a total
-    /// order — so compaction is invisible to the simulation.
+    /// True while `e`'s slot still carries its stamp (scheduled, neither
+    /// popped nor cancelled).
+    #[inline]
+    fn is_live(&self, e: &Entry) -> bool {
+        self.stamps[e.slot as usize] == e.seq
+    }
+
+    /// Release the slot of an entry that left heap or lane. Its stamp
+    /// stays until the slot is reused; `cancel` also requires a payload,
+    /// so a popped event's key cannot cancel it.
+    #[inline]
+    fn release(&mut self, e: &Entry) -> Option<E> {
+        self.free.push(e.slot);
+        self.slab[e.slot as usize].take()
+    }
+
+    /// Rebuild heap and lane keeping only live entries once cancelled
+    /// debris outnumbers them. Pop order is unaffected — `(time, seq)` is a
+    /// total order — so compaction is invisible to the simulation.
     fn maybe_compact(&mut self) {
-        if self.heap.len() < COMPACT_MIN_HEAP || self.heap.len() <= 2 * self.live {
+        let total = self.heap.len() + self.lane.len();
+        if total < COMPACT_MIN_HEAP || total <= 2 * self.live {
             return;
         }
         self.compactions += 1;
-        let pending = &self.pending;
-        let slab = &mut self.slab;
-        let free = &mut self.free;
+        let (slab, stamps, free) = (&mut self.slab, &self.stamps, &mut self.free);
+        let mut keep = |e: &Entry| {
+            let alive = stamps[e.slot as usize] == e.seq;
+            if !alive {
+                // Cancelled debris: release its slot now instead of
+                // waiting for the entry to pop.
+                slab[e.slot as usize] = None;
+                free.push(e.slot);
+            }
+            alive
+        };
+        self.lane.retain(&mut keep);
         let live: Vec<Entry> = std::mem::take(&mut self.heap)
             .into_vec()
             .into_iter()
-            .filter(|e| {
-                let alive = !e.tracked || pending.contains(&e.seq);
-                if !alive {
-                    // Cancelled debris: release its payload slot now
-                    // instead of waiting for the entry to pop.
-                    slab[e.slot as usize] = None;
-                    free.push(e.slot);
-                }
-                alive
-            })
+            .filter(keep)
             .collect();
         self.heap = MinHeap::rebuild(live);
     }
@@ -336,21 +357,6 @@ impl<E> EventQueue<E> {
     /// layer can report it instead of the bug silently disappearing.
     #[inline]
     pub fn schedule(&mut self, time: Time, payload: E) -> EventKey {
-        let seq = self.push_entry(time, payload, true);
-        EventKey { seq }
-    }
-
-    /// Schedule `payload` at absolute time `time` without a cancellation
-    /// handle. The hot path for fire-exactly-once events: no hash-table
-    /// bookkeeping on schedule or pop. Ordering is identical to
-    /// [`EventQueue::schedule`] — both draw from the same sequence counter.
-    #[inline]
-    pub fn schedule_untracked(&mut self, time: Time, payload: E) {
-        self.push_entry(time, payload, false);
-    }
-
-    #[inline]
-    fn push_entry(&mut self, time: Time, payload: E, tracked: bool) -> u64 {
         if time < self.last_popped {
             self.causality_violations += 1;
         }
@@ -361,72 +367,94 @@ impl<E> EventQueue<E> {
         let slot = match self.free.pop() {
             Some(s) => {
                 self.slab[s as usize] = Some(payload);
+                self.stamps[s as usize] = seq;
                 s
             }
             None => {
                 let s = self.slab.len();
                 assert!(s < u32::MAX as usize, "event slab exhausted");
                 self.slab.push(Some(payload));
+                self.stamps.push(seq);
                 s as u32
             }
         };
-        self.heap.push(Entry {
-            time,
-            seq,
-            slot,
-            tracked,
-        });
-        if tracked {
-            self.pending.insert(seq);
+        let e = Entry { time, seq, slot };
+        if time == self.last_popped {
+            self.lane.push_back(e);
+        } else {
+            self.heap.push(e);
         }
         self.live += 1;
-        seq
+        EventKey { seq, slot }
     }
 
     /// Cancel a previously scheduled event. Returns true if the event was
     /// still pending — i.e. scheduled and not yet popped or cancelled.
-    /// Cancelling a popped event, a cancelled event, or the default
-    /// sentinel key is a no-op returning false and leaves `len()` intact.
+    /// Cancelling a popped event, a cancelled event, a key whose slot was
+    /// since reused, or the default sentinel key is a no-op returning
+    /// false and leaves `len()` intact.
     pub fn cancel(&mut self, key: EventKey) -> bool {
-        let was_pending = self.pending.remove(&key.seq);
-        if was_pending {
-            self.live -= 1;
-            self.maybe_compact();
+        let slot = key.slot as usize;
+        match self.stamps.get_mut(slot) {
+            Some(stamp) if *stamp == key.seq && self.slab[slot].is_some() => {
+                *stamp = SENTINEL_SEQ;
+                self.live -= 1;
+                self.maybe_compact();
+                true
+            }
+            _ => false,
         }
-        was_pending
     }
 
     /// Remove and return the earliest live event.
     #[inline]
     pub fn pop(&mut self) -> Option<(Time, E)> {
         self.maybe_compact();
-        while let Some(entry) = self.heap.pop() {
-            let payload = self.slab[entry.slot as usize]
-                .take()
-                .expect("scheduled slot holds a payload");
-            self.free.push(entry.slot);
-            if entry.tracked && !self.pending.remove(&entry.seq) {
+        loop {
+            let from_lane = match (self.lane.front(), self.heap.peek()) {
+                (None, None) => return None,
+                (None, Some(_)) => false,
+                (Some(_), None) => true,
+                (Some(l), Some(h)) => l.key() < h.key(),
+            };
+            let entry = if from_lane {
+                self.lane.pop_front()
+            } else {
+                self.heap.pop()
+            }
+            .expect("a store was non-empty");
+            let live = self.is_live(&entry);
+            let payload = self.release(&entry);
+            if !live {
                 continue; // cancelled entry: lazy deletion
             }
             self.live -= 1;
             self.last_popped = entry.time;
-            return Some((entry.time, payload));
+            return Some((entry.time, payload.expect("live slot holds a payload")));
         }
-        None
     }
 
     /// Time of the earliest live event without removing it.
     pub fn peek_time(&mut self) -> Option<Time> {
         self.maybe_compact();
-        while let Some(entry) = self.heap.peek() {
-            if !entry.tracked || self.pending.contains(&entry.seq) {
-                return Some(entry.time);
+        while let Some(e) = self.lane.front().copied() {
+            if self.is_live(&e) {
+                break;
             }
-            let entry = self.heap.pop().expect("peeked entry pops");
-            self.slab[entry.slot as usize] = None;
-            self.free.push(entry.slot);
+            self.lane.pop_front();
+            self.release(&e);
         }
-        None
+        while let Some(e) = self.heap.peek().copied() {
+            if self.is_live(&e) {
+                break;
+            }
+            self.heap.pop();
+            self.release(&e);
+        }
+        match (self.lane.front(), self.heap.peek()) {
+            (Some(l), Some(h)) => Some(l.time.min(h.time)),
+            (l, h) => l.or(h).map(|e| e.time),
+        }
     }
 
     /// Number of live scheduled events.
@@ -455,19 +483,20 @@ impl<E> EventQueue<E> {
         self.compactions
     }
 
-    /// Cross-check the reported live count against the actual heap
-    /// contents (O(heap) scan; intended for end-of-run audits, not the
-    /// hot path).
+    /// Cross-check the reported live count against the actual heap and
+    /// lane contents (O(entries) scan; intended for end-of-run audits, not
+    /// the hot path).
     pub fn audit(&self) -> QueueAudit {
         let actual_live = self
             .heap
             .iter()
-            .filter(|e| !e.tracked || self.pending.contains(&e.seq))
+            .chain(self.lane.iter())
+            .filter(|e| self.is_live(e))
             .count();
         QueueAudit {
             reported_live: self.live,
             actual_live,
-            heap_total: self.heap.len(),
+            heap_total: self.heap.len() + self.lane.len(),
             causality_violations: self.causality_violations,
         }
     }
@@ -651,11 +680,11 @@ mod tests {
     }
 
     #[test]
-    fn untracked_and_tracked_events_interleave_by_time_and_seq() {
+    fn fire_once_and_cancellable_events_interleave_by_time_and_seq() {
         let mut q = EventQueue::new();
-        q.schedule_untracked(Time(5), "u5");
+        q.schedule(Time(5), "u5");
         let t3 = q.schedule(Time(3), "t3");
-        q.schedule_untracked(Time(3), "u3"); // later seq than t3, same time
+        q.schedule(Time(3), "u3"); // later seq than t3, same time
         q.schedule(Time(1), "t1");
         assert_eq!(q.len(), 4);
         assert_eq!(q.pop(), Some((Time(1), "t1")));
@@ -667,10 +696,10 @@ mod tests {
     }
 
     #[test]
-    fn untracked_events_survive_compaction_and_audit() {
+    fn never_cancelled_events_survive_compaction_and_audit() {
         let mut q = EventQueue::new();
         for i in 0..50u64 {
-            q.schedule_untracked(Time(1000 + i), i);
+            q.schedule(Time(1000 + i), i);
         }
         // Pile up enough cancelled debris to force a rebuild.
         let keys: Vec<EventKey> = (0..200u64).map(|i| q.schedule(Time(i), 100 + i)).collect();
@@ -690,13 +719,104 @@ mod tests {
     }
 
     #[test]
-    fn peek_time_sees_untracked_head_past_cancelled_debris() {
+    fn peek_time_sees_live_head_past_cancelled_debris() {
         let mut q = EventQueue::new();
         let a = q.schedule(Time(1), 0);
-        q.schedule_untracked(Time(2), 1);
+        q.schedule(Time(2), 1);
         assert!(q.cancel(a));
         assert_eq!(q.peek_time(), Some(Time(2)));
         assert_eq!(q.len(), 1);
+    }
+
+    #[test]
+    fn heap_entry_at_now_with_lower_seq_pops_before_the_lane() {
+        let mut q = EventQueue::new();
+        q.schedule(Time(10), "first");
+        q.schedule(Time(20), "heap-early");
+        q.schedule(Time(20), "heap-late");
+        assert_eq!(q.pop(), Some((Time(10), "first")));
+        assert_eq!(q.pop(), Some((Time(20), "heap-early")));
+        // Now at 20: these go to the lane, behind the heap's remaining
+        // entry at 20, which has a lower sequence number.
+        q.schedule(Time(20), "lane-a");
+        q.schedule(Time(20), "lane-b");
+        assert_eq!(q.peek_time(), Some(Time(20)));
+        assert_eq!(q.pop(), Some((Time(20), "heap-late")));
+        assert_eq!(q.pop(), Some((Time(20), "lane-a")));
+        assert_eq!(q.pop(), Some((Time(20), "lane-b")));
+        assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn lane_entries_pop_before_later_heap_entries() {
+        let mut q = EventQueue::new();
+        q.schedule(Time(5), "a");
+        q.schedule(Time(9), "later");
+        assert_eq!(q.pop(), Some((Time(5), "a")));
+        q.schedule(Time(5), "now");
+        q.schedule(Time(7), "soon");
+        assert_eq!(q.pop(), Some((Time(5), "now")));
+        assert_eq!(q.pop(), Some((Time(7), "soon")));
+        assert_eq!(q.pop(), Some((Time(9), "later")));
+    }
+
+    #[test]
+    fn cancelling_a_lane_entry_skips_it() {
+        let mut q = EventQueue::new();
+        q.schedule(Time(3), "start");
+        assert_eq!(q.pop(), Some((Time(3), "start")));
+        let a = q.schedule(Time(3), "a");
+        let b = q.schedule(Time(3), "b");
+        q.schedule(Time(3), "c");
+        assert!(q.cancel(b));
+        assert!(!q.cancel(b), "double cancel reports false");
+        assert_eq!(q.len(), 2);
+        let audit = q.audit();
+        assert!(audit.is_consistent(), "{audit:?}");
+        assert_eq!((audit.actual_live, audit.heap_total), (2, 3));
+        assert_eq!(q.pop(), Some((Time(3), "a")));
+        assert!(!q.cancel(a), "popped lane entry is not cancellable");
+        assert_eq!(q.pop(), Some((Time(3), "c")));
+        assert!(q.is_empty());
+        assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn stale_key_of_a_reused_slot_is_rejected() {
+        let mut q = EventQueue::new();
+        let a = q.schedule(Time(1), "a");
+        assert_eq!(q.pop(), Some((Time(1), "a")));
+        // The freed slot is reused by the next schedule.
+        let b = q.schedule(Time(2), "b");
+        assert!(
+            !q.cancel(a),
+            "stale key must not cancel the slot's new owner"
+        );
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.audit().actual_live, 1);
+        assert!(q.cancel(b));
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn compaction_drops_lane_debris() {
+        let mut q = EventQueue::new();
+        q.schedule(Time(0), 0u64);
+        assert_eq!(q.pop(), Some((Time(0), 0)));
+        for i in 0..10u64 {
+            q.schedule(Time(100 + i), i);
+        }
+        let keys: Vec<EventKey> = (0..200u64).map(|i| q.schedule(Time(0), 1000 + i)).collect();
+        assert_eq!(q.audit().heap_total, 210, "lane entries are counted");
+        for k in &keys {
+            assert!(q.cancel(*k));
+        }
+        assert!(q.compactions() > 0, "lane debris must trigger a rebuild");
+        let audit = q.audit();
+        assert!(audit.is_consistent(), "{audit:?}");
+        assert!(audit.heap_total <= 2 * audit.reported_live.max(super::COMPACT_MIN_HEAP));
+        let popped: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, v)| v)).collect();
+        assert_eq!(popped, (0..10u64).collect::<Vec<_>>());
     }
 
     #[test]
