@@ -560,8 +560,7 @@ pub struct RunSpec {
     pub watchdog: Option<Duration>,
     /// Health-monitor snapshot interval (ns).
     pub monitor_ns: Option<u64>,
-    /// Run the real-configuration equivalent of this what-if
-    /// intervention: the ground truth a prediction is checked against.
+    /// Run with this what-if intervention applied (`--whatif`).
     pub intervention: Option<Intervention>,
     /// The recorder.
     pub recorder: Recording,
@@ -599,11 +598,11 @@ impl RunSpec {
 /// Run a spec to completion. Fails with a typed [`RunError`] when the
 /// run cannot complete (deadlock, watchdog, exhausted retries, failed
 /// ranks, event cap), when it completes with a dirty invariant audit
-/// ([`RunError::AuditFailed`]), or when the spec's intervention has no
-/// real equivalent ([`RunError::NoRealEquivalent`]). An `Ok` result is
-/// always audit-clean.
+/// ([`RunError::AuditFailed`]), or when the spec's link rescale matches
+/// no link ([`RunError::NoSuchLink`]). Every other intervention is a
+/// real configuration of the world. An `Ok` result is always
+/// audit-clean.
 pub fn execute(spec: &RunSpec) -> Result<RunResult, Box<RunError>> {
-    let refuse = |why: String| Err(Box::new(RunError::NoRealEquivalent(why)));
     let mut noise = spec.noise;
     let mut faults = spec.faults.clone();
     let mut silenced = None;
@@ -615,13 +614,7 @@ pub fn execute(spec: &RunSpec) -> Result<RunResult, Box<RunError>> {
                 plan.stalls.clear();
             }
         }
-        Some(Intervention::ScaleLayer { .. }) => {
-            return refuse(
-                "scale-layer is a virtual-only intervention; no real configuration matches it"
-                    .into(),
-            )
-        }
-        Some(Intervention::Noop | Intervention::ScaleLink { .. }) | None => {}
+        _ => {}
     }
     let mut noise = noise.model(spec.nranks, spec.ranks_per_node());
     if let Some(r) = silenced {
@@ -631,13 +624,21 @@ pub fn execute(spec: &RunSpec) -> Result<RunResult, Box<RunError>> {
         Device::Cpu => World::cpu(spec.machine.clone(), spec.nranks, noise),
         Device::Gpu => World::gpu(spec.machine.clone(), spec.nranks, noise),
     };
-    if let Some(Intervention::ScaleLink { pattern, factor }) = &spec.intervention {
-        let touched = world.prescale_links(*factor, 1.0 / *factor, |label| {
-            label.starts_with(pattern.as_str())
-        });
-        if touched == 0 {
-            return refuse(format!("no link label starts with {pattern:?}"));
+    match &spec.intervention {
+        Some(Intervention::ScaleLink { pattern, factor }) => {
+            let touched = world.prescale_links(*factor, 1.0 / *factor, |label| {
+                label.starts_with(pattern.as_str())
+            });
+            if touched == 0 {
+                return Err(Box::new(RunError::NoSuchLink {
+                    pattern: pattern.clone(),
+                }));
+            }
         }
+        Some(Intervention::ScaleLayer { layer, factor }) => {
+            world = world.with_layer_scale(*layer, *factor);
+        }
+        _ => {}
     }
     if let Some(plan) = faults {
         world = world.with_faults(plan);
@@ -930,30 +931,6 @@ mod tests {
         };
         assert!(!audit.is_clean());
         assert!(flight.is_none(), "no recorder, no flight ring");
-    }
-
-    #[test]
-    fn interventions_without_a_real_equivalent_are_refused() {
-        let spec = mini_case(Library::OmpiAdapt, OpKind::Bcast, 1 << 16).spec();
-        for iv in [
-            Intervention::ScaleLayer {
-                layer: adapt_obs::Layer::Network,
-                factor: 0.5,
-            },
-            Intervention::ScaleLink {
-                pattern: "NoSuchLink".into(),
-                factor: 2.0,
-            },
-        ] {
-            let rerun = RunSpec {
-                intervention: Some(iv),
-                ..spec.clone()
-            };
-            assert!(matches!(
-                execute(&rerun).err().as_deref(),
-                Some(RunError::NoRealEquivalent(_))
-            ));
-        }
     }
 
     #[test]

@@ -35,8 +35,8 @@ use adapt_faults::FaultPlan;
 use adapt_net::{Fabric, FlowId, FlowScheduler, FlowSpec, NetStep, Network, Path};
 use adapt_noise::ClusterNoise;
 use adapt_obs::{
-    AnyRecorder, FlowClass, FlowStart, HealthReport, Monitor, MsgEvent, NullRecorder, ObsData,
-    ObsSummary, Recorder,
+    AnyRecorder, FlowClass, FlowStart, HealthReport, Layer, Monitor, MsgEvent, NullRecorder,
+    ObsData, ObsSummary, Recorder,
 };
 use adapt_sim::audit::{AuditReport, RankAudit};
 use adapt_sim::fxhash::FxHashMap;
@@ -214,6 +214,9 @@ struct ByteAudit {
     recv_completed: u64,
     copy_posted: u64,
     copy_completed: u64,
+    /// Copy bytes put on the wire: `copy_posted` unless a what-if
+    /// scales the copy layer.
+    copy_wire: u64,
 }
 
 /// Defines [`WorldStats`] once and derives everything that must agree
@@ -403,6 +406,9 @@ pub struct World {
     /// Online health monitor (`None` = no snapshot timer scheduled, the
     /// event stream is byte-identical to a pre-monitor build).
     monitor: Option<Box<Health>>,
+    /// What-if cost scale: every cost charged to the layer is multiplied
+    /// by the factor (`None` = the model's own costs).
+    layer_scale: Option<(Layer, f64)>,
 }
 
 impl World {
@@ -440,6 +446,7 @@ impl World {
             obs_on: false,
             links_scratch: Vec::new(),
             monitor: None,
+            layer_scale: None,
         }
     }
 
@@ -468,9 +475,8 @@ impl World {
 
     /// Rescale the pristine capacity/latency of every link whose debug
     /// label (e.g. `NicTx(3)`) matches `pred` — a what-if intervention
-    /// ("what if the NICs were 2× faster?") applied to a real re-run so
-    /// the counterfactual prediction can be validated against ground
-    /// truth. Returns the number of links rescaled.
+    /// ("what if the NICs were 2× faster?"). Both factors must be
+    /// positive. Returns the number of links rescaled.
     pub fn prescale_links(
         &mut self,
         cap_factor: f64,
@@ -486,6 +492,41 @@ impl World {
             }
         }
         scaled
+    }
+
+    /// Multiply every cost the world charges to `layer` by `factor`
+    /// (0.8 = "20% faster"), the layers being the ones the critical path
+    /// attributes time to: callback (dispatch overheads), protocol (CTS,
+    /// data launch and unexpected-arrival steps), matching (the
+    /// unexpected copy-out), compute, gpu (GPU reduce time), copy (copy
+    /// bytes on the wire; the byte audit keeps counting logical bytes)
+    /// and network (every link's capacity ÷ `factor`, latency ×
+    /// `factor`; `factor` must then be positive). `Blocked` is derived
+    /// waiting and charges nothing. A factor of 1.0 changes nothing.
+    pub fn with_layer_scale(mut self, layer: Layer, factor: f64) -> World {
+        if factor == 1.0 {
+            return self;
+        }
+        if layer == Layer::Network {
+            self.prescale_links(1.0 / factor, factor, |_| true);
+        } else {
+            self.layer_scale = Some((layer, factor));
+        }
+        self
+    }
+
+    /// `amount` (nanoseconds of work, or bytes of copy traffic) charged
+    /// to `layer`, under the what-if layer scale.
+    fn scaled(&self, layer: Layer, amount: u64) -> u64 {
+        match self.layer_scale {
+            Some((l, f)) if l == layer => (amount as f64 * f).round() as u64,
+            _ => amount,
+        }
+    }
+
+    /// A CPU cost charged to `layer`, under the what-if layer scale.
+    fn cost(&self, layer: Layer, work: Duration) -> Duration {
+        Duration(self.scaled(layer, work.as_nanos()))
     }
 
     /// Abort (with a per-rank [`StallDiagnosis`]) instead of hanging when
@@ -600,8 +641,8 @@ impl World {
         let mut sample_iv = 0;
         if self.obs_on {
             self.obs.meta(self.nranks(), labels);
-            // Pristine link parameters, so a recording is enough to
-            // rebuild the network for counterfactual replay.
+            // Pristine link parameters, so a recording carries the
+            // network it ran on.
             let links = self.net.links();
             let caps = links.iter().map(|l| l.capacity).collect();
             let lats = links.iter().map(|l| l.latency.as_nanos()).collect();
@@ -692,11 +733,10 @@ impl World {
         let audit = self.build_audit();
         let (mut obs, mut summary, mut flight) = (None, None, None);
         if self.obs_on {
-            // Snapshot per-rank preemption windows for the what-if engine.
-            // The noise stream is deterministic and idempotent, so
-            // generating past the makespan here cannot perturb anything;
-            // the slack lets a slowed-down counterfactual replay keep
-            // stretching work beyond the recorded end.
+            // Snapshot per-rank preemption windows into the recording,
+            // out to twice the makespan plus 200 ms. The noise stream is
+            // deterministic and idempotent, so generating past the
+            // makespan here cannot perturb anything.
             let horizon = Time(
                 makespan
                     .as_nanos()
@@ -750,6 +790,7 @@ impl World {
             recv_completed_bytes: self.byte_audit.recv_completed,
             copy_posted_bytes: self.byte_audit.copy_posted,
             copy_completed_bytes: self.byte_audit.copy_completed,
+            copy_wire_bytes: self.byte_audit.copy_wire,
             net_injected_bytes: self.net.injected_bytes(),
             net_delivered_bytes: self.net.delivered_bytes(),
             net_flows_in_flight: self.net.active_flows(),

@@ -111,10 +111,12 @@ pub enum RunError {
         /// Flight-recorder tail, when the attached recorder keeps one.
         flight: Option<String>,
     },
-    /// A what-if intervention has no real-configuration equivalent
-    /// (a virtual-only layer scaling, or a link pattern matching no
-    /// link), so there is no run to execute.
-    NoRealEquivalent(String),
+    /// A what-if link rescale names a link label prefix that no link of
+    /// the machine has (bad input: there is nothing to rescale).
+    NoSuchLink {
+        /// The label prefix that matched nothing.
+        pattern: String,
+    },
 }
 
 impl RunError {
@@ -126,7 +128,7 @@ impl RunError {
             | RunError::EventCap { flight, .. }
             | RunError::AuditFailed { flight, .. } => flight.as_deref(),
             RunError::RanksFailed(d) => d.flight.as_deref(),
-            RunError::NoRealEquivalent(_) => None,
+            RunError::NoSuchLink { .. } => None,
         }
     }
 
@@ -137,7 +139,7 @@ impl RunError {
             | RunError::EventCap { flight, .. }
             | RunError::AuditFailed { flight, .. } => *flight = dump,
             RunError::RanksFailed(d) => d.flight = dump,
-            RunError::NoRealEquivalent(_) => {}
+            RunError::NoSuchLink { .. } => {}
         }
     }
 }
@@ -155,7 +157,9 @@ impl std::fmt::Display for RunError {
                 at.as_nanos()
             ),
             RunError::AuditFailed { audit, .. } => audit.fmt(f),
-            RunError::NoRealEquivalent(detail) => f.write_str(detail),
+            RunError::NoSuchLink { pattern } => {
+                write!(f, "no link label starts with {pattern:?}")
+            }
         }
     }
 }

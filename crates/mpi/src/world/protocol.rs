@@ -18,7 +18,7 @@ use crate::matching::PostedRecv;
 use crate::payload::Payload;
 use crate::program::{Completion, Op, ProgramCtx, RankProgram, Tag, Token};
 use adapt_net::Path;
-use adapt_obs::{MsgEvent, ProtoKind, Recorder, Trigger};
+use adapt_obs::{Layer, MsgEvent, ProtoKind, Recorder, Trigger};
 use adapt_sim::time::{Duration, Time};
 use adapt_topology::{MachineSpec, MemSpace, Placement, Rank};
 
@@ -134,7 +134,7 @@ impl World {
         ops: Vec<Op>,
         trigger: Option<Trigger>,
     ) {
-        let mut cost = base_cost;
+        let mut cost = self.cost(Layer::Callback, base_cost);
         for op in ops {
             match op {
                 Op::Isend {
@@ -144,7 +144,7 @@ impl World {
                     token,
                     src_mem,
                 } => {
-                    cost += self.spec.send_overhead;
+                    cost += self.cost(Layer::Callback, self.spec.send_overhead);
                     let at = self.finish_rank_work(rank, t, cost);
                     self.start_send(at, rank, dst, tag, payload, token, src_mem);
                 }
@@ -154,13 +154,14 @@ impl World {
                     token,
                     dst_mem,
                 } => {
-                    cost += CTRL_OVERHEAD;
+                    cost += self.cost(Layer::Callback, CTRL_OVERHEAD);
                     let at = self.finish_rank_work(rank, t, cost);
                     self.ranks[rank as usize].audit.recvs_posted += 1;
                     let extra = self.post_recv(at, rank, src, tag, token, dst_mem);
                     cost += extra;
                 }
                 Op::Compute { work, token } => {
+                    let work = self.cost(Layer::Compute, work);
                     if self.async_progress {
                         // Application compute runs on the main thread,
                         // serialized with earlier compute but not with the
@@ -201,16 +202,17 @@ impl World {
                     }
                 }
                 Op::GpuReduce { bytes, token } => {
-                    cost += CTRL_OVERHEAD;
+                    cost += self.cost(Layer::Callback, CTRL_OVERHEAD);
                     let enq = self.finish_rank_work(rank, t, cost);
                     assert!(
                         self.spec.gpu_reduce_bandwidth > 0.0,
                         "gpu_reduce on a machine without GPUs"
                     );
+                    let start = self.ranks[rank as usize].gpu_stream_busy.max(enq);
+                    let dur =
+                        Duration::from_secs_f64(bytes as f64 / self.spec.gpu_reduce_bandwidth);
+                    let done = start + self.cost(Layer::Gpu, dur);
                     let state = &mut self.ranks[rank as usize];
-                    let start = state.gpu_stream_busy.max(enq);
-                    let done = start
-                        + Duration::from_secs_f64(bytes as f64 / self.spec.gpu_reduce_bandwidth);
                     state.gpu_stream_busy = done;
                     if self.obs_on {
                         self.obs
@@ -224,16 +226,18 @@ impl World {
                     bytes,
                     token,
                 } => {
-                    cost += CTRL_OVERHEAD;
+                    cost += self.cost(Layer::Callback, CTRL_OVERHEAD);
                     let at = self.finish_rank_work(rank, t, cost);
                     let path = self.fabric.route(from, to);
+                    let wire = self.scaled(Layer::Copy, bytes);
                     self.byte_audit.copy_posted += bytes;
+                    self.byte_audit.copy_wire += wire;
                     self.queue.schedule(
                         at,
                         Ev::Launch {
                             kind: FlowKind::Copy { rank, token, bytes },
                             path,
-                            bytes,
+                            bytes: wire,
                         },
                     );
                 }
@@ -360,8 +364,11 @@ impl World {
             self.stats.unexpected_matches += 1;
             self.note_match(m, at, true, at);
             let bytes = self.msgs[&m].payload.len();
-            let copy_cost = self.spec.unexpected_overhead
-                + Duration::from_secs_f64(bytes as f64 / self.spec.unexpected_copy_bandwidth);
+            let copy_cost = self.cost(
+                Layer::Matching,
+                self.spec.unexpected_overhead
+                    + Duration::from_secs_f64(bytes as f64 / self.spec.unexpected_copy_bandwidth),
+            );
             // RecvDone is scheduled at the post instant; busy-horizon
             // deferral makes it fire after the copy cost elapses.
             let done = self.finish_rank_work(rank, at, copy_cost);
@@ -374,7 +381,7 @@ impl World {
         if let Some(m) = hit {
             self.note_match(m, at, true, at);
             self.accept_rndv(at, rank, m, posted);
-            return CTRL_OVERHEAD;
+            return self.cost(Layer::Protocol, CTRL_OVERHEAD);
         }
         self.ranks[rank as usize].posted.push(posted);
         Duration::ZERO
@@ -401,7 +408,7 @@ impl World {
             };
             unexpected.push(src, tag, m);
             let e = self.cpu_ready(rank, t);
-            let done = self.bump_busy(rank, e, CTRL_OVERHEAD);
+            let done = self.bump_busy(rank, e, self.cost(Layer::Protocol, CTRL_OVERHEAD));
             if self.obs_on {
                 self.obs.protocol(
                     rank,
@@ -456,7 +463,7 @@ impl World {
                 msg.payload.len(),
             )
         };
-        let at = self.bump_busy(rank, t, CTRL_OVERHEAD);
+        let at = self.bump_busy(rank, t, self.cost(Layer::Protocol, CTRL_OVERHEAD));
         if self.obs_on {
             self.obs
                 .protocol(rank, t.as_nanos(), at.as_nanos(), ProtoKind::DataLaunch, m);
@@ -477,7 +484,7 @@ impl World {
                 self.placement.host_mem(msg.src),
             )
         };
-        let at = self.bump_busy(rank, t, CTRL_OVERHEAD);
+        let at = self.bump_busy(rank, t, self.cost(Layer::Protocol, CTRL_OVERHEAD));
         if self.obs_on {
             self.obs
                 .protocol(rank, t.as_nanos(), at.as_nanos(), ProtoKind::CtsSend, m);

@@ -7,6 +7,8 @@
 //! keeps working and streaming summaries (`--summary-out`) or flight
 //! dumps can be appended anywhere on the line:
 //!
+//! - `{"format": "adapt-obs-v1"`         → full recording (`--obs-out`),
+//!   checked for causal completeness
 //! - `{"format": "adapt-obs-summary-v1"` → streaming telemetry summary
 //! - `{"format": "adapt-obs-health-v1"`  → health-monitor artifact
 //! - the metrics CSV header                → gauge/summary metrics CSV
@@ -17,10 +19,30 @@
 
 use std::process::ExitCode;
 
+/// The `"format"` tag a JSON artifact opens with, if any.
+fn format_tag(text: &str) -> Option<&str> {
+    let rest = text.trim_start().strip_prefix('{')?.trim_start();
+    let rest = rest
+        .strip_prefix("\"format\"")?
+        .trim_start()
+        .strip_prefix(':')?;
+    rest.trim_start().strip_prefix('"')?.split('"').next()
+}
+
 /// Validate one artifact by content; `Ok` is the success line to print.
 fn check(path: &str, text: &str) -> Result<String, String> {
     let head = text.trim_start();
-    if head.starts_with(&format!("{{\"format\": \"{}\"", adapt_obs::SUMMARY_FORMAT)) {
+    let tag = format_tag(text);
+    if tag == Some(adapt_obs::FORMAT) {
+        let data = adapt_obs::from_json(text)?;
+        let r = adapt_obs::validate_recording(&data)?;
+        return Ok(format!(
+            "{path}: OK — recording of {} ranks ({} msgs, {} flows, {} dispatches), \
+             causally complete",
+            r.ranks, r.msgs, r.flows, r.dispatches
+        ));
+    }
+    if tag == Some(adapt_obs::SUMMARY_FORMAT) {
         let s = adapt_obs::validate_summary(text)?;
         return Ok(format!(
             "{path}: OK — summary of {} ranks ({} msgs, {} flows, {} classes, \
@@ -28,7 +50,7 @@ fn check(path: &str, text: &str) -> Result<String, String> {
             s.ranks, s.msgs, s.flows, s.classes, s.hot_links
         ));
     }
-    if head.starts_with(&format!("{{\"format\": \"{}\"", adapt_obs::HEALTH_FORMAT)) {
+    if tag == Some(adapt_obs::HEALTH_FORMAT) {
         let h = adapt_obs::validate_health(text)?;
         return Ok(format!(
             "{path}: OK — health of {} ranks ({} snapshots, {} alerts, {} kept)",

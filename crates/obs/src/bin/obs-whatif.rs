@@ -1,89 +1,21 @@
-//! What-if driver: counterfactual predictions, causal speedup sweeps,
-//! and run differencing over exported `adapt-obs-v1` recordings.
+//! Run differencing over exported `adapt-obs-v1` recordings.
 //!
 //! Usage:
-//!   obs-whatif predict <rec.json> --iv SPEC [--iv SPEC ...] [--actual NS]
-//!   obs-whatif sweep   <rec.json> [--pcts P1,P2,...]
-//!   obs-whatif diff    <a.json> <b.json> [--json] [--gate PCT]
-//!
-//! Intervention SPECs (see `adapt_obs::Intervention::parse`):
-//!   noop | noise-off | rank-noise-off=R | stalls-off |
-//!   scale-link=PATTERN:FACTOR | scale-layer=LAYER:FACTOR | speedup=LAYER:PCT
+//!   obs-whatif diff <a.json> <b.json> [--json] [--gate PCT]
 //!
 //! `diff --gate PCT` exits 1 when run B's makespan regresses more than
-//! PCT percent over run A's — the CI regression gate. `predict --actual`
-//! prints the predicted-vs-actual error against a ground-truth re-run.
+//! PCT percent over run A's — the CI regression gate. What-if questions
+//! are answered by re-running: `adapt-cli --whatif SPEC[,SPEC...]`.
 
 use std::process::ExitCode;
 
-use adapt_obs::{diff_runs, from_json, predict, render_prediction, render_validation};
-use adapt_obs::{render_sweep, speedup_sweep, Intervention, ObsData};
+use adapt_obs::{diff_runs, from_json, ObsData};
 
-const USAGE: &str = "usage: obs-whatif predict <rec.json> --iv SPEC [--iv SPEC ...] [--actual NS]
-       obs-whatif sweep   <rec.json> [--pcts P1,P2,...]
-       obs-whatif diff    <a.json> <b.json> [--json] [--gate PCT]";
+const USAGE: &str = "usage: obs-whatif diff <a.json> <b.json> [--json] [--gate PCT]";
 
 fn load(path: &str) -> Result<ObsData, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     from_json(&text).map_err(|e| format!("{path}: {e}"))
-}
-
-fn cmd_predict(args: &[String]) -> Result<ExitCode, String> {
-    let mut path = None;
-    let mut ivs: Vec<Intervention> = Vec::new();
-    let mut actual: Option<u64> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--iv" => {
-                let spec = it.next().ok_or("--iv needs a SPEC")?;
-                ivs.push(Intervention::parse(spec)?);
-            }
-            "--actual" => {
-                let ns = it.next().ok_or("--actual needs a nanosecond count")?;
-                actual = Some(ns.parse().map_err(|e| format!("--actual {ns}: {e}"))?);
-            }
-            _ if path.is_none() => path = Some(a.clone()),
-            _ => return Err(format!("unexpected argument {a}")),
-        }
-    }
-    let path = path.ok_or("predict needs a recording path")?;
-    if ivs.is_empty() {
-        ivs.push(Intervention::Noop);
-    }
-    let data = load(&path)?;
-    for iv in &ivs {
-        let p = predict(&data, iv)?;
-        match actual {
-            Some(ns) => print!("{}", render_validation(iv, &p, ns)),
-            None => print!("{}", render_prediction(iv, &p)),
-        }
-    }
-    Ok(ExitCode::SUCCESS)
-}
-
-fn cmd_sweep(args: &[String]) -> Result<ExitCode, String> {
-    let mut path = None;
-    let mut pcts = vec![5.0, 10.0, 25.0, 50.0];
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--pcts" => {
-                let list = it.next().ok_or("--pcts needs a comma-separated list")?;
-                pcts = list
-                    .split(',')
-                    .map(|s| s.trim().parse().map_err(|e| format!("--pcts {s}: {e}")))
-                    .collect::<Result<_, _>>()?;
-            }
-            _ if path.is_none() => path = Some(a.clone()),
-            _ => return Err(format!("unexpected argument {a}")),
-        }
-    }
-    let path = path.ok_or("sweep needs a recording path")?;
-    let data = load(&path)?;
-    let rows = speedup_sweep(&data, &pcts);
-    print!("{}", render_sweep(&data, &rows));
-    Ok(ExitCode::SUCCESS)
 }
 
 fn cmd_diff(args: &[String]) -> Result<ExitCode, String> {
@@ -137,8 +69,6 @@ fn main() -> ExitCode {
     };
     let rest = &args[1..];
     let out = match cmd.as_str() {
-        "predict" => cmd_predict(rest),
-        "sweep" => cmd_sweep(rest),
         "diff" => cmd_diff(rest),
         _ => {
             eprintln!("obs-whatif: unknown command {cmd}\n{USAGE}");

@@ -30,13 +30,15 @@
 //!   causality backwards from the last completing rank and attributes
 //!   the makespan to layers (network, matching, protocol, callbacks,
 //!   compute, blocked waiting).
-//! * **What-if engine** — [`predict`] replays a recording under a
-//!   virtual [`Intervention`] (noise removal, link rescale, Coz-style
-//!   per-layer speedup) and predicts the counterfactual makespan;
-//!   [`diff_runs`] attributes the makespan delta between two recordings
-//!   across (layer × rank × phase) with no unexplained remainder. Both
-//!   are exposed through the `obs-whatif` binary; recordings travel as
-//!   JSON via [`to_json`]/[`from_json`].
+//! * **What-if by re-run** — an [`Intervention`] (noise removal, link
+//!   rescale, Coz-style per-layer speedup) is a real configuration of
+//!   the simulator: `adapt-cli --whatif` re-runs the spec with it, and
+//!   [`diff_runs`] attributes the makespan delta between the two
+//!   recordings across (layer × rank × phase) with no unexplained
+//!   remainder. The `obs-whatif diff` binary differences exported
+//!   recordings (JSON via [`to_json`]/[`from_json`]), and
+//!   [`validate_recording`] checks that a recording holds the whole
+//!   causal structure.
 //!
 //! The runtime talks to the layer through the [`Recorder`] trait. The
 //! default [`NullRecorder`] compiles every probe down to a single
@@ -56,7 +58,6 @@ mod metrics;
 mod monitor;
 mod record;
 mod recorder;
-mod report;
 mod stream;
 mod validate;
 mod whatif;
@@ -102,10 +103,10 @@ pub use record::{
     ProtoKind, ProtoSpan, Trigger,
 };
 pub use recorder::{AnyRecorder, FlowStart, MemRecorder, MsgEvent, NullRecorder, Recorder};
-pub use report::{render_prediction, render_sweep, render_validation, speedup_sweep, SweepRow};
 pub use stream::{summary_json, summary_report, ObsSummary, StreamRecorder, SUMMARY_FORMAT};
 pub use validate::{
     parse_json, validate_chrome, validate_critical_report, validate_health, validate_metrics_csv,
-    validate_summary, ChromeSummary, HealthCheck, Json, SummaryCheck,
+    validate_recording, validate_summary, ChromeSummary, HealthCheck, Json, RecordingCheck,
+    SummaryCheck,
 };
-pub use whatif::{parse_layer, predict, Intervention, Prediction};
+pub use whatif::{parse_layer, Intervention};

@@ -311,14 +311,12 @@ pub struct ObsData {
     pub nranks: u32,
     /// Human label per link id (e.g. `NicTx(3)`).
     pub link_labels: Vec<String>,
-    /// Pristine capacity per link id (bytes/sec). Empty on recordings
-    /// made before the what-if engine existed.
+    /// Pristine capacity per link id (bytes/sec).
     pub link_caps: Vec<f64>,
     /// Pristine latency per link id (ns). Same length as `link_caps`.
     pub link_lat_ns: Vec<u64>,
     /// Per-rank OS-noise preemption windows `(start_ns, end_ns)`, sorted
-    /// and non-overlapping, generated out to past the makespan so a
-    /// counterfactual replay can stretch work beyond the recorded end.
+    /// and non-overlapping, generated out to past the makespan.
     pub noise_windows: Vec<Vec<(u64, u64)>>,
     /// Per-rank injected stall windows from the fault plan (same shape).
     pub stall_windows: Vec<Vec<(u64, u64)>>,

@@ -109,8 +109,8 @@ pub trait Recorder {
     /// Job shape, reported once at run start.
     fn meta(&mut self, _nranks: u32, _link_labels: Vec<String>) {}
     /// Pristine link parameters (capacity bytes/sec, latency ns per
-    /// link id), reported once at run start. Feeds counterfactual
-    /// network replay in the what-if engine.
+    /// link id), reported once at run start, so a recording carries the
+    /// network it ran on.
     fn link_params(&mut self, _caps: Vec<f64>, _lat_ns: Vec<u64>) {}
     /// One rank's preemption windows, reported once at run end: OS-noise
     /// windows (generated past the makespan) and injected stall windows,

@@ -851,6 +851,138 @@ pub fn validate_health(text: &str) -> Result<HealthCheck, String> {
     })
 }
 
+/// What [`validate_recording`] found in a causally complete recording.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RecordingCheck {
+    /// Ranks in the recorded job.
+    pub ranks: u32,
+    /// Messages, each with its protocol flows.
+    pub msgs: usize,
+    /// Network flows.
+    pub flows: usize,
+    /// Handler dispatches, each with its recorded cause.
+    pub dispatches: usize,
+}
+
+/// Which flow classes of one message a recording holds, and whether a
+/// payload (eager or rendezvous) flow drained and was delivered.
+#[derive(Clone, Copy, Default)]
+struct MsgFlows {
+    classes: [bool; crate::record::FlowClass::ALL.len()],
+    drained: bool,
+    delivered: bool,
+}
+
+/// Check that a full recording (`adapt-obs-v1`, see
+/// [`from_json`](crate::from_json)) holds the run's whole causal
+/// structure. Every message has its protocol flows (eager, or RTS, CTS
+/// and payload), and every dispatch but `Start` has its recorded cause:
+///
+/// * `SendDone(m)`: a drained payload flow of m, or m is zero-byte;
+/// * `RecvDone(m)`: a delivered payload flow of m, or the
+///   unexpected-eager copy-out (`recv_ready`) of m;
+/// * `ComputeDone`/`GpuDone(token)`: a compute span with that token on
+///   the dispatch's rank;
+/// * `CopyDone(token)`: a copy flow with that token from that rank.
+///
+/// A message its receiver never got (no `recv_ready`) can only come from
+/// a run with killed ranks: its protocol stops where the failure cut it,
+/// and the failure detector completes its send in error, so neither rule
+/// applies to it.
+///
+/// The critical-path walk fills a missing cause with `Blocked` time, so
+/// it cannot tell an incomplete recording from waiting; this check can.
+pub fn validate_recording(data: &crate::ObsData) -> Result<RecordingCheck, String> {
+    use crate::record::{FlowClass, Trigger};
+    use std::collections::HashSet;
+
+    let mut msgs = vec![MsgFlows::default(); data.msgs.len()];
+    let mut copies: HashSet<(u32, u64)> = HashSet::new();
+    for (i, f) in data.flows.iter().enumerate() {
+        match f.class {
+            FlowClass::Copy => {
+                copies.insert((f.rank, f.token));
+            }
+            FlowClass::Ack => {}
+            class => {
+                let seen = f
+                    .msg
+                    .and_then(|m| msgs.get_mut(m as usize))
+                    .ok_or_else(|| {
+                        format!("flow {i}: {} flow of no known message", class.label())
+                    })?;
+                seen.classes[class.index()] = true;
+                if matches!(class, FlowClass::Eager | FlowClass::Rndv) {
+                    seen.drained |= f.drained_ns.is_some();
+                    seen.delivered |= f.delivered_ns.is_some();
+                }
+            }
+        }
+    }
+    let computes: HashSet<(u32, u64)> = data.computes.iter().map(|c| (c.rank, c.token)).collect();
+    let msg = |m: u64| data.msgs.get(m as usize).zip(msgs.get(m as usize));
+    for (i, d) in data.dispatches.iter().enumerate() {
+        let (found, want) = match d.trigger {
+            Trigger::Start => continue,
+            Trigger::SendDone { msg: m } => (
+                msg(m).is_some_and(|(rec, seen)| {
+                    rec.bytes == 0 || seen.drained || rec.recv_ready_ns.is_none()
+                }),
+                format!("a drained payload flow of m{m}"),
+            ),
+            Trigger::RecvDone { msg: m } => (
+                msg(m).is_some_and(|(rec, seen)| {
+                    seen.delivered || (rec.unexpected && rec.eager && rec.recv_ready_ns.is_some())
+                }),
+                format!("a delivered payload flow or an unexpected copy-out of m{m}"),
+            ),
+            Trigger::ComputeDone { token } | Trigger::GpuDone { token } => (
+                computes.contains(&(d.rank, token)),
+                format!("a compute span with token {token}"),
+            ),
+            Trigger::CopyDone { token } => (
+                copies.contains(&(d.rank, token)),
+                format!("a copy flow with token {token}"),
+            ),
+        };
+        if !found {
+            return Err(format!(
+                "dispatch {i} ({} on rank {} at {} ns) has no recorded cause: want {want}",
+                d.trigger.label(),
+                d.rank,
+                d.begin_ns
+            ));
+        }
+    }
+    for (m, (rec, seen)) in data.msgs.iter().zip(&msgs).enumerate() {
+        let wanted: &[FlowClass] = match (rec.recv_ready_ns, rec.eager) {
+            (None, _) => &[],
+            (Some(_), true) => &[FlowClass::Eager],
+            (Some(_), false) => &[FlowClass::Rts, FlowClass::Cts, FlowClass::Rndv],
+        };
+        let missing: Vec<&str> = wanted
+            .iter()
+            .filter(|c| !seen.classes[c.index()])
+            .map(FlowClass::label)
+            .collect();
+        if !missing.is_empty() {
+            return Err(format!(
+                "message m{m} (rank {} -> {}, {} B) has no {} flow",
+                rec.src,
+                rec.dst,
+                rec.bytes,
+                missing.join("/")
+            ));
+        }
+    }
+    Ok(RecordingCheck {
+        ranks: data.nranks,
+        msgs: data.msgs.len(),
+        flows: data.flows.len(),
+        dispatches: data.dispatches.len(),
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -108,3 +108,32 @@ fn first_invalid_artifact_stops_the_line() {
         "stops at the first failure"
     );
 }
+
+#[test]
+fn recordings_are_checked_for_causal_completeness() {
+    let golden = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/golden/whatif/bcast_mini32_256k_adapt.json");
+    let (code, out, err) = run(&[golden.to_str().unwrap()]);
+    assert_eq!(code, 0, "{err}");
+    assert!(
+        out.contains("OK") && out.contains("causally complete"),
+        "{out}"
+    );
+
+    // Drop the first rendezvous payload: the dispatch it completed loses
+    // its cause.
+    let mut data = adapt_obs::from_json(&std::fs::read_to_string(&golden).unwrap()).unwrap();
+    let fi = data
+        .flows
+        .iter()
+        .position(|f| f.class == adapt_obs::FlowClass::Rndv)
+        .expect("a rendezvous payload");
+    let m = data.flows.remove(fi).msg.unwrap();
+    let p = write_tmp("tampered-recording.json", &adapt_obs::to_json(&data));
+    let (code, _, err) = run(&[p.to_str().unwrap()]);
+    assert_eq!(code, 1);
+    assert!(
+        err.contains("INVALID") && err.contains("dispatch") && err.contains(&format!("m{m}")),
+        "{err}"
+    );
+}

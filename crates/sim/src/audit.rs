@@ -59,6 +59,9 @@ pub struct AuditReport {
     pub copy_posted_bytes: u64,
     /// Bytes of explicit memory-copy flows fully delivered.
     pub copy_completed_bytes: u64,
+    /// Bytes copy flows put on the wire: `copy_posted_bytes`, unless a
+    /// what-if scaled the copy layer's traffic.
+    pub copy_wire_bytes: u64,
     /// Bytes the network engine injected into flows.
     pub net_injected_bytes: u64,
     /// Bytes the network engine delivered to endpoints.
@@ -135,7 +138,7 @@ impl AuditReport {
             ));
         }
         let expected_carried =
-            (self.send_posted_bytes + self.copy_posted_bytes + self.retrans_injected_bytes)
+            (self.send_posted_bytes + self.copy_wire_bytes + self.retrans_injected_bytes)
                 .saturating_sub(self.failed_unlaunched_bytes);
         if self.net_delivered_bytes + self.net_dropped_bytes != expected_carried {
             out.push(format!(
@@ -253,6 +256,7 @@ mod tests {
             net_delivered_bytes: 140,
             copy_posted_bytes: 40,
             copy_completed_bytes: 40,
+            copy_wire_bytes: 40,
             per_rank: vec![
                 RankAudit {
                     sends_posted: 2,

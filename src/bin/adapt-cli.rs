@@ -3,7 +3,7 @@
 //! ```text
 //! adapt-cli --machine cori --nodes 8 --op bcast --lib adapt --msg 4194304 --noise 10 --seed 3
 //! adapt-cli --machine psg --nodes 4 --op reduce --lib adapt --msg 33554432 --gpu
-//! adapt-cli --machine mini --obs-out run.json --whatif noise-off,scale-link=NicTx:2
+//! adapt-cli --machine mini --obs-out run.json --whatif noise-off,scale-link=NicTx:2,speedup=network:25
 //! adapt-cli --op allreduce --nodes 4 --msg 1048576
 //! ```
 
@@ -14,8 +14,7 @@ use adapt::collectives::{
 use adapt::mpi::{RunError, RunResult};
 use adapt::obs::{
     chrome_trace, critical_path, diff_runs, events_csv, from_json, health_json, health_report_text,
-    metrics_csv, predict, render_prediction, render_validation, summary_json, summary_report,
-    to_json, Intervention, ObsData,
+    metrics_csv, summary_json, summary_report, to_json, Intervention, ObsData,
 };
 use adapt::prelude::*;
 use std::sync::Arc;
@@ -108,8 +107,8 @@ dumped to adapt-flight.json on a stall, a failure or a dirty audit (exit 5)",
     (
         "whatif",
         "SPEC[,SPEC...]",
-        "predict interventions (noop|noise-off|rank-noise-off=R|stalls-off|\
-scale-link=PAT:F|scale-layer=LAYER:F|speedup=LAYER:PCT); validated by re-run when possible",
+        "re-run with each intervention (noop|noise-off|rank-noise-off=R|stalls-off|\
+scale-link=PAT:F|scale-layer=LAYER:F|speedup=LAYER:PCT) and attribute the makespan delta",
     ),
     (
         "diff-against",
@@ -362,8 +361,8 @@ impl MonitorArgs {
 /// Where a stall or audit post-mortem lands (see `--flight`).
 const FLIGHT_DUMP_PATH: &str = "adapt-flight.json";
 
-/// What-if flags: recording export, counterfactual predictions, and
-/// baseline differencing. All three force a recorded run.
+/// What-if flags: recording export, intervention re-runs, and baseline
+/// differencing. All three force a recorded run.
 struct WhatIfArgs {
     ivs: Vec<Intervention>,
     diff_against: Option<String>,
@@ -392,10 +391,22 @@ impl WhatIfArgs {
         !self.ivs.is_empty() || self.diff_against.is_some() || self.obs_out.is_some()
     }
 
-    /// Emit everything what-if-related from a recorded run. Each
-    /// prediction is checked against a real re-run of `spec` with the
-    /// intervention set; an intervention with no real equivalent prints
-    /// its prediction without a validation line.
+    /// Refuse a `rank-noise-off` rank outside the job before anything runs.
+    fn check_ranks(&self, nranks: u32) {
+        for iv in &self.ivs {
+            if let Intervention::RankNoiseOff(r) = iv {
+                if *r >= nranks {
+                    usage_error(format!(
+                        "--whatif rank-noise-off={r}: the job has {nranks} ranks"
+                    ));
+                }
+            }
+        }
+    }
+
+    /// Emit everything what-if-related from a recorded run: the export,
+    /// then per intervention a re-run of `spec` with it applied, its
+    /// makespan delta, and the diff attributing that delta.
     fn emit(&self, obs: &ObsData, spec: &RunSpec) {
         if let Some(path) = &self.obs_out {
             std::fs::write(path, to_json(obs)).expect("write recording");
@@ -406,21 +417,22 @@ impl WhatIfArgs {
             );
         }
         for iv in &self.ivs {
-            match predict(obs, iv) {
-                Ok(p) => {
-                    let rerun = RunSpec {
-                        intervention: Some(iv.clone()),
-                        ..spec.clone()
-                    };
-                    match execute(&rerun) {
-                        Ok(actual) => {
-                            print!("{}", render_validation(iv, &p, actual.makespan.as_nanos()))
-                        }
-                        Err(_) => print!("{}", render_prediction(iv, &p)),
-                    }
-                }
-                Err(e) => println!("whatif {}: refused — {e}", iv.describe()),
-            }
+            let rerun = RunSpec {
+                intervention: Some(iv.clone()),
+                ..spec.clone()
+            };
+            let res = execute(&rerun).unwrap_or_else(|err| fail(&err));
+            let Some(data) = &res.obs else { continue };
+            let (base, new) = (obs.makespan_ns(), data.makespan_ns());
+            println!(
+                "whatif {}: baseline {:.3} us, re-run {:.3} us, delta {:+} ns, ratio x{:.4}",
+                iv.describe(),
+                base as f64 / 1000.0,
+                new as f64 / 1000.0,
+                new as i64 - base as i64,
+                new as f64 / base.max(1) as f64
+            );
+            print!("{}", diff_runs(obs, data).render());
         }
         if let Some(base) = &self.diff_against {
             let text = std::fs::read_to_string(base)
@@ -484,7 +496,8 @@ impl FaultArgs {
 /// was kept, print the diagnosis, and exit with the outcome's code — a
 /// deadlock or blown event cap [`EXIT_STALLED`], killed ranks the
 /// survivors could not complete around (or an exhausted live↔live retry
-/// budget) [`EXIT_FAILED`], a dirty invariant audit [`EXIT_AUDIT`].
+/// budget) [`EXIT_FAILED`], a dirty invariant audit [`EXIT_AUDIT`], a
+/// what-if link rescale matching no link [`EXIT_USAGE`].
 fn fail(err: &RunError) -> ! {
     if let Some(frag) = err.flight() {
         std::fs::write(FLIGHT_DUMP_PATH, frag).expect("write flight dump");
@@ -495,7 +508,7 @@ fn fail(err: &RunError) -> ! {
         RunError::Stalled(_) | RunError::EventCap { .. } => EXIT_STALLED,
         RunError::RanksFailed(_) | RunError::RetryBudgetExhausted { .. } => EXIT_FAILED,
         RunError::AuditFailed { .. } => EXIT_AUDIT,
-        RunError::NoRealEquivalent(_) => EXIT_USAGE,
+        RunError::NoSuchLink { .. } => EXIT_USAGE,
     })
 }
 
@@ -663,6 +676,7 @@ fn main() {
     let monitor = MonitorArgs::parse(&args);
     let obs = ObsArgs::parse(&args);
     let job = Job::parse(&args, machine, device);
+    whatif.check_ranks(job.spec.nranks);
 
     let spec = RunSpec {
         noise: Noise {

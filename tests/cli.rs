@@ -233,12 +233,99 @@ fn every_feature_composes_on_cpu_and_gpu() {
                 assert!(stdout.contains("recovery: drops="), "{what}:\n{stdout}");
             }
             if fname == "recorded" {
-                let validation = stdout
+                let noop = stdout
                     .lines()
-                    .find(|l| l.contains("prediction error:"))
-                    .unwrap_or_else(|| panic!("{what}: no validation line:\n{stdout}"));
-                assert!(validation.contains("+0 ns"), "{what}: {validation}");
+                    .find(|l| l.starts_with("whatif no-op"))
+                    .unwrap_or_else(|| panic!("{what}: no what-if line:\n{stdout}"));
+                assert!(noop.contains("delta +0 ns"), "{what}: {noop}");
+                assert!(stdout.contains("(0 ns unexplained)"), "{what}:\n{stdout}");
             }
+        }
+    }
+}
+
+#[test]
+fn bad_interventions_exit_2() {
+    assert_usage_error(
+        &mini(&["--whatif", "scale-layer=blocked:0.5"]),
+        "cannot be scaled",
+    );
+    assert_usage_error(
+        &mini(&["--whatif", "speedup=network:100"]),
+        "infinitely fast",
+    );
+    assert_usage_error(
+        &mini(&["--whatif", "rank-noise-off=32"]),
+        "the job has 32 ranks",
+    );
+    // A link pattern is only known to match nothing once the world is
+    // built: the baseline runs, the re-run is refused with exit 2.
+    let out = cli(&mini(&["--whatif", "scale-link=NoSuch:2"]));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr:\n{stderr}");
+    assert!(
+        stderr.contains("no link label starts with \"NoSuch\""),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+#[test]
+fn whatif_reruns_compose_with_every_fault_plan() {
+    let placements: [(&str, &[&str], &str); 2] = [
+        (
+            "mini",
+            &["--machine", "mini", "--nodes", "2", "--msg", "262144"],
+            "kill=4:5us,rto=5us",
+        ),
+        // The GPU pipeline does not repair around a dead rank (exit 4),
+        // so its kill lands after the collective completed.
+        (
+            "gpu",
+            &[
+                "--machine",
+                "psg",
+                "--nodes",
+                "2",
+                "--gpu",
+                "--msg",
+                "1048576",
+            ],
+            "kill=7:1ms",
+        ),
+    ];
+    for (pname, placement, kill) in placements {
+        for plan in [
+            "loss=0.01,rto=80us",
+            "degrade=0.5:0us-50us",
+            "stall=3:0us-40us",
+            kill,
+        ] {
+            let out = Command::new(env!("CARGO_BIN_EXE_adapt-cli"))
+                .args(placement)
+                .args(["--seed", "7", "--faults", plan])
+                .args(["--whatif", "noop,noise-off,stalls-off"])
+                .output()
+                .expect("spawn adapt-cli");
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            let what = format!("{pname} x {plan}");
+            assert_eq!(
+                out.status.code(),
+                Some(0),
+                "{what}: stderr:\n{}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            assert!(!stdout.contains("refused"), "{what}:\n{stdout}");
+            assert_eq!(
+                stdout.matches("(0 ns unexplained)").count(),
+                3,
+                "{what}: one fully attributed diff per intervention:\n{stdout}"
+            );
+            let noop = stdout
+                .lines()
+                .find(|l| l.starts_with("whatif no-op"))
+                .unwrap_or_else(|| panic!("{what}: no what-if line:\n{stdout}"));
+            assert!(noop.contains("delta +0 ns"), "{what}: {noop}");
         }
     }
 }

@@ -21,6 +21,9 @@
 //! GOLDEN_REGEN=1 cargo test --test golden_trace
 //! ```
 //!
+//! A what-if layer scale of 1.0 is the identity: with it, on any layer,
+//! every fixture reproduces byte for byte.
+//!
 //! The event-timeline fixtures under `tests/golden/trace/` are the older
 //! per-event tracer's output (captured before it was folded into the
 //! recorder), rows sorted by every column. The recording's CSV view
@@ -29,7 +32,7 @@
 use adapt::collectives::{
     execute, CollectiveCase, Library, Noise, NoiseScope, OpKind, Recording, RunSpec,
 };
-use adapt::obs::events_csv;
+use adapt::obs::{events_csv, Intervention, Layer, LAYERS};
 use adapt::prelude::*;
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -56,6 +59,17 @@ fn serialize(res: &adapt::mpi::RunResult) -> String {
 
 /// Run one fixture case: ADAPT on a 128-rank Cori slice.
 fn run_case(op: OpKind, msg_bytes: u64, noise_percent: f64, seed: u64) -> String {
+    run_scaled(op, msg_bytes, noise_percent, seed, None)
+}
+
+/// Run one fixture case under an optional what-if intervention.
+fn run_scaled(
+    op: OpKind,
+    msg_bytes: u64,
+    noise_percent: f64,
+    seed: u64,
+    intervention: Option<Intervention>,
+) -> String {
     let case = CollectiveCase {
         machine: profiles::cori(4),
         nranks: 128,
@@ -69,6 +83,7 @@ fn run_case(op: OpKind, msg_bytes: u64, noise_percent: f64, seed: u64) -> String
             scope: NoiseScope::PerNode,
             seed,
         },
+        intervention,
         ..case.spec()
     })
     .unwrap();
@@ -122,6 +137,27 @@ fn golden_reduce_noisy() {
         "reduce_128r_1m_noise10_seed42.txt",
         run_case(OpKind::Reduce, 1 << 20, 10.0, 42),
     );
+}
+
+#[test]
+fn identity_layer_scales_reproduce_every_fixture() {
+    let fixtures = [
+        ("bcast_128r_1m_quiet.txt", OpKind::Bcast, 0.0, 1),
+        ("bcast_128r_1m_noise10_seed42.txt", OpKind::Bcast, 10.0, 42),
+        ("reduce_128r_1m_quiet.txt", OpKind::Reduce, 0.0, 1),
+        (
+            "reduce_128r_1m_noise10_seed42.txt",
+            OpKind::Reduce,
+            10.0,
+            42,
+        ),
+    ];
+    for (name, op, noise, seed) in fixtures {
+        for layer in LAYERS.into_iter().filter(|&l| l != Layer::Blocked) {
+            let iv = Intervention::ScaleLayer { layer, factor: 1.0 };
+            check(name, run_scaled(op, 1 << 20, noise, seed, Some(iv)));
+        }
+    }
 }
 
 /// The recorded event timeline of a quiet 256 KiB run on the two-node

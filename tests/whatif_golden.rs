@@ -1,12 +1,12 @@
-//! Golden recordings for the what-if engine and the CI regression gate.
+//! Golden recordings for the run diff and the CI regression gate.
 //!
 //! Two pinned `adapt-obs-v1` recordings of the mini scenario the CI
-//! gate replays — the same configuration `adapt-cli --machine mini
+//! gate diffs against — the same configuration `adapt-cli --machine mini
 //! --nodes 2 --msg 262144 --seed 42 --obs-out ...` exports, for the
 //! ADAPT and OMPI-default libraries. The fixtures must stay
-//! byte-identical to a fresh recording (full determinism), replayable
-//! bit-exactly by the no-op intervention, and diff-clean against a
-//! fresh run (the `--gate` check CI applies).
+//! byte-identical to a fresh recording (full determinism), causally
+//! complete, and diff-clean against a fresh run (the `--gate` check CI
+//! applies).
 //!
 //! Regenerate (only when a behaviour change is intended and reviewed):
 //!
@@ -15,7 +15,7 @@
 //! ```
 
 use adapt::collectives::{execute, CollectiveCase, Library, OpKind, Recording, RunSpec};
-use adapt::obs::{diff_runs, from_json, predict, to_json, Intervention};
+use adapt::obs::{diff_runs, from_json, to_json, validate_recording};
 use adapt::prelude::*;
 use std::path::PathBuf;
 
@@ -73,7 +73,7 @@ fn record(case: &CollectiveCase) -> adapt::obs::ObsData {
 }
 
 #[test]
-fn golden_recordings_stay_replayable_and_gate_clean() {
+fn golden_recordings_stay_byte_identical_and_gate_clean() {
     for (name, library) in [
         ("bcast_mini32_256k_adapt.json", Library::OmpiAdapt),
         ("bcast_mini32_256k_default.json", Library::OmpiDefault),
@@ -81,9 +81,7 @@ fn golden_recordings_stay_replayable_and_gate_clean() {
         let case = gate_case(library);
         let fresh = record(&case);
         let committed = from_json(&check(name, &to_json(&fresh))).unwrap();
-        // The committed fixture replays bit-exactly under no intervention.
-        let p = predict(&committed, &Intervention::Noop).unwrap();
-        assert_eq!(p.per_rank_finish_ns, committed.per_rank_finish_ns);
+        validate_recording(&committed).unwrap();
         // The CI gate: a fresh run of the same configuration must not
         // regress against the committed baseline — today it is exactly 0.
         let d = diff_runs(&committed, &fresh);
