@@ -559,13 +559,18 @@ fn fig8_spec(case: &CollectiveCase, mode: Fig8Mode) -> RunSpec {
     match mode {
         Fig8Mode::Plain => plain,
         Fig8Mode::Traced => RunSpec {
-            recorder: Recording::Full {
+            recorder: Recording {
+                full: true,
                 metrics_interval_ns: Some(10_000),
+                ..Recording::default()
             },
             ..plain
         },
         Fig8Mode::Streaming => RunSpec {
-            recorder: Recording::Streaming { flight: None },
+            recorder: Recording {
+                summary: true,
+                ..Recording::default()
+            },
             ..plain
         },
         Fig8Mode::InertFaults => RunSpec {
@@ -766,20 +771,16 @@ mod tests {
     }
 
     #[test]
-    fn null_recorder_adds_zero_counters() {
-        // The default (recorder-off) path must be observationally free:
-        // identical timing and identical WorldStats counters whether the
-        // NullRecorder is implicit, explicit, or replaced by a live
-        // MemRecorder.
+    fn sinks_add_zero_counters() {
+        // Recording must be observationally free: identical timing and
+        // identical WorldStats counters with no sink attached, with a
+        // live MemRecorder, and with a StreamRecorder plus a flight ring.
         use adapt_mpi::World;
         use adapt_noise::ClusterNoise;
-        use adapt_obs::{MemRecorder, NullRecorder};
-        let run = |rec: Option<Box<dyn adapt_obs::Recorder>>| {
+        use adapt_obs::{FlightRecorder, MemRecorder, StreamRecorder};
+        let run = |attach: &dyn Fn(World) -> World| {
             let spec = profiles::minicluster(2, 2, 4);
-            let mut world = World::cpu(spec, 16, ClusterNoise::silent(16));
-            if let Some(rec) = rec {
-                world = world.with_recorder(rec);
-            }
+            let world = attach(World::cpu(spec, 16, ClusterNoise::silent(16)));
             let case = CollectiveCase {
                 machine: profiles::minicluster(2, 2, 4),
                 nranks: 16,
@@ -791,15 +792,19 @@ mod tests {
             assert!(res.audit.is_clean(), "{}", res.audit);
             res
         };
-        let plain = run(None);
-        let null = run(Some(Box::new(NullRecorder)));
-        let mem = run(Some(Box::new(MemRecorder::with_metrics(10_000))));
-        assert_eq!(format!("{}", plain.stats), format!("{}", null.stats));
-        assert_eq!(format!("{}", plain.stats), format!("{}", mem.stats));
-        assert_eq!(plain.makespan, null.makespan);
-        assert_eq!(plain.makespan, mem.makespan);
-        assert!(plain.obs.is_none() && null.obs.is_none());
+        let plain = run(&|w| w);
+        let mem = run(&|w| w.with_recorder(MemRecorder::with_metrics(10_000)));
+        let stream = run(&|w| {
+            w.with_recorder(StreamRecorder::new())
+                .with_recorder(FlightRecorder::new(64))
+        });
+        for other in [&mem, &stream] {
+            assert_eq!(format!("{}", plain.stats), format!("{}", other.stats));
+            assert_eq!(plain.makespan, other.makespan);
+        }
+        assert!(plain.obs.is_none() && plain.summary.is_none());
         assert!(mem.obs.is_some());
+        assert!(stream.obs.is_none() && stream.summary.is_some());
     }
 
     #[test]

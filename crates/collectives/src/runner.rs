@@ -27,7 +27,7 @@ use adapt_core::{
 };
 use adapt_mpi::{FaultPlan, RankProgram, RunError, RunResult, World, WorldStats};
 use adapt_noise::{ClusterNoise, NoiseSpec};
-use adapt_obs::{Intervention, MemRecorder, Monitor, StreamRecorder};
+use adapt_obs::{FlightRecorder, Intervention, MemRecorder, Monitor, StreamRecorder};
 use adapt_sim::audit::AuditReport;
 use adapt_sim::rng::{MasterSeed, StreamTag};
 use adapt_sim::time::Duration;
@@ -515,24 +515,21 @@ pub enum Device {
     Gpu,
 }
 
-/// What the run records.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Recording {
-    /// No recorder: every probe is one predictable branch.
-    Off,
-    /// Full recording ([`MemRecorder`]) into [`RunResult::obs`], with
-    /// gauges sampled every `metrics_interval_ns` when set.
-    Full {
-        /// Gauge sampling interval (ns); `None` samples nothing.
-        metrics_interval_ns: Option<u64>,
-    },
+/// What the run records: any combination of three sinks fed the same
+/// probes. The default records nothing.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Recording {
+    /// Full recording ([`MemRecorder`]) into [`RunResult::obs`].
+    pub full: bool,
+    /// Gauge sampling interval (ns) of the full recording; `None`
+    /// samples nothing.
+    pub metrics_interval_ns: Option<u64>,
     /// Bounded-memory aggregation ([`StreamRecorder`]) into
-    /// [`RunResult::summary`], with a flight ring of the last `flight`
-    /// spans when set.
-    Streaming {
-        /// Flight-ring capacity in spans; `None` keeps no ring.
-        flight: Option<usize>,
-    },
+    /// [`RunResult::summary`].
+    pub summary: bool,
+    /// Flight ring ([`FlightRecorder`]) of the last this many spans,
+    /// dumped on a stall, a failure or a dirty audit.
+    pub flight: Option<usize>,
 }
 
 /// Builds a fresh set of per-rank programs, one per rank. Shared, so a
@@ -580,7 +577,19 @@ impl RunSpec {
             watchdog: None,
             monitor_ns: None,
             intervention: None,
-            recorder: Recording::Off,
+            recorder: Recording::default(),
+        }
+    }
+
+    /// Refuse, before anything runs, a `rank-noise-off` rank outside the
+    /// job ([`RunError::NoSuchRank`]).
+    pub fn check(&self) -> Result<(), Box<RunError>> {
+        let nranks = self.nranks;
+        match self.intervention {
+            Some(Intervention::RankNoiseOff(rank)) if rank >= nranks => {
+                Err(Box::new(RunError::NoSuchRank { rank, nranks }))
+            }
+            _ => Ok(()),
         }
     }
 
@@ -598,11 +607,12 @@ impl RunSpec {
 /// Run a spec to completion. Fails with a typed [`RunError`] when the
 /// run cannot complete (deadlock, watchdog, exhausted retries, failed
 /// ranks, event cap), when it completes with a dirty invariant audit
-/// ([`RunError::AuditFailed`]), or when the spec's link rescale matches
-/// no link ([`RunError::NoSuchLink`]). Every other intervention is a
-/// real configuration of the world. An `Ok` result is always
-/// audit-clean.
+/// ([`RunError::AuditFailed`]), or when the spec's intervention names
+/// no part of the job ([`RunSpec::check`], [`RunError::NoSuchLink`]).
+/// Every other intervention is a real configuration of the world. An
+/// `Ok` result is always audit-clean.
 pub fn execute(spec: &RunSpec) -> Result<RunResult, Box<RunError>> {
+    spec.check()?;
     let mut noise = spec.noise;
     let mut faults = spec.faults.clone();
     let mut silenced = None;
@@ -649,22 +659,17 @@ pub fn execute(spec: &RunSpec) -> Result<RunResult, Box<RunError>> {
     if let Some(ns) = spec.monitor_ns {
         world = world.with_monitor(Monitor::new(ns));
     }
-    world = match spec.recorder {
-        Recording::Off => world,
-        Recording::Full {
-            metrics_interval_ns: None,
-        } => world.with_recorder(MemRecorder::new()),
-        Recording::Full {
-            metrics_interval_ns: Some(ns),
-        } => world.with_recorder(MemRecorder::with_metrics(ns)),
-        Recording::Streaming { flight } => {
-            let rec = StreamRecorder::new();
-            world.with_recorder(match flight {
-                Some(n) => rec.with_flight(n),
-                None => rec,
-            })
-        }
-    };
+    let rec = spec.recorder;
+    if rec.full {
+        let iv = rec.metrics_interval_ns;
+        world = world.with_recorder(iv.map_or_else(MemRecorder::new, MemRecorder::with_metrics));
+    }
+    if rec.summary {
+        world = world.with_recorder(StreamRecorder::new());
+    }
+    if let Some(n) = rec.flight {
+        world = world.with_recorder(FlightRecorder::new(n));
+    }
     let res = world.try_run((spec.programs)())?;
     if !res.audit.is_clean() {
         return Err(Box::new(RunError::AuditFailed {
@@ -949,6 +954,31 @@ mod tests {
         let fast = execute(&unstalled).unwrap().makespan;
         assert!(slow > Duration::from_micros(500), "{slow}");
         assert_eq!(fast, execute(&case.spec()).unwrap().makespan);
+    }
+
+    #[test]
+    fn silencing_a_rank_outside_the_job_is_a_typed_error() {
+        let spec = RunSpec {
+            intervention: Some(Intervention::RankNoiseOff(32)),
+            ..mini_case(Library::OmpiAdapt, OpKind::Bcast, 1 << 16).spec()
+        };
+        let err = execute(&spec).err().expect("rank 32 of 32 does not exist");
+        assert!(
+            matches!(
+                *err,
+                RunError::NoSuchRank {
+                    rank: 32,
+                    nranks: 32
+                }
+            ),
+            "{err}"
+        );
+        assert_eq!(err.to_string(), "rank-noise-off=32: the job has 32 ranks");
+        let last = RunSpec {
+            intervention: Some(Intervention::RankNoiseOff(31)),
+            ..spec
+        };
+        assert!(execute(&last).is_ok());
     }
 
     #[test]

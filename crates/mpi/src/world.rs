@@ -35,8 +35,8 @@ use adapt_faults::FaultPlan;
 use adapt_net::{Fabric, FlowId, FlowScheduler, FlowSpec, NetStep, Network, Path};
 use adapt_noise::ClusterNoise;
 use adapt_obs::{
-    AnyRecorder, FlowClass, FlowStart, HealthReport, Layer, Monitor, MsgEvent, NullRecorder,
-    ObsData, ObsSummary, Recorder,
+    FlowClass, FlowStart, HealthReport, Layer, Monitor, MsgEvent, ObsData, ObsSummary, Recorder,
+    Sink, Sinks,
 };
 use adapt_sim::audit::{AuditReport, RankAudit};
 use adapt_sim::fxhash::FxHashMap;
@@ -393,11 +393,11 @@ pub struct World {
     /// consecutive events larger than this, while ranks are unfinished,
     /// aborts the run with a [`StallDiagnosis`].
     watchdog: Option<Duration>,
-    /// Observability recorder (a no-op [`NullRecorder`] by default).
-    /// Stored as [`AnyRecorder`] so enabled probes dispatch statically.
-    obs: AnyRecorder,
+    /// Observability sinks (none attached by default). Every probe goes
+    /// to every attached sink, the crate's own ones statically.
+    obs: Sinks,
     /// Cached `obs.enabled()` — every probe site branches on this flag
-    /// only, so a disabled recorder costs one predictable branch.
+    /// only, so with no sink attached a probe is one predictable branch.
     obs_on: bool,
     /// Reusable link-id buffer for the `flow_start` probe; the recorder
     /// borrows it, so the per-flow path copy never allocates after the
@@ -442,7 +442,7 @@ impl World {
             faults: None,
             run_error: None,
             watchdog: None,
-            obs: AnyRecorder::Null(NullRecorder),
+            obs: Sinks::default(),
             obs_on: false,
             links_scratch: Vec::new(),
             monitor: None,
@@ -537,16 +537,16 @@ impl World {
         self
     }
 
-    /// Attach an observability recorder (see [`adapt_obs`]): structured
-    /// spans, message lifetimes, sampled gauges. Recording must never
-    /// move a single event — all probes piggyback on values the
-    /// simulation computes anyway (noise window generation is
+    /// Attach an observability sink into its slot (see
+    /// [`adapt_obs::Sinks`]). Sinks of different kinds compose, each fed
+    /// every probe; a second one of a kind replaces the first. Recording
+    /// must never move a single event — all probes piggyback on values
+    /// the simulation computes anyway (noise window generation is
     /// deterministic and idempotent, so obs-only `finish_work` queries
     /// return what a later call would have returned regardless).
-    pub fn with_recorder(mut self, rec: impl Into<AnyRecorder>) -> World {
-        let rec = rec.into();
-        self.obs_on = rec.enabled();
-        self.obs = rec;
+    pub fn with_recorder(mut self, rec: impl Sink) -> World {
+        rec.attach(&mut self.obs);
+        self.obs_on = self.obs.enabled();
         self
     }
 

@@ -117,6 +117,14 @@ pub enum RunError {
         /// The label prefix that matched nothing.
         pattern: String,
     },
+    /// A what-if `rank-noise-off` names a rank outside the job (bad
+    /// input: nothing runs).
+    NoSuchRank {
+        /// The rank asked for.
+        rank: u32,
+        /// The job size.
+        nranks: u32,
+    },
 }
 
 impl RunError {
@@ -128,7 +136,7 @@ impl RunError {
             | RunError::EventCap { flight, .. }
             | RunError::AuditFailed { flight, .. } => flight.as_deref(),
             RunError::RanksFailed(d) => d.flight.as_deref(),
-            RunError::NoSuchLink { .. } => None,
+            RunError::NoSuchLink { .. } | RunError::NoSuchRank { .. } => None,
         }
     }
 
@@ -139,7 +147,7 @@ impl RunError {
             | RunError::EventCap { flight, .. }
             | RunError::AuditFailed { flight, .. } => *flight = dump,
             RunError::RanksFailed(d) => d.flight = dump,
-            RunError::NoSuchLink { .. } => {}
+            RunError::NoSuchLink { .. } | RunError::NoSuchRank { .. } => {}
         }
     }
 }
@@ -159,6 +167,9 @@ impl std::fmt::Display for RunError {
             RunError::AuditFailed { audit, .. } => audit.fmt(f),
             RunError::NoSuchLink { pattern } => {
                 write!(f, "no link label starts with {pattern:?}")
+            }
+            RunError::NoSuchRank { rank, nranks } => {
+                write!(f, "rank-noise-off={rank}: the job has {nranks} ranks")
             }
         }
     }

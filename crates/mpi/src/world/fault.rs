@@ -14,7 +14,7 @@ use crate::program::{Completion, Token};
 use adapt_faults::{FaultPlan, Schedule};
 use adapt_net::Path;
 use adapt_noise::ClusterNoise;
-use adapt_obs::{MsgEvent, Recorder};
+use adapt_obs::{MsgEvent, Recorder, Trigger};
 use adapt_sim::audit::AuditReport;
 use adapt_sim::fxhash::{FxHashMap, FxHashSet};
 use adapt_sim::queue::{EventKey, EventQueue};
@@ -597,8 +597,10 @@ impl World {
         let active: Vec<Rank> = (0..self.nranks())
             .filter(|&r| self.ranks[r as usize].finished_at.is_none())
             .collect();
+        // Labels the recording only; no event depends on it.
+        let trigger = self.obs_on.then_some(Trigger::PeerFailed { rank });
         for &r in &active {
-            self.run_program(r, t, PROGRESS_OVERHEAD, None, |prog, ctx| {
+            self.run_program(r, t, PROGRESS_OVERHEAD, trigger, |prog, ctx| {
                 prog.on_peer_failed(ctx, &dead, &active)
             });
         }

@@ -173,6 +173,7 @@ pub fn chrome_trace(data: &ObsData) -> String {
             Trigger::ComputeDone { token }
             | Trigger::CopyDone { token }
             | Trigger::GpuDone { token } => format!("\"token\":{token}"),
+            Trigger::PeerFailed { rank } => format!("\"peer\":{rank}"),
         };
         e.complete(
             d.trigger.label(),

@@ -288,7 +288,9 @@ pub fn critical_path(data: &ObsData) -> CriticalPath {
                 });
                 cursor = begin;
                 match d.trigger {
-                    Trigger::Start => break,
+                    // The failure detector is not recorded: the time
+                    // before a revoke handler is waiting.
+                    Trigger::Start | Trigger::PeerFailed { .. } => break,
                     Trigger::ComputeDone { token } | Trigger::GpuDone { token } => {
                         if let Some(ci) =
                             latest_before(computes.get(&(rank, token)), cursor, &|i| {

@@ -2,7 +2,7 @@
 //!
 //! One row per runtime event: `time_ns,rank,kind,peer,amount`, where
 //! `kind` is one of `send_posted`, `recv_posted`, `send_done`,
-//! `recv_done` and `finish`. Every row is a view over fields the
+//! `recv_done`, `peer_failed` and `finish`. Every row is a view over fields the
 //! recorder already keeps:
 //!
 //! | kind | source | peer | amount |
@@ -11,6 +11,7 @@
 //! | `recv_posted` | [`MsgRec::recv_posted_ns`] | source | 0 |
 //! | `send_done` | a [`Trigger::SendDone`] dispatch | 0 | 0 |
 //! | `recv_done` | a [`Trigger::RecvDone`] dispatch | source | bytes |
+//! | `peer_failed` | a [`Trigger::PeerFailed`] dispatch | dead rank | 0 |
 //! | `finish` | [`ObsData::per_rank_finish_ns`] | 0 | 0 |
 //!
 //! A receive that never matched (its peer was killed) has no message
@@ -45,6 +46,7 @@ pub fn events_csv(data: &ObsData) -> String {
                 let m = &data.msgs[msg as usize];
                 rows.push((d.begin_ns, d.rank, "recv_done", m.src, m.bytes));
             }
+            Trigger::PeerFailed { rank } => rows.push((d.begin_ns, d.rank, "peer_failed", rank, 0)),
             _ => {}
         }
     }

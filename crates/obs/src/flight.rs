@@ -1,13 +1,15 @@
 //! Flight recorder: a fixed-capacity ring of the most recent spans,
 //! dumped as a Chrome-trace fragment for stall and audit post-mortems.
 //!
-//! The ring holds small fixed-size records — no strings, no per-event
-//! allocation — and overwrites the oldest entry when full, so an
-//! always-on recorder costs O(capacity) memory no matter how long the
-//! run. When [`World::try_run`] returns a `StallDiagnosis` (or the
-//! audit fails) the tail is rendered with [`FlightRecorder::
-//! chrome_fragment`]: the last thing every rank was doing, loadable in
-//! Perfetto next to the watchdog's per-rank stuck counts.
+//! The ring is a [`Recorder`] sink of its own, so it rides alone or next
+//! to a full or streaming recording. It holds the recording's own
+//! fixed-size records — no strings, no per-event allocation — and
+//! overwrites the oldest entry when full, so an always-on recorder costs
+//! O(capacity) memory no matter how long the run. When
+//! `World::try_run` returns a `StallDiagnosis` (or the audit fails) the
+//! tail is rendered with [`FlightRecorder::chrome_fragment`]: the last
+//! thing every rank was doing, loadable in Perfetto next to the
+//! watchdog's per-rank stuck counts.
 //!
 //! Each ring entry is a *complete* record (begin and end together), so
 //! the fragment only ever emits complete `"X"` spans and zero-duration
@@ -16,79 +18,31 @@
 //! validate_chrome).
 
 use crate::chrome::{esc, ts};
+use crate::monitor::HealthAlert;
+use crate::record::{ComputeRec, DispatchSpan, FlowClass, ProtoKind, ProtoSpan, Trigger};
+use crate::recorder::{FlowStart, MsgEvent, Recorder};
 
-/// One ring entry. Labels are `&'static str` (the stable probe labels),
-/// keeping entries `Copy` and allocation-free.
+/// One ring entry: a CPU or compute span, or a zero-duration marker.
 #[derive(Clone, Copy, Debug)]
-pub enum FlightSpan {
-    /// A handler dispatch span on a rank CPU.
-    Dispatch {
-        /// Executing rank.
-        rank: u32,
-        /// Span start (ns).
-        begin_ns: u64,
-        /// Span end (ns).
-        end_ns: u64,
-        /// Trigger label.
-        label: &'static str,
-    },
-    /// A protocol-action span on a rank CPU.
-    Proto {
-        /// Executing rank.
-        rank: u32,
-        /// Span start (ns).
-        begin_ns: u64,
-        /// Span end (ns).
-        end_ns: u64,
-        /// Protocol-kind label.
-        label: &'static str,
-        /// Owning message.
-        msg: u64,
-    },
-    /// A compute/GPU work span.
-    Compute {
-        /// Executing rank.
-        rank: u32,
-        /// Work token.
-        token: u64,
-        /// Span start (ns).
-        begin_ns: u64,
-        /// Span end (ns).
-        end_ns: u64,
-        /// GPU-stream work (vs host compute).
-        gpu: bool,
-    },
-    /// A message lifetime step (zero-duration marker).
+enum FlightSpan {
+    Dispatch(DispatchSpan),
+    Proto(ProtoSpan),
+    Compute(ComputeRec),
+    /// A message lifetime step.
     Msg {
-        /// Message id.
         msg: u64,
-        /// Event label.
-        label: &'static str,
-        /// Instant (ns).
+        ev: MsgEvent,
         t_ns: u64,
     },
-    /// A flow launch or delivery (zero-duration marker).
+    /// A flow launch (with its bytes) or delivery (`end`) in `slot`.
     Flow {
-        /// Network slot.
         slot: u32,
-        /// Flow-class label.
-        label: &'static str,
-        /// Bytes carried (launches only).
+        class: FlowClass,
         bytes: u64,
-        /// Instant (ns).
         t_ns: u64,
-        /// Delivery (`true`) or launch (`false`).
         end: bool,
     },
-    /// A health-monitor alert (zero-duration marker).
-    Alert {
-        /// Alert-kind label ([`AlertKind::label`](crate::AlertKind)).
-        label: &'static str,
-        /// Rank or link id the detector fired on.
-        subject: u32,
-        /// Snapshot instant (ns).
-        t_ns: u64,
-    },
+    Alert(HealthAlert),
 }
 
 /// Fixed-capacity span ring; see the module docs.
@@ -99,6 +53,9 @@ pub struct FlightRecorder {
     next: usize,
     /// Total spans ever pushed (so `dropped = pushed - len`).
     pushed: u64,
+    /// Class of the live flow in each network slot (`None` once it
+    /// delivered), so a delivery marker names its flow class.
+    slots: Vec<Option<FlowClass>>,
 }
 
 impl FlightRecorder {
@@ -110,11 +67,12 @@ impl FlightRecorder {
             cap,
             next: 0,
             pushed: 0,
+            slots: Vec::new(),
         }
     }
 
     /// Record one span, overwriting the oldest when full.
-    pub fn push(&mut self, s: FlightSpan) {
+    fn push(&mut self, s: FlightSpan) {
         if self.buf.len() < self.cap {
             self.buf.push(s);
         } else {
@@ -124,29 +82,10 @@ impl FlightRecorder {
         self.pushed += 1;
     }
 
-    /// Spans currently held.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Spans overwritten (lost to the ring bound).
-    pub fn dropped(&self) -> u64 {
-        self.pushed - self.buf.len() as u64
-    }
-
-    /// Ring contents, oldest first.
+    /// Ring contents, oldest first (until the ring fills, `next` is its
+    /// length).
     fn tail(&self) -> impl Iterator<Item = &FlightSpan> {
-        let split = if self.buf.len() < self.cap {
-            0
-        } else {
-            self.next
-        };
-        self.buf[split..].iter().chain(self.buf[..split].iter())
+        self.buf[self.next..].iter().chain(&self.buf[..self.next])
     }
 
     /// Render the tail as a self-contained Chrome-trace JSON document.
@@ -193,58 +132,50 @@ impl FlightRecorder {
         let mut compute_tid = 0u32;
         for s in self.tail() {
             let body = match *s {
-                FlightSpan::Dispatch {
-                    rank,
-                    begin_ns,
-                    end_ns,
-                    label,
-                } => x(label, "dispatch", PID_RANKS, rank, begin_ns, end_ns, ""),
-                FlightSpan::Proto {
-                    rank,
-                    begin_ns,
-                    end_ns,
-                    label,
-                    msg,
-                } => x(
-                    label,
+                FlightSpan::Dispatch(d) => x(
+                    d.trigger.label(),
+                    "dispatch",
+                    PID_RANKS,
+                    d.rank,
+                    d.begin_ns,
+                    d.end_ns,
+                    "",
+                ),
+                FlightSpan::Proto(p) => x(
+                    p.kind.label(),
                     "protocol",
                     PID_RANKS,
-                    rank,
-                    begin_ns,
-                    end_ns,
-                    &format!("\"msg\":{msg}"),
+                    p.rank,
+                    p.begin_ns,
+                    p.end_ns,
+                    &format!("\"msg\":{}", p.msg),
                 ),
-                FlightSpan::Compute {
-                    rank,
-                    token,
-                    begin_ns,
-                    end_ns,
-                    gpu,
-                } => {
+                FlightSpan::Compute(c) => {
                     compute_tid += 1;
                     x(
-                        if gpu { "gpu" } else { "compute" },
+                        if c.gpu { "gpu" } else { "compute" },
                         "compute",
                         PID_COMPUTE,
                         compute_tid - 1,
-                        begin_ns,
-                        end_ns,
-                        &format!("\"rank\":{rank},\"token\":{token}"),
+                        c.begin_ns,
+                        c.end_ns,
+                        &format!("\"rank\":{},\"token\":{}", c.rank, c.token),
                     )
                 }
-                FlightSpan::Msg { msg, label, t_ns } => {
-                    let name = format!("m{msg} {label}");
+                FlightSpan::Msg { msg, ev, t_ns } => {
+                    let name = format!("m{msg} {}", ev.label());
                     x(&name, "msg", PID_MARKS, 0, t_ns, t_ns, "")
                 }
                 FlightSpan::Flow {
                     slot,
-                    label,
+                    class,
                     bytes,
                     t_ns,
                     end,
                 } => {
                     let name = format!(
-                        "{label} f{slot} {}",
+                        "{} f{slot} {}",
+                        class.label(),
                         if end { "delivered" } else { "launch" }
                     );
                     x(
@@ -257,18 +188,14 @@ impl FlightRecorder {
                         &format!("\"bytes\":{bytes}"),
                     )
                 }
-                FlightSpan::Alert {
-                    label,
-                    subject,
-                    t_ns,
-                } => x(
-                    label,
+                FlightSpan::Alert(a) => x(
+                    a.kind.label(),
                     "health",
                     PID_MARKS,
                     2,
-                    t_ns,
-                    t_ns,
-                    &format!("\"subject\":{subject}"),
+                    a.t_ns,
+                    a.t_ns,
+                    &format!("\"subject\":{}", a.subject),
                 ),
             };
             ev(&mut out, body);
@@ -277,7 +204,7 @@ impl FlightRecorder {
         let c = format!(
             "\"name\":\"flight_spans_dropped\",\"ph\":\"C\",\"pid\":{PID_MARKS},\
              \"ts\":0.000,\"args\":{{\"value\":{}}}",
-            self.dropped()
+            self.pushed - self.buf.len() as u64
         );
         ev(&mut out, c);
         out.push_str("\n]}\n");
@@ -285,31 +212,98 @@ impl FlightRecorder {
     }
 }
 
+impl Recorder for FlightRecorder {
+    fn enabled(&self) -> bool {
+        true
+    }
+
+    fn msg_event(&mut self, msg: u64, ev: MsgEvent, t_ns: u64) {
+        self.push(FlightSpan::Msg { msg, ev, t_ns });
+    }
+
+    fn flow_start(&mut self, slot: u32, rec: FlowStart, _links: &[u32]) {
+        self.push(FlightSpan::Flow {
+            slot,
+            class: rec.class,
+            bytes: rec.bytes,
+            t_ns: rec.t_ns,
+            end: false,
+        });
+        let s = slot as usize;
+        if self.slots.len() <= s {
+            self.slots.resize(s + 1, None);
+        }
+        self.slots[s] = Some(rec.class);
+    }
+
+    fn flow_delivered(&mut self, slot: u32, t_ns: u64) {
+        let Some(class) = self.slots.get_mut(slot as usize).and_then(Option::take) else {
+            return;
+        };
+        self.push(FlightSpan::Flow {
+            slot,
+            class,
+            bytes: 0,
+            t_ns,
+            end: true,
+        });
+    }
+
+    fn dispatch(&mut self, rank: u32, begin_ns: u64, end_ns: u64, trigger: Trigger) {
+        self.push(FlightSpan::Dispatch(DispatchSpan {
+            rank,
+            begin_ns,
+            end_ns,
+            trigger,
+        }));
+    }
+
+    fn protocol(&mut self, rank: u32, begin_ns: u64, end_ns: u64, kind: ProtoKind, msg: u64) {
+        self.push(FlightSpan::Proto(ProtoSpan {
+            rank,
+            begin_ns,
+            end_ns,
+            kind,
+            msg,
+        }));
+    }
+
+    fn compute(&mut self, rank: u32, token: u64, begin_ns: u64, end_ns: u64, gpu: bool) {
+        self.push(FlightSpan::Compute(ComputeRec {
+            rank,
+            token,
+            begin_ns,
+            end_ns,
+            gpu,
+        }));
+    }
+
+    /// Alerts land in the ring next to the spans they explain, so a
+    /// post-mortem fragment shows what the monitor saw last.
+    fn alert(&mut self, a: HealthAlert) {
+        self.push(FlightSpan::Alert(a));
+    }
+
+    fn flight_dump(&mut self) -> Option<String> {
+        Some(self.chrome_fragment())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn dispatch(rank: u32, b: u64, e: u64) -> FlightSpan {
-        FlightSpan::Dispatch {
-            rank,
-            begin_ns: b,
-            end_ns: e,
-            label: "start",
-        }
-    }
 
     #[test]
     fn ring_keeps_the_most_recent_spans() {
         let mut f = FlightRecorder::new(4);
         for i in 0..10u64 {
-            f.push(dispatch(0, i * 10, i * 10 + 5));
+            f.dispatch(0, i * 10, i * 10 + 5, Trigger::Start);
         }
-        assert_eq!(f.len(), 4);
-        assert_eq!(f.dropped(), 6);
+        assert_eq!((f.buf.len(), f.pushed), (4, 10));
         let begins: Vec<u64> = f
             .tail()
             .map(|s| match s {
-                FlightSpan::Dispatch { begin_ns, .. } => *begin_ns,
+                FlightSpan::Dispatch(d) => d.begin_ns,
                 _ => unreachable!(),
             })
             .collect();
@@ -320,30 +314,26 @@ mod tests {
     fn fragment_passes_the_chrome_validator_even_when_truncated() {
         let mut f = FlightRecorder::new(8);
         for i in 0..50u64 {
-            f.push(dispatch((i % 4) as u32, i * 100, i * 100 + 40));
-            f.push(FlightSpan::Msg {
-                msg: i,
-                label: "delivered",
-                t_ns: i * 100 + 20,
-            });
-            f.push(FlightSpan::Compute {
-                rank: (i % 4) as u32,
-                token: i,
-                begin_ns: i * 100 + 10,
-                end_ns: i * 100 + 90, // overlaps the next dispatch
-                gpu: i % 2 == 0,
-            });
-            f.push(FlightSpan::Flow {
-                slot: 3,
-                label: "eager",
+            let rank = (i % 4) as u32;
+            f.dispatch(rank, i * 100, i * 100 + 40, Trigger::Start);
+            f.msg_event(i, MsgEvent::Delivered, i * 100 + 20);
+            // Overlaps the next dispatch.
+            f.compute(rank, i, i * 100 + 10, i * 100 + 90, i % 2 == 0);
+            let flow = FlowStart {
+                class: FlowClass::Eager,
+                msg: Some(i),
+                rank,
+                token: 0,
                 bytes: 64,
                 t_ns: i * 100 + 30,
-                end: false,
-            });
-            f.push(FlightSpan::Alert {
-                label: "straggler",
-                subject: (i % 4) as u32,
+            };
+            f.flow_start(3, flow, &[0]);
+            f.alert(HealthAlert {
+                kind: crate::monitor::AlertKind::Straggler,
                 t_ns: i * 100 + 35,
+                subject: rank,
+                value: 2,
+                threshold: 1,
             });
         }
         let json = f.chrome_fragment();
@@ -356,7 +346,7 @@ mod tests {
     #[test]
     fn empty_ring_renders_a_valid_document() {
         let f = FlightRecorder::new(16);
-        assert!(f.is_empty());
+        assert!(f.buf.is_empty());
         crate::validate::validate_chrome(&f.chrome_fragment()).unwrap();
     }
 }

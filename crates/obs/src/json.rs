@@ -69,6 +69,7 @@ fn trigger_parts(t: Trigger) -> (&'static str, u64) {
         Trigger::ComputeDone { token } => ("compute_done", token),
         Trigger::CopyDone { token } => ("copy_done", token),
         Trigger::GpuDone { token } => ("gpu_done", token),
+        Trigger::PeerFailed { rank } => ("peer_failed", rank.into()),
     }
 }
 
@@ -353,6 +354,9 @@ fn parse_trigger(kind: &str, arg: u64) -> Result<Trigger, String> {
         "compute_done" => Trigger::ComputeDone { token: arg },
         "copy_done" => Trigger::CopyDone { token: arg },
         "gpu_done" => Trigger::GpuDone { token: arg },
+        "peer_failed" => Trigger::PeerFailed {
+            rank: u32::try_from(arg).map_err(|_| format!("peer_failed rank {arg}"))?,
+        },
         other => return Err(format!("unknown trigger {other:?}")),
     })
 }

@@ -19,9 +19,9 @@
 //!   mergeable log-bucketed [`Hist`]ograms (per-flow-class durations,
 //!   per-message-stage latencies), a link×time utilization heatmap, and
 //!   per-rank busy/idle accounting, exported as an [`ObsSummary`] via
-//!   [`summary_json`] / [`summary_report`]. An optional
-//!   [`FlightRecorder`] ring keeps the most recent spans and is dumped
-//!   as a Chrome-trace fragment on a stall diagnosis or failed audit.
+//!   [`summary_json`] / [`summary_report`]. The [`FlightRecorder`] ring
+//!   keeps the most recent spans and is dumped as a Chrome-trace
+//!   fragment on a stall diagnosis or failed audit.
 //! * **Exporters** — Chrome trace-event JSON ([`chrome_trace`],
 //!   loadable in Perfetto / `chrome://tracing`, one track per rank and
 //!   one per link), a flat CSV metrics dump ([`metrics_csv`]), and a
@@ -40,12 +40,12 @@
 //!   [`validate_recording`] checks that a recording holds the whole
 //!   causal structure.
 //!
-//! The runtime talks to the layer through the [`Recorder`] trait. The
-//! default [`NullRecorder`] compiles every probe down to a single
-//! predictable branch on a cached flag; [`MemRecorder`] accumulates an
-//! [`ObsData`] for export and analysis. The contract the test suite
-//! enforces: attaching any recorder must not move a single event — run
-//! results are identical with recording on or off.
+//! The runtime talks to the layer through the [`Recorder`] trait and
+//! feeds one probe stream to a [`Sinks`] set: any combination of the
+//! full [`MemRecorder`] (an [`ObsData`] for export and analysis), the
+//! [`StreamRecorder`], the [`FlightRecorder`] and one external sink.
+//! The contract the test suite enforces: attaching sinks must not move
+//! a single event — run results are identical with recording on or off.
 
 mod chrome;
 mod critical;
@@ -90,7 +90,7 @@ pub use chrome::chrome_trace;
 pub use critical::{critical_path, CriticalPath, Layer, Segment, LAYERS};
 pub use diff::{diff_runs, DiffBucket, RunDiff};
 pub use events::events_csv;
-pub use flight::{FlightRecorder, FlightSpan};
+pub use flight::FlightRecorder;
 pub use hist::{nearest_rank, percentile, Hist, HIST_BUCKETS};
 pub use json::{from_json, to_json, FORMAT};
 pub use metrics::{metrics_csv, CSV_HEADER, FLOW_CLASSES};
@@ -102,7 +102,7 @@ pub use record::{
     ComputeRec, DispatchSpan, FlowClass, FlowRec, GaugeMetric, GaugeRec, MsgRec, ObsData, PhaseRec,
     ProtoKind, ProtoSpan, Trigger,
 };
-pub use recorder::{AnyRecorder, FlowStart, MemRecorder, MsgEvent, NullRecorder, Recorder};
+pub use recorder::{FlowStart, MemRecorder, MsgEvent, Recorder, Sink, Sinks};
 pub use stream::{summary_json, summary_report, ObsSummary, StreamRecorder, SUMMARY_FORMAT};
 pub use validate::{
     parse_json, validate_chrome, validate_critical_report, validate_health, validate_metrics_csv,

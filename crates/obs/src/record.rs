@@ -38,6 +38,11 @@ pub enum Trigger {
         /// Token of the GPU operation.
         token: u64,
     },
+    /// The failure detector declared a peer dead (the revoke handler).
+    PeerFailed {
+        /// The dead rank.
+        rank: u32,
+    },
 }
 
 impl Trigger {
@@ -50,6 +55,7 @@ impl Trigger {
             Trigger::ComputeDone { .. } => "compute_done",
             Trigger::CopyDone { .. } => "copy_done",
             Trigger::GpuDone { .. } => "gpu_done",
+            Trigger::PeerFailed { .. } => "peer_failed",
         }
     }
 }

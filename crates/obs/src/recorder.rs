@@ -1,13 +1,17 @@
 //! The [`Recorder`] boundary between the runtime and the observability
-//! layer, plus its two implementations.
+//! layer, the full [`MemRecorder`], and the [`Sinks`] set the runtime
+//! holds: one probe stream feeding any combination of the full
+//! recording, the streaming summary, the flight ring and one external
+//! sink.
 //!
 //! The runtime caches `enabled()` in a flag and guards every probe with
-//! it, so the disabled path costs one predictable branch per probe and
-//! allocates nothing — the perf harness' `fig8_quick_bcast_256` scenario
-//! runs with the [`NullRecorder`] and must show no regression.
+//! it, so with no sink attached each probe costs one predictable branch
+//! and allocates nothing — the barometer's `fig8_quick_bcast_256`
+//! scenario runs that path and must show no regression.
 
+use crate::flight::FlightRecorder;
 use crate::record::*;
-use crate::stream::ObsSummary;
+use crate::stream::{ObsSummary, StreamRecorder};
 
 /// A step in a message's lifetime, reported as it happens.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -87,18 +91,9 @@ pub struct FlowStart {
 /// Attaching a recorder must never change simulation behaviour: probes
 /// only read state the runtime computed anyway, and the golden tests
 /// assert run results are identical with recording on and off.
-///
-/// Attaching a *disabled* recorder must also cost nothing measurable:
-/// the runtime calls [`Recorder::enabled`] once at attach time and
-/// caches the answer, so no virtual call sits on the hot path — every
-/// probe site is a single predictable branch on the cached flag. The
-/// benchmark barometer holds this to account: `fig8_quick_bcast_256`
-/// (recording compiled in, disabled) is gated against the ledger, and
-/// `fig8_quick_bcast_256_traced` tracks what enabling actually costs.
 pub trait Recorder {
-    /// Should the runtime fire probes at all? Called once when the
-    /// recorder is attached and cached by the runtime — not consulted
-    /// per probe.
+    /// Should the runtime fire probes at all? Called when a sink is
+    /// attached and cached by the runtime — not consulted per probe.
     fn enabled(&self) -> bool {
         false
     }
@@ -171,12 +166,6 @@ pub trait Recorder {
         None
     }
 }
-
-/// The default sink: recording off, every probe a no-op.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NullRecorder;
-
-impl Recorder for NullRecorder {}
 
 /// Accumulates every probe into an [`ObsData`] for export and analysis.
 #[derive(Debug, Default)]
@@ -382,173 +371,134 @@ impl Recorder for MemRecorder {
     }
 }
 
-/// Static dispatch over the crate's recorders. The runtime stores this
-/// instead of a bare `Box<dyn Recorder>` so every probe on the hot path
-/// compiles to a predictable branch plus a direct call — an indirect
-/// vtable call per probe is measurable at millions of probes per run,
-/// especially on hosts with indirect-branch hardening. Sinks from
-/// outside the crate still attach through the [`AnyRecorder::Dyn`] arm
-/// at the old virtual-call cost.
-pub enum AnyRecorder {
-    /// Recording off (the default attachment).
-    Null(NullRecorder),
-    /// Full in-memory event recording ([`MemRecorder`]).
-    Mem(Box<MemRecorder>),
-    /// Bounded-memory streaming aggregation
-    /// ([`StreamRecorder`](crate::stream::StreamRecorder)).
-    Stream(Box<crate::stream::StreamRecorder>),
-    /// Any other sink, dispatched virtually.
-    Dyn(Box<dyn Recorder>),
+/// The fixed set of sinks one probe stream feeds: a full recording, a
+/// streaming summary, a flight ring and one external sink, each
+/// optional. Every probe goes to every attached sink; the crate's own
+/// sinks are called directly, and only `ext` pays a virtual call. Each
+/// probe site calls the fan-out instead of inlining it, which keeps the
+/// runtime's hot paths small (EXPERIMENTS.md, "One recorder pipeline").
+#[derive(Default)]
+pub struct Sinks {
+    full: Option<Box<MemRecorder>>,
+    stream: Option<Box<StreamRecorder>>,
+    flight: Option<Box<FlightRecorder>>,
+    ext: Option<Box<dyn Recorder>>,
 }
 
-/// Forward one call to whichever recorder is inside.
-macro_rules! fan_out {
-    ($self:ident, $r:ident => $call:expr) => {
-        match $self {
-            AnyRecorder::Null($r) => $call,
-            AnyRecorder::Mem($r) => $call,
-            AnyRecorder::Stream($r) => $call,
-            AnyRecorder::Dyn($r) => $call,
+/// A sink with a slot in [`Sinks`]. Attaching a second sink of the same
+/// kind replaces the first.
+pub trait Sink {
+    /// Put the sink into its slot.
+    fn attach(self, sinks: &mut Sinks);
+}
+
+macro_rules! slots {
+    ($($ty:ty => $slot:ident),*) => {$(
+        impl Sink for $ty {
+            fn attach(self, sinks: &mut Sinks) {
+                sinks.$slot = Some(Box::new(self));
+            }
         }
-    };
+    )*};
+}
+slots!(MemRecorder => full, StreamRecorder => stream, FlightRecorder => flight);
+
+/// A disabled external sink takes no slot: it asked for no probes.
+impl Sink for Box<dyn Recorder> {
+    fn attach(self, sinks: &mut Sinks) {
+        sinks.ext = self.enabled().then_some(self);
+    }
 }
 
-impl Recorder for AnyRecorder {
-    #[inline]
+/// Forward each listed probe to every attached sink.
+macro_rules! probes {
+    ($($name:ident($($arg:ident: $ty:ty),*);)*) => {$(
+        fn $name(&mut self, $($arg: $ty),*) {
+            if let Some(r) = &mut self.full { r.$name($($arg),*); }
+            if let Some(r) = &mut self.stream { r.$name($($arg),*); }
+            if let Some(r) = &mut self.flight { r.$name($($arg),*); }
+            if let Some(r) = &mut self.ext { r.$name($($arg),*); }
+        }
+    )*};
+}
+
+impl Sinks {
+    /// Hand a once-per-run vector to every sink that keeps one (the
+    /// flight ring does not), cloning it for all but the last.
+    fn hand_out<T: Clone>(&mut self, v: T, call: impl Fn(&mut dyn Recorder, T)) {
+        let full = self.full.as_deref_mut().map(|r| r as &mut dyn Recorder);
+        let stream = self.stream.as_deref_mut().map(|r| r as &mut dyn Recorder);
+        let mut takers: Vec<_> = [full, stream, self.ext.as_deref_mut()]
+            .into_iter()
+            .flatten()
+            .collect();
+        if let Some(last) = takers.pop() {
+            for r in takers {
+                call(r, v.clone());
+            }
+            call(last, v);
+        }
+    }
+}
+
+impl Recorder for Sinks {
     fn enabled(&self) -> bool {
-        fan_out!(self, r => r.enabled())
+        self.full.is_some() || self.stream.is_some() || self.flight.is_some() || self.ext.is_some()
     }
 
-    #[inline]
+    /// The full recording's gauge interval, or else the external sink's.
     fn metrics_interval(&self) -> Option<u64> {
-        fan_out!(self, r => r.metrics_interval())
+        let full = self.full.as_ref().and_then(|r| r.metrics_interval());
+        full.or_else(|| self.ext.as_ref().and_then(|r| r.metrics_interval()))
     }
 
-    #[inline]
     fn meta(&mut self, nranks: u32, link_labels: Vec<String>) {
-        fan_out!(self, r => r.meta(nranks, link_labels))
+        self.hand_out(link_labels, |r, l| r.meta(nranks, l));
     }
 
-    #[inline]
     fn link_params(&mut self, caps: Vec<f64>, lat_ns: Vec<u64>) {
-        fan_out!(self, r => r.link_params(caps, lat_ns))
+        self.hand_out((caps, lat_ns), |r, (c, l)| r.link_params(c, l));
     }
 
-    #[inline]
     fn rank_windows(&mut self, rank: u32, noise: Vec<(u64, u64)>, stalls: Vec<(u64, u64)>) {
-        fan_out!(self, r => r.rank_windows(rank, noise, stalls))
+        self.hand_out((noise, stalls), |r, (n, s)| r.rank_windows(rank, n, s));
     }
 
-    #[inline]
-    fn msg_posted(
-        &mut self,
-        msg: u64,
-        src: u32,
-        dst: u32,
-        tag: u32,
-        bytes: u64,
-        eager: bool,
-        t_ns: u64,
-    ) {
-        fan_out!(self, r => r.msg_posted(msg, src, dst, tag, bytes, eager, t_ns))
+    probes! {
+        msg_posted(msg: u64, src: u32, dst: u32, tag: u32, bytes: u64, eager: bool, t_ns: u64);
+        msg_event(msg: u64, ev: MsgEvent, t_ns: u64);
+        flow_start(slot: u32, rec: FlowStart, links: &[u32]);
+        flow_drained(slot: u32, t_ns: u64);
+        flow_delivered(slot: u32, t_ns: u64);
+        dispatch(rank: u32, begin_ns: u64, end_ns: u64, trigger: Trigger);
+        protocol(rank: u32, begin_ns: u64, end_ns: u64, kind: ProtoKind, msg: u64);
+        compute(rank: u32, token: u64, begin_ns: u64, end_ns: u64, gpu: bool);
+        phase(rank: u32, phase: u32, begin: bool, t_ns: u64);
+        gauge(t_ns: u64, metric: GaugeMetric, index: u32, value: f64);
+        alert(a: crate::monitor::HealthAlert);
     }
 
-    #[inline]
-    fn msg_event(&mut self, msg: u64, ev: MsgEvent, t_ns: u64) {
-        fan_out!(self, r => r.msg_event(msg, ev, t_ns))
-    }
-
-    #[inline]
-    fn flow_start(&mut self, slot: u32, rec: FlowStart, links: &[u32]) {
-        fan_out!(self, r => r.flow_start(slot, rec, links))
-    }
-
-    #[inline]
-    fn flow_drained(&mut self, slot: u32, t_ns: u64) {
-        fan_out!(self, r => r.flow_drained(slot, t_ns))
-    }
-
-    #[inline]
-    fn flow_delivered(&mut self, slot: u32, t_ns: u64) {
-        fan_out!(self, r => r.flow_delivered(slot, t_ns))
-    }
-
-    #[inline]
-    fn dispatch(&mut self, rank: u32, begin_ns: u64, end_ns: u64, trigger: Trigger) {
-        fan_out!(self, r => r.dispatch(rank, begin_ns, end_ns, trigger))
-    }
-
-    #[inline]
-    fn protocol(&mut self, rank: u32, begin_ns: u64, end_ns: u64, kind: ProtoKind, msg: u64) {
-        fan_out!(self, r => r.protocol(rank, begin_ns, end_ns, kind, msg))
-    }
-
-    #[inline]
-    fn compute(&mut self, rank: u32, token: u64, begin_ns: u64, end_ns: u64, gpu: bool) {
-        fan_out!(self, r => r.compute(rank, token, begin_ns, end_ns, gpu))
-    }
-
-    #[inline]
-    fn phase(&mut self, rank: u32, phase: u32, begin: bool, t_ns: u64) {
-        fan_out!(self, r => r.phase(rank, phase, begin, t_ns))
-    }
-
-    #[inline]
-    fn gauge(&mut self, t_ns: u64, metric: GaugeMetric, index: u32, value: f64) {
-        fan_out!(self, r => r.gauge(t_ns, metric, index, value))
-    }
-
-    #[inline]
-    fn alert(&mut self, a: crate::monitor::HealthAlert) {
-        fan_out!(self, r => r.alert(a))
-    }
-
+    /// Finish every sink; the full recording wins over the external one.
     fn finish(&mut self, per_rank_finish_ns: &[u64]) -> Option<ObsData> {
-        fan_out!(self, r => r.finish(per_rank_finish_ns))
+        let full = self
+            .full
+            .as_mut()
+            .and_then(|r| r.finish(per_rank_finish_ns));
+        if let Some(r) = &mut self.stream {
+            r.finish(per_rank_finish_ns);
+        }
+        let ext = self.ext.as_mut().and_then(|r| r.finish(per_rank_finish_ns));
+        full.or(ext)
     }
 
     fn finish_summary(&mut self) -> Option<ObsSummary> {
-        fan_out!(self, r => r.finish_summary())
+        let stream = self.stream.as_mut().and_then(|r| r.finish_summary());
+        stream.or_else(|| self.ext.as_mut().and_then(|r| r.finish_summary()))
     }
 
     fn flight_dump(&mut self) -> Option<String> {
-        fan_out!(self, r => r.flight_dump())
-    }
-}
-
-impl From<NullRecorder> for AnyRecorder {
-    fn from(r: NullRecorder) -> AnyRecorder {
-        AnyRecorder::Null(r)
-    }
-}
-
-impl From<MemRecorder> for AnyRecorder {
-    fn from(r: MemRecorder) -> AnyRecorder {
-        AnyRecorder::Mem(Box::new(r))
-    }
-}
-
-impl From<crate::stream::StreamRecorder> for AnyRecorder {
-    fn from(r: crate::stream::StreamRecorder) -> AnyRecorder {
-        AnyRecorder::Stream(Box::new(r))
-    }
-}
-
-impl From<Box<MemRecorder>> for AnyRecorder {
-    fn from(r: Box<MemRecorder>) -> AnyRecorder {
-        AnyRecorder::Mem(r)
-    }
-}
-
-impl From<Box<crate::stream::StreamRecorder>> for AnyRecorder {
-    fn from(r: Box<crate::stream::StreamRecorder>) -> AnyRecorder {
-        AnyRecorder::Stream(r)
-    }
-}
-
-impl From<Box<dyn Recorder>> for AnyRecorder {
-    fn from(r: Box<dyn Recorder>) -> AnyRecorder {
-        AnyRecorder::Dyn(r)
+        let flight = self.flight.as_mut().and_then(|r| r.flight_dump());
+        flight.or_else(|| self.ext.as_mut().and_then(|r| r.flight_dump()))
     }
 }
 
@@ -557,12 +507,86 @@ mod tests {
     use super::*;
 
     #[test]
-    fn null_recorder_is_disabled_and_returns_nothing() {
-        let mut r = NullRecorder;
+    fn an_empty_sink_set_is_disabled_and_returns_nothing() {
+        let mut r = Sinks::default();
         assert!(!r.enabled());
         assert!(r.metrics_interval().is_none());
         r.dispatch(0, 0, 10, Trigger::Start);
         assert!(r.finish(&[10]).is_none());
+        assert!(r.finish_summary().is_none() && r.flight_dump().is_none());
+        // A disabled external sink takes no slot.
+        struct Off;
+        impl Recorder for Off {}
+        (Box::new(Off) as Box<dyn Recorder>).attach(&mut r);
+        assert!(!r.enabled());
+    }
+
+    /// A short run's probe stream: two ranks, one eager and one
+    /// rendezvous message, a compute span, a phase, a gauge and an alert.
+    fn feed(r: &mut impl Recorder) -> Option<ObsData> {
+        let flow = |class, msg, rank, bytes, t_ns| FlowStart {
+            class,
+            msg,
+            rank,
+            token: 0,
+            bytes,
+            t_ns,
+        };
+        r.meta(2, vec!["NicTx(0)".into(), "NicRx(1)".into()]);
+        r.link_params(vec![1e10, 1e10], vec![500, 500]);
+        r.dispatch(0, 0, 40, Trigger::Start);
+        r.dispatch(1, 0, 30, Trigger::Start);
+        r.msg_posted(0, 0, 1, 7, 64, true, 10);
+        r.flow_start(0, flow(FlowClass::Eager, Some(0), 0, 64, 10), &[0, 1]);
+        r.flow_drained(0, 20);
+        r.flow_delivered(0, 520);
+        r.msg_event(0, MsgEvent::Delivered, 520);
+        let matched = MsgEvent::Matched {
+            posted_ns: Some(30),
+            unexpected: false,
+        };
+        r.msg_event(0, matched, 520);
+        r.msg_event(0, MsgEvent::RecvReady, 520);
+        r.dispatch(1, 520, 560, Trigger::RecvDone { msg: 0 });
+        r.msg_posted(1, 1, 0, 7, 1 << 20, false, 560);
+        r.flow_start(1, flow(FlowClass::Rts, Some(1), 1, 0, 560), &[1, 0]);
+        r.flow_delivered(1, 1060);
+        r.msg_event(1, MsgEvent::RtsArrived, 1060);
+        r.protocol(0, 1060, 1100, ProtoKind::CtsSend, 1);
+        r.compute(0, 3, 1100, 2100, false);
+        r.phase(0, 1, true, 1100);
+        r.gauge(1000, GaugeMetric::LiveFlows, 0, 1.0);
+        r.alert(crate::monitor::HealthAlert {
+            kind: crate::monitor::AlertKind::Straggler,
+            t_ns: 2000,
+            subject: 1,
+            value: 3,
+            threshold: 2,
+        });
+        r.rank_windows(0, vec![(5, 9)], Vec::new());
+        r.rank_windows(1, Vec::new(), vec![(100, 200)]);
+        r.finish(&[2100, 1060])
+    }
+
+    #[test]
+    fn each_sink_writes_the_same_artifact_alone_and_composed() {
+        let full = crate::to_json(&feed(&mut MemRecorder::with_metrics(500)).unwrap());
+        let mut stream = StreamRecorder::new();
+        feed(&mut stream);
+        let summary = crate::summary_json(&stream.finish_summary().unwrap());
+        let mut flight = FlightRecorder::new(8);
+        feed(&mut flight);
+        let fragment = flight.chrome_fragment();
+
+        let mut all = Sinks::default();
+        MemRecorder::with_metrics(500).attach(&mut all);
+        StreamRecorder::new().attach(&mut all);
+        FlightRecorder::new(8).attach(&mut all);
+        (Box::new(MemRecorder::new()) as Box<dyn Recorder>).attach(&mut all);
+        assert_eq!(all.metrics_interval(), Some(500));
+        assert_eq!(crate::to_json(&feed(&mut all).unwrap()), full);
+        assert_eq!(crate::summary_json(&all.finish_summary().unwrap()), summary);
+        assert_eq!(all.flight_dump().unwrap(), fragment);
     }
 
     #[test]

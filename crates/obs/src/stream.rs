@@ -14,9 +14,8 @@
 //! stream, so the exported [`ObsSummary`] JSON is byte-identical across
 //! re-runs of the same seed.
 
-use crate::flight::{FlightRecorder, FlightSpan};
 use crate::hist::{percentile, Hist};
-use crate::record::{FlowClass, GaugeMetric, ObsData, ProtoKind, Trigger};
+use crate::record::{FlowClass, ObsData, ProtoKind, Trigger};
 use crate::recorder::{FlowStart, MsgEvent, Recorder};
 use adapt_sim::fxhash::FxHashMap;
 use std::fmt::Write as _;
@@ -264,25 +263,17 @@ pub struct StreamRecorder {
     slots: Vec<SlotState>,
     peak_open_msgs: u64,
     peak_slots: u64,
-    // Outputs ------------------------------------------------------
-    flight: Option<FlightRecorder>,
+    // Output -------------------------------------------------------
     summary: Option<ObsSummary>,
 }
 
 impl StreamRecorder {
-    /// A streaming recorder with no flight ring.
+    /// A streaming recorder.
     pub fn new() -> StreamRecorder {
         StreamRecorder {
             flow_dur: vec![Hist::new(); FlowClass::ALL.len()],
             ..StreamRecorder::default()
         }
-    }
-
-    /// Also keep a flight ring of the most recent `capacity` spans for
-    /// stall/audit post-mortems.
-    pub fn with_flight(mut self, capacity: usize) -> StreamRecorder {
-        self.flight = Some(FlightRecorder::new(capacity));
-        self
     }
 
     /// Current in-flight working-set size `(open messages, tracked
@@ -353,13 +344,6 @@ impl Recorder for StreamRecorder {
 
     #[inline]
     fn msg_event(&mut self, msg: u64, ev: MsgEvent, t_ns: u64) {
-        if let Some(f) = &mut self.flight {
-            f.push(FlightSpan::Msg {
-                msg,
-                label: ev.label(),
-                t_ns,
-            });
-        }
         match ev {
             MsgEvent::Dropped => self.drops += 1,
             MsgEvent::Retransmit => self.retransmits += 1,
@@ -404,15 +388,6 @@ impl Recorder for StreamRecorder {
     #[inline]
     fn flow_start(&mut self, slot: u32, rec: FlowStart, links: &[u32]) {
         self.flow_starts += 1;
-        if let Some(f) = &mut self.flight {
-            f.push(FlightSpan::Flow {
-                slot,
-                label: rec.class.label(),
-                bytes: rec.bytes,
-                t_ns: rec.t_ns,
-                end: false,
-            });
-        }
         let s = slot as usize;
         if self.slots.len() <= s {
             self.slots.resize(s + 1, SlotState::default());
@@ -457,77 +432,28 @@ impl Recorder for StreamRecorder {
                 .add_span(&self.slots[slot as usize].links, t0, t_ns, bytes);
         }
         self.flow_dur[class.index()].record(t_ns.saturating_sub(t0));
-        if let Some(f) = &mut self.flight {
-            f.push(FlightSpan::Flow {
-                slot,
-                label: class.label(),
-                bytes: 0,
-                t_ns,
-                end: true,
-            });
-        }
     }
 
     #[inline]
-    fn dispatch(&mut self, rank: u32, begin_ns: u64, end_ns: u64, trigger: Trigger) {
+    fn dispatch(&mut self, rank: u32, begin_ns: u64, end_ns: u64, _trigger: Trigger) {
         self.dispatches += 1;
         if let Some(b) = self.busy_ns.get_mut(rank as usize) {
             *b += end_ns.saturating_sub(begin_ns);
         }
-        if let Some(f) = &mut self.flight {
-            f.push(FlightSpan::Dispatch {
-                rank,
-                begin_ns,
-                end_ns,
-                label: trigger.label(),
-            });
-        }
     }
 
     #[inline]
-    fn protocol(&mut self, rank: u32, begin_ns: u64, end_ns: u64, kind: ProtoKind, msg: u64) {
+    fn protocol(&mut self, rank: u32, begin_ns: u64, end_ns: u64, _kind: ProtoKind, _msg: u64) {
         self.protocols += 1;
         if let Some(b) = self.busy_ns.get_mut(rank as usize) {
             *b += end_ns.saturating_sub(begin_ns);
         }
-        if let Some(f) = &mut self.flight {
-            f.push(FlightSpan::Proto {
-                rank,
-                begin_ns,
-                end_ns,
-                label: kind.label(),
-                msg,
-            });
-        }
     }
 
     #[inline]
-    fn compute(&mut self, rank: u32, token: u64, begin_ns: u64, end_ns: u64, gpu: bool) {
+    fn compute(&mut self, rank: u32, _token: u64, begin_ns: u64, end_ns: u64, _gpu: bool) {
         if let Some(c) = self.compute_ns.get_mut(rank as usize) {
             *c += end_ns.saturating_sub(begin_ns);
-        }
-        if let Some(f) = &mut self.flight {
-            f.push(FlightSpan::Compute {
-                rank,
-                token,
-                begin_ns,
-                end_ns,
-                gpu,
-            });
-        }
-    }
-
-    fn gauge(&mut self, _t_ns: u64, _metric: GaugeMetric, _index: u32, _value: f64) {}
-
-    fn alert(&mut self, a: crate::monitor::HealthAlert) {
-        // Alerts land in the flight ring next to the spans they explain,
-        // so a post-mortem fragment shows what the monitor saw last.
-        if let Some(f) = &mut self.flight {
-            f.push(FlightSpan::Alert {
-                label: a.kind.label(),
-                subject: a.subject,
-                t_ns: a.t_ns,
-            });
         }
     }
 
@@ -586,10 +512,6 @@ impl Recorder for StreamRecorder {
 
     fn finish_summary(&mut self) -> Option<ObsSummary> {
         self.summary.take()
-    }
-
-    fn flight_dump(&mut self) -> Option<String> {
-        self.flight.as_ref().map(|f| f.chrome_fragment())
     }
 }
 

@@ -944,6 +944,10 @@ pub fn validate_recording(data: &crate::ObsData) -> Result<RecordingCheck, Strin
                 copies.contains(&(d.rank, token)),
                 format!("a copy flow with token {token}"),
             ),
+            Trigger::PeerFailed { rank } => (
+                rank < data.nranks && rank != d.rank,
+                format!("a rank of the job other than {}", d.rank),
+            ),
         };
         if !found {
             return Err(format!(

@@ -101,8 +101,8 @@ JSON) and print the percentile/hot-spot report",
     (
         "flight",
         "N",
-        "keep a flight ring of the last N spans (streaming recorder); \
-dumped to adapt-flight.json on a stall, a failure or a dirty audit (exit 5)",
+        "keep a flight ring of the last N spans; dumped to adapt-flight.json \
+on a stall, a failure or a dirty audit (exit 5)",
     ),
     (
         "whatif",
@@ -221,8 +221,8 @@ where
 }
 
 /// Observability flags: the event-timeline CSV, the Chrome trace and
-/// metrics CSV, whether to print the critical path, and the
-/// bounded-memory streaming path (`--summary-out` / `--flight`).
+/// metrics CSV, whether to print the critical path, the bounded-memory
+/// summary (`--summary-out`) and the flight ring (`--flight`).
 struct ObsArgs {
     events_csv: Option<String>,
     trace_out: Option<String>,
@@ -253,33 +253,18 @@ impl ObsArgs {
         o
     }
 
-    /// The recorder this invocation asks for. The streaming recorder
-    /// keeps only aggregates, so it cannot serve any flag that needs the
-    /// full recording (what-if included). Gauge sampling only runs when
-    /// a metrics file was requested.
+    /// The sinks this invocation asks for; they all compose. Gauge
+    /// sampling only runs when a metrics file was requested.
     fn recording(&self, whatif: &WhatIfArgs) -> Recording {
-        let full = self.events_csv.is_some()
-            || self.trace_out.is_some()
-            || self.metrics_out.is_some()
-            || self.critical
-            || whatif.wanted();
-        if self.summary_out.is_some() || self.flight.is_some() {
-            if full {
-                usage_error(
-                    "--summary-out/--flight use the bounded-memory streaming recorder; \
-                     --trace/--trace-out/--metrics-out/--critical-path/--obs-out/--whatif/\
-                     --diff-against need the full recorder — pick one side",
-                );
-            }
-            Recording::Streaming {
-                flight: self.flight,
-            }
-        } else if full {
-            Recording::Full {
-                metrics_interval_ns: self.metrics_out.as_ref().map(|_| self.interval_ns),
-            }
-        } else {
-            Recording::Off
+        Recording {
+            full: self.events_csv.is_some()
+                || self.trace_out.is_some()
+                || self.metrics_out.is_some()
+                || self.critical
+                || whatif.wanted(),
+            metrics_interval_ns: self.metrics_out.as_ref().map(|_| self.interval_ns),
+            summary: self.summary_out.is_some(),
+            flight: self.flight,
         }
     }
 
@@ -287,7 +272,7 @@ impl ObsArgs {
     fn emit(&self, res: &RunResult) {
         if let Some(s) = &res.summary {
             if let Some(path) = &self.summary_out {
-                std::fs::write(path, summary_json(s)).expect("write summary");
+                save_or_exit(path, summary_json(s));
                 println!(
                     "  summary: {} msgs, {} flows aggregated online -> {path}",
                     s.msgs_posted, s.flow_starts
@@ -297,7 +282,7 @@ impl ObsArgs {
         }
         let Some(obs) = &res.obs else { return };
         if let Some(path) = &self.trace_out {
-            std::fs::write(path, chrome_trace(obs)).expect("write trace");
+            save_or_exit(path, chrome_trace(obs));
             println!(
                 "  trace: {} spans over {} msgs -> {path}",
                 obs.dispatches.len() + obs.protocols.len(),
@@ -305,7 +290,7 @@ impl ObsArgs {
             );
         }
         if let Some(path) = &self.metrics_out {
-            std::fs::write(path, metrics_csv(obs)).expect("write metrics");
+            save_or_exit(path, metrics_csv(obs));
             println!("  metrics: {} samples -> {path}", obs.gauges.len());
         }
         if self.critical {
@@ -313,7 +298,7 @@ impl ObsArgs {
         }
         if let Some(path) = &self.events_csv {
             let csv = events_csv(obs);
-            std::fs::write(path, &csv).expect("write event CSV");
+            save_or_exit(path, &csv);
             println!("  events: {} rows -> {path}", csv.lines().count() - 1);
         }
     }
@@ -352,7 +337,7 @@ impl MonitorArgs {
         let Some(h) = &res.health else { return };
         print!("{}", health_report_text(h));
         if let Some(path) = &self.health_out {
-            std::fs::write(path, health_json(h)).expect("write health");
+            save_or_exit(path, health_json(h));
             println!("  health artifact -> {path}");
         }
     }
@@ -391,37 +376,42 @@ impl WhatIfArgs {
         !self.ivs.is_empty() || self.diff_against.is_some() || self.obs_out.is_some()
     }
 
-    /// Refuse a `rank-noise-off` rank outside the job before anything runs.
-    fn check_ranks(&self, nranks: u32) {
-        for iv in &self.ivs {
-            if let Intervention::RankNoiseOff(r) = iv {
-                if *r >= nranks {
-                    usage_error(format!(
-                        "--whatif rank-noise-off={r}: the job has {nranks} ranks"
-                    ));
-                }
-            }
-        }
+    /// One re-run of `spec` per intervention, checked before anything
+    /// runs: one naming no part of the job is a usage error.
+    fn reruns(&self, spec: &RunSpec) -> Vec<RunSpec> {
+        let check = |r: &RunSpec| {
+            r.check()
+                .unwrap_or_else(|e| usage_error(format!("--whatif {e}")))
+        };
+        self.ivs
+            .iter()
+            .map(|iv| RunSpec {
+                intervention: Some(iv.clone()),
+                // The diff reads the full recording; nothing reads a summary.
+                recorder: Recording {
+                    summary: false,
+                    ..spec.recorder
+                },
+                ..spec.clone()
+            })
+            .inspect(check)
+            .collect()
     }
 
     /// Emit everything what-if-related from a recorded run: the export,
-    /// then per intervention a re-run of `spec` with it applied, its
-    /// makespan delta, and the diff attributing that delta.
-    fn emit(&self, obs: &ObsData, spec: &RunSpec) {
+    /// then per intervention its re-run, makespan delta, and the diff
+    /// attributing that delta.
+    fn emit(&self, obs: &ObsData, reruns: &[RunSpec]) {
         if let Some(path) = &self.obs_out {
-            std::fs::write(path, to_json(obs)).expect("write recording");
+            save_or_exit(path, to_json(obs));
             println!(
                 "  recording: {} msgs, {} dispatches -> {path}",
                 obs.msgs.len(),
                 obs.dispatches.len()
             );
         }
-        for iv in &self.ivs {
-            let rerun = RunSpec {
-                intervention: Some(iv.clone()),
-                ..spec.clone()
-            };
-            let res = execute(&rerun).unwrap_or_else(|err| fail(&err));
+        for (iv, rerun) in self.ivs.iter().zip(reruns) {
+            let res = execute(rerun).unwrap_or_else(|err| fail(&err));
             let Some(data) = &res.obs else { continue };
             let (base, new) = (obs.makespan_ns(), data.makespan_ns());
             println!(
@@ -497,19 +487,36 @@ impl FaultArgs {
 /// deadlock or blown event cap [`EXIT_STALLED`], killed ranks the
 /// survivors could not complete around (or an exhausted live↔live retry
 /// budget) [`EXIT_FAILED`], a dirty invariant audit [`EXIT_AUDIT`], a
-/// what-if link rescale matching no link [`EXIT_USAGE`].
+/// what-if intervention naming no part of the job [`EXIT_USAGE`]. A
+/// flight dump that cannot be written does not change the code.
 fn fail(err: &RunError) -> ! {
     if let Some(frag) = err.flight() {
-        std::fs::write(FLIGHT_DUMP_PATH, frag).expect("write flight dump");
-        eprintln!("flight recorder: last spans -> {FLIGHT_DUMP_PATH}");
+        if save(FLIGHT_DUMP_PATH, frag) {
+            eprintln!("flight recorder: last spans -> {FLIGHT_DUMP_PATH}");
+        }
     }
     eprintln!("{err}");
     std::process::exit(match err {
         RunError::Stalled(_) | RunError::EventCap { .. } => EXIT_STALLED,
         RunError::RanksFailed(_) | RunError::RetryBudgetExhausted { .. } => EXIT_FAILED,
         RunError::AuditFailed { .. } => EXIT_AUDIT,
-        RunError::NoSuchLink { .. } => EXIT_USAGE,
+        RunError::NoSuchLink { .. } | RunError::NoSuchRank { .. } => EXIT_USAGE,
     })
+}
+
+/// Write one artifact. A path that cannot be written prints
+/// `cannot write PATH: ERR` and returns false.
+fn save(path: &str, body: impl AsRef<[u8]>) -> bool {
+    std::fs::write(path, body)
+        .map_err(|e| eprintln!("adapt-cli: cannot write {path}: {e}"))
+        .is_ok()
+}
+
+/// [`save`], exiting with [`EXIT_USAGE`] when the path is unwritable.
+fn save_or_exit(path: &str, body: impl AsRef<[u8]>) {
+    if !save(path, body) {
+        std::process::exit(EXIT_USAGE);
+    }
 }
 
 /// The collective a command line names: the base [`RunSpec`] (machine,
@@ -676,7 +683,6 @@ fn main() {
     let monitor = MonitorArgs::parse(&args);
     let obs = ObsArgs::parse(&args);
     let job = Job::parse(&args, machine, device);
-    whatif.check_ranks(job.spec.nranks);
 
     let spec = RunSpec {
         noise: Noise {
@@ -690,6 +696,7 @@ fn main() {
         recorder: obs.recording(&whatif),
         ..job.spec
     };
+    let reruns = whatif.reruns(&spec);
     let res = execute(&spec).unwrap_or_else(|err| fail(&err));
 
     let units = match spec.device {
@@ -710,7 +717,7 @@ fn main() {
     monitor.emit(&res);
     obs.emit(&res);
     if let Some(data) = &res.obs {
-        whatif.emit(data, &spec);
+        whatif.emit(data, &reruns);
     }
 }
 

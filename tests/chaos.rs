@@ -368,7 +368,7 @@ fn faults_compose_with_observability() {
     let plan = FaultPlan::lossy(29, 0.05).with_rto(Duration::from_micros(40));
     let res = world
         .with_faults(plan)
-        .with_recorder(Box::new(adapt::obs::MemRecorder::new()))
+        .with_recorder(adapt::obs::MemRecorder::new())
         .try_run(programs)
         .unwrap();
     assert!(res.stats.retransmits > 0);

@@ -1,7 +1,8 @@
 //! Command-line input errors: every malformed invocation of `adapt-cli`
 //! exits 2 with a one-line reason plus the usage on stderr, runs nothing,
-//! and never panics. A valid invocation still runs and exits 0, and every
-//! flag composes with every other on CPU and GPU placements alike.
+//! and never panics; an artifact path that cannot be written exits 2 too.
+//! A valid invocation still runs and exits 0, and every flag composes
+//! with every other on CPU and GPU placements alike.
 
 use std::process::{Command, Output};
 
@@ -78,21 +79,6 @@ fn incompatible_gpu_flags_are_rejected() {
 }
 
 #[test]
-fn full_and_streaming_recorders_are_exclusive() {
-    for full in [
-        &["--trace", "t.csv"][..],
-        &["--trace-out", "t.json"],
-        &["--obs-out", "r.json"],
-        &["--whatif", "noop"],
-    ] {
-        for streaming in [&["--summary-out", "s.json"][..], &["--flight", "16"]] {
-            let extra: Vec<&str> = full.iter().chain(streaming).copied().collect();
-            assert_usage_error(&mini(&extra), "pick one side");
-        }
-    }
-}
-
-#[test]
 fn alltoall_rejects_a_size_that_rounds_to_nothing() {
     // 16 ranks: 7 bytes is less than one byte per rank.
     assert_usage_error(
@@ -162,24 +148,6 @@ fn scratch(name: &str) -> std::path::PathBuf {
 
 #[test]
 fn every_feature_composes_on_cpu_and_gpu() {
-    let placements: [(&str, &[&str]); 2] = [
-        (
-            "mini",
-            &["--machine", "mini", "--nodes", "2", "--msg", "262144"],
-        ),
-        (
-            "gpu",
-            &[
-                "--machine",
-                "psg",
-                "--nodes",
-                "2",
-                "--gpu",
-                "--msg",
-                "1048576",
-            ],
-        ),
-    ];
     // (name, flags, files the run must write)
     let features: [(&str, &[&str], &[&str]); 5] = [
         ("plain", &[], &[]),
@@ -198,6 +166,8 @@ fn every_feature_composes_on_cpu_and_gpu() {
                 "events.csv",
                 "--whatif",
                 "noop",
+                "--flight",
+                "64",
             ],
             &["rec.json", "events.csv"],
         ),
@@ -207,7 +177,7 @@ fn every_feature_composes_on_cpu_and_gpu() {
             &["summary.json"],
         ),
     ];
-    for (pname, placement) in placements {
+    for (pname, placement) in PLACEMENTS {
         for (fname, flags, files) in features {
             let dir = scratch(&format!("compose-{pname}-{fname}"));
             let out = Command::new(env!("CARGO_BIN_EXE_adapt-cli"))
@@ -242,6 +212,148 @@ fn every_feature_composes_on_cpu_and_gpu() {
             }
         }
     }
+}
+
+/// The placements the composition tests run on.
+const PLACEMENTS: [(&str, &[&str]); 2] = [
+    (
+        "mini",
+        &["--machine", "mini", "--nodes", "2", "--msg", "262144"],
+    ),
+    (
+        "gpu",
+        &[
+            "--machine",
+            "psg",
+            "--nodes",
+            "2",
+            "--gpu",
+            "--msg",
+            "1048576",
+        ],
+    ),
+];
+
+/// Run the CLI in a fresh directory; it must exit 0.
+fn run_in(dir: &str, args: &[&str]) -> (std::path::PathBuf, String) {
+    let dir = scratch(dir);
+    let out = Command::new(env!("CARGO_BIN_EXE_adapt-cli"))
+        .args(args)
+        .current_dir(&dir)
+        .output()
+        .expect("spawn adapt-cli");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{args:?}: stderr:\n{stderr}");
+    (dir, String::from_utf8_lossy(&out.stdout).into_owned())
+}
+
+/// The critical-path report within a run's stdout.
+fn critical_report(stdout: &str) -> &str {
+    let begin = stdout
+        .find("critical path:")
+        .expect("a critical-path report");
+    let end = stdout[begin..].find("  events:").expect("the events line") + begin;
+    &stdout[begin..end]
+}
+
+#[test]
+fn one_run_writes_every_artifact_the_split_runs_write() {
+    let full: &[&'static str] = &[
+        "--trace",
+        "events.csv",
+        "--trace-out",
+        "trace.json",
+        "--metrics-out",
+        "metrics.csv",
+        "--obs-out",
+        "rec.json",
+        "--critical-path",
+    ];
+    let summary: &[&'static str] = &["--summary-out", "summary.json"];
+    let health: &[&'static str] = &["--health-out", "health.json"];
+    let flight: &[&'static str] = &["--flight", "64"];
+    for (pname, placement) in PLACEMENTS {
+        let args = |parts: &[&[&'static str]]| -> Vec<&'static str> {
+            placement.iter().copied().chain(parts.concat()).collect()
+        };
+        let (a, a_out) = run_in(&format!("split-full-{pname}"), &args(&[full, health]));
+        let (b, _) = run_in(&format!("split-summary-{pname}"), &args(&[summary, health]));
+        let (all, all_out) = run_in(
+            &format!("composed-{pname}"),
+            &args(&[full, summary, health, flight]),
+        );
+        for (split, file) in [
+            (&a, "events.csv"),
+            (&a, "trace.json"),
+            (&a, "metrics.csv"),
+            (&a, "rec.json"),
+            (&a, "health.json"),
+            (&b, "summary.json"),
+            (&b, "health.json"),
+        ] {
+            let want = std::fs::read(split.join(file)).unwrap();
+            let got = std::fs::read(all.join(file)).unwrap();
+            assert!(
+                want == got,
+                "{pname}: composed {file} differs from the split run's"
+            );
+        }
+        assert_eq!(
+            critical_report(&a_out),
+            critical_report(&all_out),
+            "{pname}"
+        );
+        assert!(all_out.contains("streaming telemetry summary"), "{pname}");
+        // The ring alone attaches no summary.
+        let (_, ring) = run_in(&format!("flight-{pname}"), &args(&[flight]));
+        assert!(
+            !ring.contains("streaming telemetry summary"),
+            "{pname}:\n{ring}"
+        );
+    }
+}
+
+#[test]
+fn unwritable_artifact_paths_exit_2() {
+    let dir = scratch("unwritable");
+    let missing = dir.join("no-such-dir").join("artifact");
+    let missing = missing.to_str().unwrap();
+    for flag in [
+        "--trace",
+        "--trace-out",
+        "--metrics-out",
+        "--obs-out",
+        "--summary-out",
+        "--health-out",
+    ] {
+        let out = cli(&mini(&["--msg", "65536"])
+            .into_iter()
+            .chain([flag, missing])
+            .collect::<Vec<_>>());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag}: stderr:\n{stderr}");
+        assert!(
+            stderr.contains(&format!("cannot write {missing}")),
+            "{flag}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{flag}: {stderr}");
+    }
+    // A stall's flight dump that cannot be written keeps the stall's
+    // own exit code: the dump path is a directory here.
+    std::fs::create_dir(dir.join("adapt-flight.json")).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_adapt-cli"))
+        .args(mini(&["--msg", "262144", "--flight", "16"]))
+        .args(["--faults", "stall=2:0-3600s", "--watchdog-horizon", "1ms"])
+        .current_dir(&dir)
+        .output()
+        .expect("spawn adapt-cli");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(3), "stderr:\n{stderr}");
+    assert!(
+        stderr.contains("cannot write adapt-flight.json"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }
 
 #[test]

@@ -171,8 +171,9 @@ fn check_events(name: &str, op: OpKind, library: Library) {
         msg_bytes: 256 << 10,
     };
     let res = execute(&RunSpec {
-        recorder: Recording::Full {
-            metrics_interval_ns: None,
+        recorder: Recording {
+            full: true,
+            ..Recording::default()
         },
         ..case.spec()
     })

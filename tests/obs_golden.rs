@@ -42,11 +42,13 @@ fn fig8_spec(percent: f64, seed: u64, recorder: Recording) -> RunSpec {
 
 fn run(noise: f64, seed: u64, record: bool) -> adapt::mpi::RunResult {
     let recorder = if record {
-        Recording::Full {
+        Recording {
+            full: true,
             metrics_interval_ns: Some(10_000),
+            ..Recording::default()
         }
     } else {
-        Recording::Off
+        Recording::default()
     };
     execute(&fig8_spec(noise, seed, recorder)).unwrap()
 }
@@ -122,7 +124,10 @@ fn streaming_summary_is_reproducible_validated_and_observer_free() {
         execute(&fig8_spec(
             noise,
             seed,
-            Recording::Streaming { flight: None },
+            Recording {
+                summary: true,
+                ..Recording::default()
+            },
         ))
         .unwrap()
     };
@@ -153,9 +158,10 @@ fn streaming_summary_is_reproducible_validated_and_observer_free() {
 
 #[test]
 fn stall_dumps_a_valid_flight_fragment() {
-    // A guaranteed stall under a tight watchdog: the streaming recorder's
-    // flight ring must come back attached to the diagnosis as a
-    // self-contained Chrome-trace fragment that passes the validator.
+    // A guaranteed stall under a tight watchdog: the flight ring must
+    // come back attached to the diagnosis as a self-contained
+    // Chrome-trace fragment that passes the validator — next to a
+    // streaming summary or next to a full recording, with the same bytes.
     let case = CollectiveCase {
         machine: profiles::minicluster(2, 2, 4),
         nranks: 16,
@@ -168,26 +174,37 @@ fn stall_dumps_a_valid_flight_fragment() {
         Time::ZERO,
         Time::ZERO + Duration::from_millis(3_600_000),
     );
-    let err = match execute(&RunSpec {
-        faults: Some(plan),
-        watchdog: Some(Duration::from_millis(1)),
-        recorder: Recording::Streaming { flight: Some(512) },
-        ..case.spec()
-    }) {
-        Err(e) => e,
-        Ok(_) => panic!("an hour-long stall must trip a 1ms watchdog"),
+    let fragment = |recorder| {
+        let err = match execute(&RunSpec {
+            faults: Some(plan.clone()),
+            watchdog: Some(Duration::from_millis(1)),
+            recorder,
+            ..case.spec()
+        }) {
+            Err(e) => e,
+            Ok(_) => panic!("an hour-long stall must trip a 1ms watchdog"),
+        };
+        let adapt::mpi::RunError::Stalled(diag) = *err else {
+            panic!("a stall without kills must classify as Stalled: {err}");
+        };
+        assert!(diag.watchdog_fired);
+        diag.flight.expect("a flight ring must dump its tail")
     };
-    let adapt::mpi::RunError::Stalled(diag) = err.as_ref() else {
-        panic!("a stall without kills must classify as Stalled: {err}");
-    };
-    assert!(diag.watchdog_fired);
-    let frag = diag
-        .flight
-        .as_ref()
-        .expect("a streaming recorder with a flight ring must dump its tail");
-    let summary = validate_chrome(frag).expect("flight fragment must validate");
+    let flight = Some(512);
+    let streamed = fragment(Recording {
+        summary: true,
+        flight,
+        ..Recording::default()
+    });
+    let recorded = fragment(Recording {
+        full: true,
+        flight,
+        ..Recording::default()
+    });
+    assert_eq!(streamed, recorded, "the ring sees the same probes");
+    let summary = validate_chrome(&recorded).expect("flight fragment must validate");
     assert!(summary.complete_spans > 0, "tail must hold recent spans");
-    assert!(frag.contains("flight_spans_dropped"));
+    assert!(recorded.contains("flight_spans_dropped"));
 }
 
 #[test]
@@ -202,8 +219,9 @@ fn phase_spans_nest_and_cover_hierarchical_runs() {
         msg_bytes: 256 << 10,
     };
     let res = execute(&RunSpec {
-        recorder: Recording::Full {
-            metrics_interval_ns: None,
+        recorder: Recording {
+            full: true,
+            ..Recording::default()
         },
         ..case.spec()
     })

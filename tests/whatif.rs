@@ -12,13 +12,15 @@
 //! 4. `diff(a, a)` is all-zero and diff attribution always covers 100%
 //!    of the makespan delta;
 //! 5. a recording holds its whole causal structure, and a tampered one
-//!    is rejected naming the dispatch that lost its cause.
+//!    is rejected naming the dispatch that lost its cause; a kill run
+//!    records every survivor's revoke handler.
 
 use adapt::collectives::{
     execute, CollectiveCase, Device, Library, Noise, NoiseScope, OpKind, Recording, RunSpec,
 };
 use adapt::obs::{
-    critical_path, diff_runs, from_json, to_json, validate_recording, Intervention, Layer, ObsData,
+    chrome_trace, critical_path, diff_runs, events_csv, from_json, to_json, validate_chrome,
+    validate_recording, Intervention, Layer, ObsData, Trigger,
 };
 use adapt::prelude::*;
 use std::sync::Arc;
@@ -43,8 +45,9 @@ fn recorded(case: &CollectiveCase, scope: NoiseScope, percent: f64, seed: u64) -
             scope,
             seed,
         },
-        recorder: Recording::Full {
-            metrics_interval_ns: None,
+        recorder: Recording {
+            full: true,
+            ..Recording::default()
         },
         ..case.spec()
     }
@@ -278,8 +281,9 @@ fn on_path(data: &ObsData, layer: Layer) -> (u64, u64) {
 #[test]
 fn halving_a_layer_halves_its_critical_path_time() {
     let chain = RunSpec {
-        recorder: Recording::Full {
-            metrics_interval_ns: None,
+        recorder: Recording {
+            full: true,
+            ..Recording::default()
         },
         ..RunSpec::new(
             profiles::minicluster(2, 1, 1),
@@ -293,8 +297,9 @@ fn halving_a_layer_halves_its_critical_path_time() {
     };
     let staged = RunSpec {
         device: Device::Gpu,
-        recorder: Recording::Full {
-            metrics_interval_ns: None,
+        recorder: Recording {
+            full: true,
+            ..Recording::default()
         },
         ..RunSpec::new(
             profiles::psg(1),
@@ -420,4 +425,63 @@ fn diff_attributes_the_whole_delta_between_real_runs() {
     );
     let d2 = diff_runs(&quiet, &tuned);
     assert_eq!(d2.attributed_ns(), d2.delta_ns());
+}
+
+#[test]
+fn every_survivor_records_its_revoke_handler() {
+    // Rank 4 dies at 5 us of a 32-rank bcast; the survivors repair the
+    // tree in their `on_peer_failed` handlers.
+    let spec = RunSpec {
+        faults: Some(FaultPlan::parse("kill=4:5us,rto=5us", 7).unwrap()),
+        recorder: Recording {
+            full: true,
+            ..Recording::default()
+        },
+        ..CollectiveCase {
+            machine: profiles::minicluster(2, 2, 8),
+            nranks: 32,
+            op: OpKind::Bcast,
+            library: Library::OmpiAdapt,
+            msg_bytes: 256 * 1024,
+        }
+        .spec()
+    };
+    let data = execute(&spec).unwrap().obs.unwrap();
+    let revokes: Vec<_> = data
+        .dispatches
+        .iter()
+        .filter(|d| matches!(d.trigger, Trigger::PeerFailed { .. }))
+        .collect();
+    assert!(
+        !revokes.is_empty(),
+        "the detector fired before the run ended"
+    );
+    let detected = revokes[0].begin_ns;
+    let mut handled: Vec<u32> = revokes.iter().map(|d| d.rank).collect();
+    handled.sort_unstable();
+    let running: Vec<u32> = (0..32)
+        .filter(|&r| data.per_rank_finish_ns[r as usize] > detected)
+        .collect();
+    assert_eq!(handled, running, "one revoke handler per running survivor");
+    for d in &revokes {
+        assert_eq!(d.begin_ns, detected);
+        assert_eq!(d.trigger, Trigger::PeerFailed { rank: 4 });
+    }
+
+    validate_recording(&data).expect("a kill run's recording is causally complete");
+    validate_chrome(&chrome_trace(&data)).expect("the trace validates");
+    assert_eq!(
+        events_csv(&data).matches(",peer_failed,4,0").count(),
+        revokes.len()
+    );
+    let round = from_json(&to_json(&data)).unwrap();
+    assert_eq!(to_json(&round), to_json(&data), "peer_failed round-trips");
+    let cp = critical_path(&data);
+    assert_eq!(cp.segments.first().map(|s| s.begin_ns), Some(0));
+    assert!(cp.segments.windows(2).all(|w| w[0].end_ns == w[1].begin_ns));
+    assert_eq!(cp.total_ns(), data.makespan_ns(), "the path tiles the run");
+    let noop = rerun(&spec, Intervention::Noop);
+    assert!(diff_runs(&data, &noop)
+        .render()
+        .contains("(0 ns unexplained)"));
 }

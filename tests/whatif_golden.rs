@@ -62,8 +62,9 @@ fn check(name: &str, got: &str) -> String {
 /// A full recording of a quiet run of `case`.
 fn record(case: &CollectiveCase) -> adapt::obs::ObsData {
     execute(&RunSpec {
-        recorder: Recording::Full {
-            metrics_interval_ns: None,
+        recorder: Recording {
+            full: true,
+            ..Recording::default()
         },
         ..case.spec()
     })
