@@ -30,7 +30,7 @@ pub use error::{FailureDiagnosis, RunError, StallDiagnosis};
 
 use crate::matching::{MsgId, PostedQueue, UnexpQueue};
 use crate::payload::Payload;
-use crate::program::{Completion, RankProgram, Tag, Token};
+use crate::program::{Completion, Op, RankProgram, Tag, Token};
 use adapt_faults::FaultPlan;
 use adapt_net::{Fabric, FlowId, FlowScheduler, FlowSpec, NetStep, Network, Path};
 use adapt_noise::ClusterNoise;
@@ -254,8 +254,12 @@ macro_rules! world_stats {
 }
 
 world_stats! {
-    /// Events processed by the main loop.
+    /// Events processed by the main loop, hand-offs included.
     events,
+    /// Events a dispatch ran at once through `hand_off` instead of
+    /// queueing, because nothing else was due that instant (a subset of
+    /// `events`).
+    handoffs,
     /// Point-to-point messages initiated.
     messages,
     /// Receives that matched an already-arrived (unexpected) eager message.
@@ -409,6 +413,9 @@ pub struct World {
     /// What-if cost scale: every cost charged to the layer is multiplied
     /// by the factor (`None` = the model's own costs).
     layer_scale: Option<(Layer, f64)>,
+    /// The op buffer lent to each handler call and handed back once its
+    /// ops are applied, so a handler call allocates nothing.
+    ops_buf: Vec<Op>,
 }
 
 impl World {
@@ -447,6 +454,7 @@ impl World {
             links_scratch: Vec::new(),
             monitor: None,
             layer_scale: None,
+            ops_buf: Vec::new(),
         }
     }
 
@@ -636,7 +644,7 @@ impl World {
             // First snapshot one interval in: at t=0 nothing has run, so
             // a snapshot there would only dilute every detector's window.
             let iv = h.start(self.placement.len(), &labels);
-            self.queue.schedule(Time(iv), Ev::Snapshot);
+            h.timer = self.queue.schedule(Time(iv), Ev::Snapshot);
         }
         let mut sample_iv = 0;
         if self.obs_on {
@@ -653,7 +661,10 @@ impl World {
         let mut prev_t = Time::ZERO;
 
         while let Some((t, ev)) = self.queue.pop() {
-            if sample_iv > 0 {
+            // A snapshot timer reads the world without moving it, so the
+            // gauges wait for the next event the run would have without
+            // a monitor: monitored or not, they read the same values.
+            if sample_iv > 0 && !matches!(ev, Ev::Snapshot) {
                 // Gauges sample the state *between* events, on interval
                 // boundaries up to the event about to be processed.
                 while next_sample <= t.as_nanos() {
@@ -928,7 +939,8 @@ impl World {
                         }
                         let msg = &self.msgs[&m];
                         let (src, token) = (msg.src, msg.send_token);
-                        self.deliver(t, src, Completion::SendDone { token }, m);
+                        let c = Completion::SendDone { token };
+                        self.hand_off(t, src, RankItem::Deliver { c, msg: m });
                     }
                     FlowKind::Copy { .. } => {}
                     FlowKind::Msg(_) | FlowKind::Ack { .. } => {
@@ -982,7 +994,7 @@ impl World {
                         unreachable!("acks are consumed by the reliability layer")
                     }
                 };
-                self.queue.schedule(t, Ev::Rank { rank, item });
+                self.hand_off(t, rank, item);
             }
             NetStep::Dropped(d) => {
                 // An injected fault ate the flow: bandwidth was spent but
@@ -1047,7 +1059,8 @@ impl World {
             RankItem::RtsArrived(m) => self.on_arrival(t, rank, m, true),
             RankItem::RndvDataArrived(m) => {
                 let token = self.msgs[&m].recv_token.expect("rendezvous was matched");
-                self.complete_recv(t, rank, m, token);
+                let c = self.take_recv(t, m, token);
+                self.hand_off(t, rank, RankItem::Deliver { c, msg: m });
             }
             item => {
                 let ready = self.cpu_ready(rank, t);
@@ -1103,6 +1116,34 @@ impl World {
     fn deliver(&mut self, at: Time, rank: Rank, c: Completion, msg: MsgId) {
         let item = RankItem::Deliver { c, msg };
         self.queue.schedule(at, Ev::Rank { rank, item });
+    }
+
+    /// End the current dispatch by handing `item` to `rank` at `t`, the
+    /// current instant. Queued, the item would be the very next pop
+    /// whenever nothing else is due this instant, no error ends the run,
+    /// the loop would not stop after this event (every rank finished
+    /// with no fault plan), and the event cap allows one more; the item
+    /// then runs at once and counts as the event it replaces. Otherwise
+    /// it queues. Call it only as the last step of a dispatch, so that
+    /// everything else the dispatch schedules is already queued.
+    fn hand_off(&mut self, t: Time, rank: Rank, item: RankItem) {
+        debug_assert_eq!(
+            t,
+            self.queue.now(),
+            "hand-offs happen at the current instant"
+        );
+        let stops = self.finished == self.nranks() && self.faults.is_none();
+        if self.queue.quiet_now()
+            && self.run_error.is_none()
+            && !stops
+            && self.stats.events < self.max_events
+        {
+            self.stats.events += 1;
+            self.stats.handoffs += 1;
+            self.rank_step(t, rank, item);
+        } else {
+            self.queue.schedule(t, Ev::Rank { rank, item });
+        }
     }
 
     /// Global core index of a rank (for the per-core copy-engine lanes).

@@ -4,6 +4,7 @@
 
 use super::{Ev, World};
 use adapt_obs::{GaugeMetric, Monitor, Recorder, SnapshotInput};
+use adapt_sim::queue::EventKey;
 use adapt_sim::time::{Duration, Time};
 
 /// An attached health monitor with its reusable snapshot columns,
@@ -11,6 +12,9 @@ use adapt_sim::time::{Duration, Time};
 /// stays within the barometer's 5% overhead gate.
 pub(super) struct Health {
     pub(super) monitor: Monitor,
+    /// The pending snapshot timer (stale once it fired), left out of the
+    /// queue-length gauge so monitoring leaves the recording unchanged.
+    pub(super) timer: EventKey,
     progress_ns: Vec<u64>,
     finished_at_ns: Vec<Option<u64>>,
     posted: Vec<u32>,
@@ -23,6 +27,7 @@ impl Health {
     pub(super) fn new(monitor: Monitor) -> Health {
         Health {
             monitor,
+            timer: EventKey::default(),
             progress_ns: Vec::new(),
             finished_at_ns: Vec::new(),
             posted: Vec::new(),
@@ -93,8 +98,8 @@ impl World {
             }
         }
         let next = t + Duration(h.monitor.interval_ns());
-        if self.finished < self.nranks() && !self.queue.is_empty() {
-            self.queue.schedule(next, Ev::Snapshot);
+        if self.finished < self.placement.len() && !self.queue.is_empty() {
+            h.timer = self.queue.schedule(next, Ev::Snapshot);
         }
     }
 
@@ -117,8 +122,13 @@ impl World {
             0,
             self.net.active_flows() as f64,
         );
+        let timer = self
+            .monitor
+            .as_deref()
+            .is_some_and(|h| self.queue.is_scheduled(h.timer));
+        let queued = self.queue.len() - usize::from(timer);
         self.obs
-            .gauge(t_ns, GaugeMetric::EventQueueLen, 0, self.queue.len() as f64);
+            .gauge(t_ns, GaugeMetric::EventQueueLen, 0, queued as f64);
         let obs = &mut self.obs;
         self.net.for_each_link_load(|link, count, util| {
             obs.gauge(t_ns, GaugeMetric::LinkFlows, link, count as f64);

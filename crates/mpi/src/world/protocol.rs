@@ -13,7 +13,7 @@
 //! after the CTS returns. The handshake is what couples a noisy receiver
 //! back to its sender in blocking implementations.
 
-use super::{Ev, FlowKind, Msg, MsgFlow, MsgId, Step, World, NO_MSG};
+use super::{Ev, FlowKind, Msg, MsgFlow, MsgId, RankItem, Step, World, NO_MSG};
 use crate::matching::PostedRecv;
 use crate::payload::Payload;
 use crate::program::{Completion, Op, ProgramCtx, RankProgram, Tag, Token};
@@ -119,23 +119,25 @@ impl World {
             now: t,
             placement: &self.placement,
             spec: &self.spec,
-            ops: Vec::new(),
+            ops: std::mem::take(&mut self.ops_buf),
         };
         call(self.programs[rank as usize].as_mut(), &mut sink);
         let ops = sink.ops;
         self.apply_ops(rank, t, base_cost, ops, trigger);
     }
 
+    /// Apply the ops a handler posted, then hand the emptied buffer back
+    /// to `ops_buf` for the next handler call.
     fn apply_ops(
         &mut self,
         rank: Rank,
         t: Time,
         base_cost: Duration,
-        ops: Vec<Op>,
+        mut ops: Vec<Op>,
         trigger: Option<Trigger>,
     ) {
         let mut cost = self.cost(Layer::Callback, base_cost);
-        for op in ops {
+        for op in ops.drain(..) {
             match op {
                 Op::Isend {
                     dst,
@@ -271,6 +273,7 @@ impl World {
             state.busy_until = state.busy_until.max(done);
         }
         state.busy_accum += cost;
+        self.ops_buf = ops;
     }
 
     #[allow(clippy::too_many_arguments)] // the MPI send signature is what it is
@@ -372,7 +375,8 @@ impl World {
             // RecvDone is scheduled at the post instant; busy-horizon
             // deferral makes it fire after the copy cost elapses.
             let done = self.finish_rank_work(rank, at, copy_cost);
-            self.complete_recv(done, rank, m, token);
+            let c = self.take_recv(done, m, token);
+            self.deliver(done, rank, c, m);
             return copy_cost;
         }
         // Pending rendezvous next.
@@ -427,7 +431,8 @@ impl World {
         if rndv {
             self.accept_rndv(at, rank, m, posted);
         } else {
-            self.complete_recv(at, rank, m, posted.token);
+            let c = self.take_recv(at, m, posted.token);
+            self.hand_off(at, rank, RankItem::Deliver { c, msg: m });
         }
     }
 
@@ -498,18 +503,18 @@ impl World {
         self.queue.schedule(at, Ev::Launch { kind, path, bytes });
     }
 
-    /// Deliver a RecvDone completion for message `m` to `rank`.
-    pub(super) fn complete_recv(&mut self, t: Time, rank: Rank, m: MsgId, token: Token) {
+    /// Retire message `m` into the RecvDone completion of the receive
+    /// `token`, ready at `t`.
+    pub(super) fn take_recv(&mut self, t: Time, m: MsgId, token: Token) -> Completion {
         let msg = self.msgs.remove(&m).expect("msg");
         if self.obs_on {
             self.obs.msg_event(m, MsgEvent::RecvReady, t.as_nanos());
         }
-        let c = Completion::RecvDone {
+        Completion::RecvDone {
             token,
             src: msg.src,
             tag: msg.tag,
             data: msg.payload,
-        };
-        self.deliver(t, rank, c, m);
+        }
     }
 }

@@ -121,8 +121,8 @@ impl AuditReport {
         }
         if !self.queue.is_consistent() {
             out.push(format!(
-                "event queue reports {} live event(s) but its heap holds {} (of {} total entries)",
-                self.queue.reported_live, self.queue.actual_live, self.queue.heap_total
+                "event queue reports {} live event(s) but holds {} (of {} stored entries)",
+                self.queue.reported_live, self.queue.actual_live, self.queue.stored
             ));
         }
         if self.send_posted_bytes != self.recv_completed_bytes + self.failed_bytes {
@@ -317,7 +317,7 @@ mod tests {
         r.queue.causality_violations = 3;
         r.queue.reported_live = 5;
         r.queue.actual_live = 4;
-        r.queue.heap_total = 6;
+        r.queue.stored = 6;
         let issues = r.issues();
         assert_eq!(issues.len(), 2, "{issues:?}");
         assert!(r.to_string().contains("2 issue(s)"));

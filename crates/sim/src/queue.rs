@@ -1,229 +1,110 @@
 //! Deterministic event queue.
 //!
-//! Events pop in `(time, sequence)` order. The sequence number is a
-//! monotonically increasing insertion counter, so two events scheduled for
-//! the same instant pop in insertion order. This makes every simulation run
-//! a pure function of its inputs and seeds.
+//! Events pop in time order, and events due at the same instant pop in
+//! the order they were scheduled. This makes every simulation run a pure
+//! function of its inputs and seeds.
 //!
-//! Two stores hold the scheduled entries:
+//! ## Buckets
 //!
-//! * a 4-ary min-heap of 24-byte `(time, seq, slot)` keys for the future;
-//! * a FIFO *lane* for the present: an event scheduled for the instant of
-//!   the last pop (a quarter to a third of all schedules in the suite
-//!   workloads — the handler a message completion wakes, the step a drain
-//!   unblocks) is appended to the lane instead of sifting through the
-//!   heap. Its sequence number is the largest yet and its time the
-//!   smallest possible, so the lane stays sorted by `(time, seq)` for
-//!   free.
+//! The queue is a monotone radix queue. Time never runs backwards, so it
+//! keeps a *base* (the instant of the last pop) and sorts every entry into
+//! one of 65 buckets by the highest bit in which its time differs from
+//! the base:
 //!
-//! `pop` takes the lane front or the heap head, whichever is smaller by
-//! `(time, seq)`: a heap entry at the current instant with a lower
-//! sequence number (scheduled before the clock got there) still pops
-//! first, so the pop order is exactly that of one heap.
+//! * bucket 0 holds the entries due at the base itself, the current
+//!   instant, and is served first in, first out;
+//! * bucket `i` (1–64) holds the entries whose time first differs from the
+//!   base at bit `i - 1`. Every entry of bucket `i` is earlier than every
+//!   entry of bucket `i + 1`, each bucket keeps its minimum, and a bitmask
+//!   marks the non-empty ones.
 //!
-//! Payloads are stored out-of-line in a slot slab, so heap sifts move only
-//! the keys. Each slot also carries its owner's sequence number (its
-//! *stamp*). An [`EventKey`] names a slot and a sequence number; `cancel`
-//! is one indexed compare — the stamp matches and the slot still holds a
-//! payload exactly while the event is scheduled and neither popped nor
-//! cancelled — after which the stamp is cleared and the entry left behind
-//! as debris (lazy deletion). A key whose event fired, was cancelled, or
-//! whose slot was since reused returns `false` and leaves the live count
-//! intact. Every event is cancellable; there is no separate untracked
-//! path.
+//! When bucket 0 runs dry, `pop` moves the base to the minimum of the
+//! lowest non-empty bucket and redistributes that bucket's entries into
+//! the (empty) buckets below it. An entry moves down at most 64 times in
+//! its life; in the benchmark's 1024-rank broadcasts it moves about three
+//! times between schedule and pop, each move a shift, a compare and an
+//! append instead of a heap sift. A bucket holding a single entry (two
+//! rebases in five there) becomes the current instant without moving it.
 //!
-//! Lazy deletion alone lets cancelled debris pile up: a noise-heavy run
-//! whose events are rescheduled far more often than they fire can carry
-//! heap and lane many times their live size. Whenever the debris exceeds
-//! the live entries (and the queue is big enough to care), the queue
-//! rebuilds itself keeping only live entries — an O(entries) pass paid at
-//! most once per doubling of cancellations, so the amortized cost per
-//! cancel is O(1) and occupancy stays within a constant factor of the live
-//! count.
+//! ## Ties are FIFO by construction
+//!
+//! Two entries with the same time always sit in the same bucket (the
+//! bucket is a function of the time and the base), appends keep insertion
+//! order within a bucket, and redistribution walks a bucket in order into
+//! buckets that are empty. So equal times pop in insertion order without a
+//! sequence number in the key, including an entry scheduled in the past:
+//! it is clamped forward to the current instant and appended behind
+//! everything already due there.
+//!
+//! ## Payloads stay in a slab
+//!
+//! Buckets hold 16-byte `(time, slot, generation)` entries; the payload
+//! (the MPI world's event is several words) waits in a slab slot and is
+//! written once at schedule and read once at pop, never moved by a
+//! redistribution. Moving payloads through the buckets measured slower.
+//!
+//! Each slot carries a *generation*, bumped whenever its event pops or is
+//! cancelled. An [`EventKey`] names a slot and a generation, so `cancel`
+//! is one indexed compare: the key is live exactly while its slot is still
+//! on that generation. Cancelling releases the slot at once and leaves the
+//! bucket entry behind as debris that pop and redistribution skip (lazy
+//! deletion). A key whose event fired, was cancelled, or whose slot was
+//! since reused no longer matches and `cancel` returns `false`. A slot
+//! whose generation would reach the sentinel is retired, never reused, so
+//! a stale key can never match a later owner. Whenever debris exceeds the
+//! live entries (and the queue is big enough to care), the buckets are
+//! filtered in place, so stored entries stay within twice the live count.
+//!
+//! ## The peek rule
+//!
+//! [`EventQueue::peek_time`] never moves the base. A caller may peek at the
+//! next due time `T` and then schedule something between `now()` and `T`;
+//! had the peek rebased to `T`, that entry would be earlier than the base
+//! and land in the wrong bucket. Peek only drops the debris of the lowest
+//! non-empty bucket and reads its live minimum. (A bucket's kept minimum
+//! may be a cancelled entry's time; `pop` may rebase onto it, as every
+//! live entry is at least that late.) When the queue runs empty, `pop`
+//! resets the base to `now()`: a base advanced past `now()` by cancelled
+//! debris must not outlive the debris.
 
 use crate::time::Time;
-use std::collections::VecDeque;
 
-/// Sequence number reserved for [`EventKey::default`] and for the stamp
-/// of a slot with no scheduled event. `schedule` hands out sequence
-/// numbers counting up from zero, so this value is never assigned to a
-/// real event.
-const SENTINEL_SEQ: u64 = u64::MAX;
+/// Generation reserved for [`EventKey::default`]. A slot is retired
+/// before its generation reaches this value, so no live event carries it.
+const SENTINEL_GEN: u32 = u32::MAX;
 
-/// Queues with fewer entries than this are never compacted — the rebuild
-/// would cost more than the debris it reclaims.
-const COMPACT_MIN_HEAP: usize = 64;
+/// Queues with fewer stored entries than this are never compacted — the
+/// pass would cost more than the debris it reclaims.
+const COMPACT_MIN: usize = 64;
+
+/// Bucket 0 (the current instant) plus one bucket per bit of a time.
+const BUCKETS: usize = 65;
 
 /// Handle to a scheduled event, usable for cancellation. The default key
 /// is a reserved sentinel that never matches a live event: cancelling it
 /// is always a no-op returning `false`.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct EventKey {
-    seq: u64,
     slot: u32,
+    gen: u32,
 }
 
 impl Default for EventKey {
     fn default() -> Self {
         EventKey {
-            seq: SENTINEL_SEQ,
             slot: u32::MAX,
+            gen: SENTINEL_GEN,
         }
     }
 }
 
-/// One heap or lane entry: ordering key plus the slab slot holding the
-/// payload.
-///
-/// The payload itself lives out-of-line in [`EventQueue`]'s slab, so heap
-/// sift operations move this 24-byte POD instead of the full event — with
-/// a large event enum (the MPI world's is ~72 bytes) the heap was the
-/// single largest line item of the event loop, and most of that was
-/// `memcpy` of payloads that sift up and down without being consumed.
+/// One bucket entry: the event's time and the slab slot holding its
+/// payload, with the slot's generation when it was scheduled.
 #[derive(Clone, Copy)]
 struct Entry {
     time: Time,
-    seq: u64,
-    /// Index into the slab where the payload waits.
     slot: u32,
-}
-
-impl Entry {
-    /// Ordering key. `(time, seq)` is a *strict* total order (seqs are
-    /// unique), so every correct min-heap pops the same sequence — the
-    /// heap's internal shape can never influence a simulation.
-    ///
-    /// Packed as `time << 64 | seq`: a single `u128` compare is
-    /// branchless (sub/sbb), where the equivalent tuple compare turns
-    /// into data-dependent branches that mispredict badly in the sift
-    /// loops. Ordering is identical to the lexicographic `(time, seq)`.
-    #[inline]
-    fn key(&self) -> u128 {
-        ((self.time.0 as u128) << 64) | self.seq as u128
-    }
-}
-
-/// Branching factor of the sift heap. A 4-ary heap is half as deep as a
-/// binary one and its four children sit in at most two cache lines of
-/// 24-byte entries, which measurably beats `std::collections::BinaryHeap`
-/// on the simulator's pop-heavy workload.
-const HEAP_ARITY: usize = 4;
-
-/// A `Vec`-backed 4-ary min-heap of [`Entry`]s ordered by `(time, seq)`.
-/// Only the minimum is ever observable (pop/peek), and `(time, seq)` is a
-/// strict total order, so the internal shape — binary, 4-ary, or anything
-/// else — can never change which event pops next.
-#[derive(Default)]
-struct MinHeap {
-    v: Vec<Entry>,
-}
-
-impl MinHeap {
-    #[inline]
-    fn len(&self) -> usize {
-        self.v.len()
-    }
-
-    #[inline]
-    fn peek(&self) -> Option<&Entry> {
-        self.v.first()
-    }
-
-    fn push(&mut self, e: Entry) {
-        let mut i = self.v.len();
-        self.v.push(e);
-        // Sift up: move the hole toward the root until the parent is
-        // smaller, writing the new entry once at its final position.
-        while i > 0 {
-            let parent = (i - 1) / HEAP_ARITY;
-            if self.v[parent].key() <= e.key() {
-                break;
-            }
-            self.v[i] = self.v[parent];
-            i = parent;
-        }
-        self.v[i] = e;
-    }
-
-    fn pop(&mut self) -> Option<Entry> {
-        let last = self.v.pop()?;
-        if self.v.is_empty() {
-            return Some(last);
-        }
-        let top = self.v[0];
-        // Sift the former tail down from the root: descend to the
-        // smallest child until none is smaller than it.
-        let n = self.v.len();
-        let mut i = 0;
-        loop {
-            let first = i * HEAP_ARITY + 1;
-            if first >= n {
-                break;
-            }
-            let mut min = first;
-            let mut min_key = self.v[first].key();
-            for c in (first + 1)..(first + HEAP_ARITY).min(n) {
-                let k = self.v[c].key();
-                if k < min_key {
-                    min = c;
-                    min_key = k;
-                }
-            }
-            if min_key >= last.key() {
-                break;
-            }
-            self.v[i] = self.v[min];
-            i = min;
-        }
-        self.v[i] = last;
-        Some(top)
-    }
-
-    /// Rebuild from arbitrary entries (Floyd's heapify, bottom-up).
-    fn rebuild(v: Vec<Entry>) -> MinHeap {
-        let mut h = MinHeap { v };
-        let n = h.v.len();
-        if n > 1 {
-            for i in (0..=(n - 2) / HEAP_ARITY).rev() {
-                h.sift_down(i);
-            }
-        }
-        h
-    }
-
-    fn sift_down(&mut self, mut i: usize) {
-        let e = self.v[i];
-        let n = self.v.len();
-        loop {
-            let first = i * HEAP_ARITY + 1;
-            if first >= n {
-                break;
-            }
-            let mut min = first;
-            let mut min_key = self.v[first].key();
-            for c in (first + 1)..(first + HEAP_ARITY).min(n) {
-                let k = self.v[c].key();
-                if k < min_key {
-                    min = c;
-                    min_key = k;
-                }
-            }
-            if min_key >= e.key() {
-                break;
-            }
-            self.v[i] = self.v[min];
-            i = min;
-        }
-        self.v[i] = e;
-    }
-
-    fn iter(&self) -> std::slice::Iter<'_, Entry> {
-        self.v.iter()
-    }
-
-    fn into_vec(self) -> Vec<Entry> {
-        self.v
-    }
+    gen: u32,
 }
 
 /// Internal-consistency snapshot of an [`EventQueue`], used by the
@@ -232,52 +113,57 @@ impl MinHeap {
 pub struct QueueAudit {
     /// Live events as reported by [`EventQueue::len`] (the live counter).
     pub reported_live: usize,
-    /// Live events actually present in heap and lane (full scan counting
-    /// the entries whose slot still carries their stamp).
+    /// Live events actually present in the buckets (full scan counting
+    /// the entries whose slot is still on their generation).
     pub actual_live: usize,
-    /// Total heap and lane entries, including cancelled debris awaiting
+    /// Entries stored in the buckets, including cancelled debris awaiting
     /// lazy removal.
-    pub heap_total: usize,
+    pub stored: usize,
     /// Number of schedule calls that targeted the past and were clamped
     /// forward (see [`EventQueue::schedule`]).
     pub causality_violations: u64,
 }
 
 impl QueueAudit {
-    /// True when the reported live count matches the heap contents.
+    /// True when the reported live count matches the stored entries.
     pub fn is_consistent(&self) -> bool {
-        self.reported_live == self.actual_live && self.actual_live <= self.heap_total
+        self.reported_live == self.actual_live && self.actual_live <= self.stored
     }
 }
 
 /// A deterministic time-ordered event queue.
 pub struct EventQueue<E> {
-    /// Entries after the current instant, and current-instant entries
-    /// scheduled before the clock got there.
-    heap: MinHeap,
-    /// Entries scheduled for the current instant while it was current, in
-    /// sequence order.
-    lane: VecDeque<Entry>,
+    /// `buckets[0]`: entries due at `base`, served FIFO from `head`.
+    /// `buckets[i]`, `i >= 1`: entries whose time first differs from
+    /// `base` at bit `i - 1`, in insertion order.
+    buckets: [Vec<Entry>; BUCKETS],
+    /// Entries of bucket 0 already served or skipped.
+    head: usize,
+    /// Per bucket `i >= 1`: the least time stored in it, cancelled
+    /// entries included (`Time::MAX` while the bucket is empty).
+    mins: [Time; BUCKETS],
+    /// Bit `i - 1` is set while bucket `i` is non-empty.
+    mask: u64,
+    /// The instant bucket 0 holds. Equals `last_popped` between calls.
+    base: Time,
+    /// Entries stored in the buckets, debris included.
+    stored: usize,
     /// Payload storage, indexed by [`Entry::slot`]. A slot is occupied
-    /// from schedule until its entry leaves heap or lane (popped, or
-    /// dropped as debris), then recycled through `free`. Payloads are
-    /// written once and read once — they never participate in heap sifts.
+    /// from schedule until its event pops or is cancelled, then recycled
+    /// through `free`.
     slab: Vec<Option<E>>,
-    /// Per slot: the sequence number of the event it was last given,
-    /// cleared to [`SENTINEL_SEQ`] when that event is cancelled. A popped
-    /// event's slot keeps its stamp but holds no payload.
-    stamps: Vec<u64>,
+    /// Per slot: its current generation.
+    gens: Vec<u32>,
     /// Recycled slab slots.
     free: Vec<u32>,
-    next_seq: u64,
     /// Live entries. Kept as a counter; the audit layer cross-checks it
-    /// against heap and lane.
+    /// against the buckets.
     live: usize,
     /// Last time popped; used to detect causality violations.
     last_popped: Time,
     /// Schedule calls that targeted the past and were clamped forward.
     causality_violations: u64,
-    /// Debris-compaction rebuilds performed (diagnostics).
+    /// Debris-compaction passes performed (diagnostics).
     compactions: u64,
 }
 
@@ -291,12 +177,15 @@ impl<E> EventQueue<E> {
     /// Create an empty queue.
     pub fn new() -> Self {
         EventQueue {
-            heap: MinHeap::default(),
-            lane: VecDeque::new(),
+            buckets: std::array::from_fn(|_| Vec::new()),
+            head: 0,
+            mins: [Time::MAX; BUCKETS],
+            mask: 0,
+            base: Time::ZERO,
+            stored: 0,
             slab: Vec::new(),
-            stamps: Vec::new(),
+            gens: Vec::new(),
             free: Vec::new(),
-            next_seq: 0,
             live: 0,
             last_popped: Time::ZERO,
             causality_violations: 0,
@@ -304,49 +193,94 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// True while `e`'s slot still carries its stamp (scheduled, neither
-    /// popped nor cancelled).
+    /// True while `e`'s slot is still on its generation (scheduled,
+    /// neither popped nor cancelled).
     #[inline]
     fn is_live(&self, e: &Entry) -> bool {
-        self.stamps[e.slot as usize] == e.seq
+        self.gens[e.slot as usize] == e.gen
     }
 
-    /// Release the slot of an entry that left heap or lane. Its stamp
-    /// stays until the slot is reused; `cancel` also requires a payload,
-    /// so a popped event's key cannot cancel it.
+    /// End a slot's current generation and hand back its payload. The
+    /// slot is recycled unless its next generation is the sentinel.
     #[inline]
-    fn release(&mut self, e: &Entry) -> Option<E> {
-        self.free.push(e.slot);
-        self.slab[e.slot as usize].take()
+    fn release(&mut self, slot: u32) -> E {
+        let gen = &mut self.gens[slot as usize];
+        *gen += 1;
+        if *gen != SENTINEL_GEN {
+            self.free.push(slot);
+        }
+        self.slab[slot as usize]
+            .take()
+            .expect("a live slot holds a payload")
     }
 
-    /// Rebuild heap and lane keeping only live entries once cancelled
-    /// debris outnumbers them. Pop order is unaffected — `(time, seq)` is a
-    /// total order — so compaction is invisible to the simulation.
+    /// The bucket an entry at `time` belongs in, relative to the base.
+    #[inline]
+    fn bucket_of(&self, time: Time) -> usize {
+        (u64::BITS - (time.0 ^ self.base.0).leading_zeros()) as usize
+    }
+
+    /// Append `e` to its bucket (which keeps insertion order).
+    #[inline]
+    fn push(&mut self, e: Entry) {
+        let b = self.bucket_of(e.time);
+        self.buckets[b].push(e);
+        if b > 0 {
+            self.mins[b] = self.mins[b].min(e.time);
+            self.mask |= 1u64 << (b - 1);
+        }
+    }
+
+    /// Bucket 0 is spent: move the base to the minimum of the lowest
+    /// non-empty bucket and redistribute that bucket, in order, into the
+    /// empty buckets below it. Debris is dropped on the way.
+    fn rebase(&mut self) {
+        let b = self.mask.trailing_zeros() as usize + 1;
+        self.mask &= !(1u64 << (b - 1));
+        self.base = std::mem::replace(&mut self.mins[b], Time::MAX);
+        if self.buckets[b].len() == 1 {
+            // A lone entry is its bucket's minimum: it becomes the current
+            // instant as it is.
+            self.buckets.swap(0, b);
+            return;
+        }
+        let mut moving = std::mem::take(&mut self.buckets[b]);
+        for e in moving.drain(..) {
+            if self.is_live(&e) {
+                self.push(e);
+            } else {
+                self.stored -= 1;
+            }
+        }
+        // Keep the allocation for the bucket's next fill.
+        self.buckets[b] = moving;
+    }
+
+    /// Filter every bucket down to its live entries once cancelled debris
+    /// outnumbers them. Filtering keeps each bucket's order, so compaction
+    /// is invisible to the simulation.
     fn maybe_compact(&mut self) {
-        let total = self.heap.len() + self.lane.len();
-        if total < COMPACT_MIN_HEAP || total <= 2 * self.live {
+        if self.stored < COMPACT_MIN || self.stored <= 2 * self.live {
             return;
         }
         self.compactions += 1;
-        let (slab, stamps, free) = (&mut self.slab, &self.stamps, &mut self.free);
-        let mut keep = |e: &Entry| {
-            let alive = stamps[e.slot as usize] == e.seq;
-            if !alive {
-                // Cancelled debris: release its slot now instead of
-                // waiting for the entry to pop.
-                slab[e.slot as usize] = None;
-                free.push(e.slot);
+        let gens = &self.gens;
+        let live = |e: &Entry| gens[e.slot as usize] == e.gen;
+        self.buckets[0].drain(..self.head);
+        self.head = 0;
+        self.buckets[0].retain(live);
+        for b in 1..BUCKETS {
+            let bucket = &mut self.buckets[b];
+            if bucket.is_empty() {
+                continue;
             }
-            alive
-        };
-        self.lane.retain(&mut keep);
-        let live: Vec<Entry> = std::mem::take(&mut self.heap)
-            .into_vec()
-            .into_iter()
-            .filter(keep)
-            .collect();
-        self.heap = MinHeap::rebuild(live);
+            bucket.retain(live);
+            self.mins[b] = bucket.iter().map(|e| e.time).min().unwrap_or(Time::MAX);
+            if bucket.is_empty() {
+                self.mask &= !(1u64 << (b - 1));
+            }
+        }
+        self.stored = self.live;
     }
 
     /// Schedule `payload` at absolute time `time`.
@@ -361,31 +295,24 @@ impl<E> EventQueue<E> {
             self.causality_violations += 1;
         }
         let time = time.max(self.last_popped);
-        let seq = self.next_seq;
-        assert!(seq != SENTINEL_SEQ, "event sequence space exhausted");
-        self.next_seq += 1;
         let slot = match self.free.pop() {
             Some(s) => {
                 self.slab[s as usize] = Some(payload);
-                self.stamps[s as usize] = seq;
                 s
             }
             None => {
                 let s = self.slab.len();
                 assert!(s < u32::MAX as usize, "event slab exhausted");
                 self.slab.push(Some(payload));
-                self.stamps.push(seq);
+                self.gens.push(0);
                 s as u32
             }
         };
-        let e = Entry { time, seq, slot };
-        if time == self.last_popped {
-            self.lane.push_back(e);
-        } else {
-            self.heap.push(e);
-        }
+        let gen = self.gens[slot as usize];
+        self.push(Entry { time, slot, gen });
+        self.stored += 1;
         self.live += 1;
-        EventKey { seq, slot }
+        EventKey { slot, gen }
     }
 
     /// Cancel a previously scheduled event. Returns true if the event was
@@ -394,67 +321,86 @@ impl<E> EventQueue<E> {
     /// since reused, or the default sentinel key is a no-op returning
     /// false and leaves `len()` intact.
     pub fn cancel(&mut self, key: EventKey) -> bool {
-        let slot = key.slot as usize;
-        match self.stamps.get_mut(slot) {
-            Some(stamp) if *stamp == key.seq && self.slab[slot].is_some() => {
-                *stamp = SENTINEL_SEQ;
-                self.live -= 1;
-                self.maybe_compact();
-                true
-            }
-            _ => false,
+        if !self.is_scheduled(key) {
+            return false;
         }
+        self.release(key.slot);
+        self.live -= 1;
+        self.maybe_compact();
+        true
+    }
+
+    /// True while the event `key` names is scheduled: neither popped nor
+    /// cancelled.
+    pub fn is_scheduled(&self, key: EventKey) -> bool {
+        self.gens.get(key.slot as usize) == Some(&key.gen)
     }
 
     /// Remove and return the earliest live event.
     #[inline]
     pub fn pop(&mut self) -> Option<(Time, E)> {
-        self.maybe_compact();
         loop {
-            let from_lane = match (self.lane.front(), self.heap.peek()) {
-                (None, None) => return None,
-                (None, Some(_)) => false,
-                (Some(_), None) => true,
-                (Some(l), Some(h)) => l.key() < h.key(),
-            };
-            let entry = if from_lane {
-                self.lane.pop_front()
-            } else {
-                self.heap.pop()
+            while let Some(&e) = self.buckets[0].get(self.head) {
+                self.head += 1;
+                self.stored -= 1;
+                if self.is_live(&e) {
+                    self.live -= 1;
+                    self.last_popped = e.time;
+                    return Some((e.time, self.release(e.slot)));
+                }
             }
-            .expect("a store was non-empty");
-            let live = self.is_live(&entry);
-            let payload = self.release(&entry);
-            if !live {
-                continue; // cancelled entry: lazy deletion
+            self.buckets[0].clear();
+            self.head = 0;
+            if self.mask == 0 {
+                // Empty: a base advanced past `now()` through debris must
+                // not outlive it.
+                self.base = self.last_popped;
+                return None;
             }
-            self.live -= 1;
-            self.last_popped = entry.time;
-            return Some((entry.time, payload.expect("live slot holds a payload")));
+            self.rebase();
         }
     }
 
-    /// Time of the earliest live event without removing it.
+    /// Time of the earliest live event without removing it. Never moves
+    /// the base (see the module docs), so scheduling anywhere between
+    /// `now()` and the peeked time afterwards stays exact.
     pub fn peek_time(&mut self) -> Option<Time> {
-        self.maybe_compact();
-        while let Some(e) = self.lane.front().copied() {
-            if self.is_live(&e) {
-                break;
+        if !self.quiet_now() {
+            return Some(self.base);
+        }
+        while self.mask != 0 {
+            // The lowest non-empty bucket holds the earliest entries; drop
+            // its debris in place and read its live minimum.
+            let b = self.mask.trailing_zeros() as usize + 1;
+            let gens = &self.gens;
+            let bucket = &mut self.buckets[b];
+            let before = bucket.len();
+            bucket.retain(|e| gens[e.slot as usize] == e.gen);
+            self.stored -= before - bucket.len();
+            self.mins[b] = bucket.iter().map(|e| e.time).min().unwrap_or(Time::MAX);
+            if !bucket.is_empty() {
+                return Some(self.mins[b]);
             }
-            self.lane.pop_front();
-            self.release(&e);
+            self.mask &= !(1u64 << (b - 1));
         }
-        while let Some(e) = self.heap.peek().copied() {
-            if self.is_live(&e) {
-                break;
+        None
+    }
+
+    /// True when no live event is due at `now()` any more: the next pop,
+    /// if any, advances the clock. A caller that would schedule an event
+    /// at `now()` and has nothing else to do this instant may then run it
+    /// directly — it would have been the very next pop.
+    #[inline]
+    pub fn quiet_now(&mut self) -> bool {
+        // Skip debris at the front of bucket 0.
+        while let Some(e) = self.buckets[0].get(self.head) {
+            if self.is_live(e) {
+                return false;
             }
-            self.heap.pop();
-            self.release(&e);
+            self.head += 1;
+            self.stored -= 1;
         }
-        match (self.lane.front(), self.heap.peek()) {
-            (Some(l), Some(h)) => Some(l.time.min(h.time)),
-            (l, h) => l.or(h).map(|e| e.time),
-        }
+        true
     }
 
     /// Number of live scheduled events.
@@ -478,25 +424,21 @@ impl<E> EventQueue<E> {
         self.causality_violations
     }
 
-    /// Number of debris-compaction rebuilds performed.
+    /// Number of debris-compaction passes performed.
     pub fn compactions(&self) -> u64 {
         self.compactions
     }
 
-    /// Cross-check the reported live count against the actual heap and
-    /// lane contents (O(entries) scan; intended for end-of-run audits, not
-    /// the hot path).
+    /// Cross-check the reported live count against the actual bucket
+    /// contents (O(entries) scan; intended for end-of-run audits, not the
+    /// hot path).
     pub fn audit(&self) -> QueueAudit {
-        let actual_live = self
-            .heap
-            .iter()
-            .chain(self.lane.iter())
-            .filter(|e| self.is_live(e))
-            .count();
+        let unserved = &self.buckets[0][self.head..];
+        let entries = || unserved.iter().chain(self.buckets[1..].iter().flatten());
         QueueAudit {
             reported_live: self.live,
-            actual_live,
-            heap_total: self.heap.len() + self.lane.len(),
+            actual_live: entries().filter(|e| self.is_live(e)).count(),
+            stored: entries().count(),
             causality_violations: self.causality_violations,
         }
     }
@@ -578,7 +520,10 @@ mod tests {
         let mut q = EventQueue::new();
         assert!(!q.cancel(EventKey::default()), "fresh queue: no-op");
         let first = q.schedule(Time(1), "first");
-        assert!(!q.cancel(EventKey::default()), "must not match seq 0");
+        assert!(
+            !q.cancel(EventKey::default()),
+            "must not match the first event"
+        );
         assert_eq!(q.len(), 1);
         assert_eq!(q.pop(), Some((Time(1), "first")));
         assert!(!q.cancel(first), "already popped");
@@ -606,7 +551,7 @@ mod tests {
     fn cancel_then_reschedule_cycles_stay_bounded_and_consistent() {
         // The drain-reschedule pattern the network engine uses: schedule a
         // replacement, cancel the old event, repeat. Bookkeeping must not
-        // grow without bound and len() must match the heap at every step.
+        // grow without bound and len() must match the buckets at every step.
         let mut q = EventQueue::new();
         let mut key = q.schedule(Time(10), 0u32);
         for i in 1..1000u32 {
@@ -622,7 +567,7 @@ mod tests {
         assert!(q.pop().is_some());
         assert!(q.pop().is_none());
         let audit = q.audit();
-        assert_eq!(audit.heap_total, 0, "no leaked entries: {audit:?}");
+        assert_eq!(audit.stored, 0, "no leaked entries: {audit:?}");
         assert!(audit.is_consistent());
     }
 
@@ -630,7 +575,7 @@ mod tests {
     fn debris_stays_bounded_under_schedule_cancel_churn() {
         // A long noise-heavy run reschedules drain events constantly:
         // schedule a replacement, cancel the old key, never pop. Without
-        // compaction the heap grows by one dead entry per cycle; with it,
+        // compaction the queue grows by one dead entry per cycle; with it,
         // occupancy must stay within a constant factor of the live count.
         let mut q = EventQueue::new();
         let mut keys: Vec<EventKey> = (0..100u64).map(|i| q.schedule(Time(i), i)).collect();
@@ -642,8 +587,8 @@ mod tests {
                 let audit = q.audit();
                 assert!(audit.is_consistent(), "{audit:?}");
                 assert!(
-                    audit.heap_total <= (2 * audit.reported_live).max(super::COMPACT_MIN_HEAP),
-                    "heap debris unbounded: {audit:?}"
+                    audit.stored <= (2 * audit.reported_live).max(super::COMPACT_MIN),
+                    "debris unbounded: {audit:?}"
                 );
             }
         }
@@ -654,7 +599,7 @@ mod tests {
             popped += 1;
         }
         assert_eq!(popped, 100);
-        assert_eq!(q.audit().heap_total, 0);
+        assert_eq!(q.audit().stored, 0);
     }
 
     #[test]
@@ -701,12 +646,12 @@ mod tests {
         for i in 0..50u64 {
             q.schedule(Time(1000 + i), i);
         }
-        // Pile up enough cancelled debris to force a rebuild.
+        // Pile up enough cancelled debris to force a compaction.
         let keys: Vec<EventKey> = (0..200u64).map(|i| q.schedule(Time(i), 100 + i)).collect();
         for k in &keys {
             assert!(q.cancel(*k));
         }
-        assert!(q.compactions() > 0, "debris must trigger a rebuild");
+        assert!(q.compactions() > 0, "debris must trigger a compaction");
         let audit = q.audit();
         assert!(audit.is_consistent(), "{audit:?}");
         assert_eq!(audit.reported_live, 50);
@@ -715,7 +660,7 @@ mod tests {
             popped.push(v);
         }
         assert_eq!(popped, (0..50u64).collect::<Vec<_>>());
-        assert_eq!(q.audit().heap_total, 0);
+        assert_eq!(q.audit().stored, 0);
     }
 
     #[test]
@@ -729,26 +674,26 @@ mod tests {
     }
 
     #[test]
-    fn heap_entry_at_now_with_lower_seq_pops_before_the_lane() {
+    fn entry_at_now_scheduled_earlier_pops_first() {
         let mut q = EventQueue::new();
         q.schedule(Time(10), "first");
-        q.schedule(Time(20), "heap-early");
-        q.schedule(Time(20), "heap-late");
+        q.schedule(Time(20), "early");
+        q.schedule(Time(20), "late");
         assert_eq!(q.pop(), Some((Time(10), "first")));
-        assert_eq!(q.pop(), Some((Time(20), "heap-early")));
-        // Now at 20: these go to the lane, behind the heap's remaining
-        // entry at 20, which has a lower sequence number.
-        q.schedule(Time(20), "lane-a");
-        q.schedule(Time(20), "lane-b");
+        assert_eq!(q.pop(), Some((Time(20), "early")));
+        // Now at 20: these queue behind the remaining entry at 20, which
+        // was scheduled before the clock got there.
+        q.schedule(Time(20), "now-a");
+        q.schedule(Time(20), "now-b");
         assert_eq!(q.peek_time(), Some(Time(20)));
-        assert_eq!(q.pop(), Some((Time(20), "heap-late")));
-        assert_eq!(q.pop(), Some((Time(20), "lane-a")));
-        assert_eq!(q.pop(), Some((Time(20), "lane-b")));
+        assert_eq!(q.pop(), Some((Time(20), "late")));
+        assert_eq!(q.pop(), Some((Time(20), "now-a")));
+        assert_eq!(q.pop(), Some((Time(20), "now-b")));
         assert_eq!(q.pop(), None);
     }
 
     #[test]
-    fn lane_entries_pop_before_later_heap_entries() {
+    fn current_instant_entries_pop_before_later_ones() {
         let mut q = EventQueue::new();
         q.schedule(Time(5), "a");
         q.schedule(Time(9), "later");
@@ -761,7 +706,7 @@ mod tests {
     }
 
     #[test]
-    fn cancelling_a_lane_entry_skips_it() {
+    fn cancelling_a_current_instant_entry_skips_it() {
         let mut q = EventQueue::new();
         q.schedule(Time(3), "start");
         assert_eq!(q.pop(), Some((Time(3), "start")));
@@ -773,9 +718,9 @@ mod tests {
         assert_eq!(q.len(), 2);
         let audit = q.audit();
         assert!(audit.is_consistent(), "{audit:?}");
-        assert_eq!((audit.actual_live, audit.heap_total), (2, 3));
+        assert_eq!((audit.actual_live, audit.stored), (2, 3));
         assert_eq!(q.pop(), Some((Time(3), "a")));
-        assert!(!q.cancel(a), "popped lane entry is not cancellable");
+        assert!(!q.cancel(a), "popped entry is not cancellable");
         assert_eq!(q.pop(), Some((Time(3), "c")));
         assert!(q.is_empty());
         assert_eq!(q.pop(), None);
@@ -799,7 +744,7 @@ mod tests {
     }
 
     #[test]
-    fn compaction_drops_lane_debris() {
+    fn compaction_drops_current_instant_debris() {
         let mut q = EventQueue::new();
         q.schedule(Time(0), 0u64);
         assert_eq!(q.pop(), Some((Time(0), 0)));
@@ -807,14 +752,17 @@ mod tests {
             q.schedule(Time(100 + i), i);
         }
         let keys: Vec<EventKey> = (0..200u64).map(|i| q.schedule(Time(0), 1000 + i)).collect();
-        assert_eq!(q.audit().heap_total, 210, "lane entries are counted");
+        assert_eq!(q.audit().stored, 210, "current-instant entries are counted");
         for k in &keys {
             assert!(q.cancel(*k));
         }
-        assert!(q.compactions() > 0, "lane debris must trigger a rebuild");
+        assert!(
+            q.compactions() > 0,
+            "current-instant debris must trigger a compaction"
+        );
         let audit = q.audit();
         assert!(audit.is_consistent(), "{audit:?}");
-        assert!(audit.heap_total <= 2 * audit.reported_live.max(super::COMPACT_MIN_HEAP));
+        assert!(audit.stored <= 2 * audit.reported_live.max(super::COMPACT_MIN));
         let popped: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, v)| v)).collect();
         assert_eq!(popped, (0..10u64).collect::<Vec<_>>());
     }
@@ -845,5 +793,123 @@ mod tests {
         let audit = q.audit();
         assert!(audit.is_consistent(), "{audit:?}");
         assert_eq!(audit.reported_live, q.len());
+    }
+
+    #[test]
+    fn peek_never_moves_the_base() {
+        let mut q = EventQueue::new();
+        q.schedule(Time(100), "a");
+        q.schedule(Time(1000), "far");
+        assert_eq!(q.pop(), Some((Time(100), "a")));
+        assert_eq!(q.peek_time(), Some(Time(1000)));
+        // Between now() and the peeked time: must still pop first.
+        q.schedule(Time(500), "between");
+        q.schedule(Time(100), "now");
+        assert_eq!(q.pop(), Some((Time(100), "now")));
+        assert_eq!(q.pop(), Some((Time(500), "between")));
+        assert_eq!(q.pop(), Some((Time(1000), "far")));
+        assert_eq!(q.causality_violations(), 0);
+    }
+
+    #[test]
+    fn peek_past_a_cancelled_minimum_finds_the_live_one() {
+        let mut q = EventQueue::new();
+        q.schedule(Time(2), "start");
+        assert_eq!(q.pop(), Some((Time(2), "start")));
+        let a = q.schedule(Time(300), "a");
+        q.schedule(Time(400), "b");
+        q.schedule(Time(390), "c");
+        assert!(q.cancel(a));
+        assert_eq!(q.peek_time(), Some(Time(390)));
+        q.schedule(Time(350), "d");
+        assert_eq!(q.peek_time(), Some(Time(350)));
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(
+            order,
+            [(Time(350), "d"), (Time(390), "c"), (Time(400), "b")]
+        );
+    }
+
+    #[test]
+    fn an_emptied_queue_rebases_to_now() {
+        let mut q = EventQueue::new();
+        q.schedule(Time(10), "a");
+        assert_eq!(q.pop(), Some((Time(10), "a")));
+        let far = q.schedule(Time(1 << 40), "far");
+        q.schedule(Time(1 << 41), "farther");
+        assert!(q.cancel(far));
+        q.cancel(EventKey::default());
+        // Pop walks the base through the debris at 2^40 and then serves
+        // 2^41; cancel that one too and the queue runs dry.
+        assert_eq!(q.pop(), Some((Time(1 << 41), "farther")));
+        let past = q.schedule(Time(1 << 42), "x");
+        assert!(q.cancel(past));
+        assert_eq!(q.pop(), None);
+        assert_eq!(q.now(), Time(1 << 41));
+        q.schedule(Time((1 << 41) + 1), "next");
+        assert_eq!(q.pop(), Some((Time((1 << 41) + 1), "next")));
+        assert_eq!(q.causality_violations(), 0);
+        assert_eq!(q.audit().stored, 0);
+    }
+
+    #[test]
+    fn ties_stay_fifo_across_redistributions() {
+        let mut q = EventQueue::new();
+        q.schedule(Time(1000), 0);
+        q.schedule(Time(3), 100);
+        q.schedule(Time(1000), 1);
+        assert_eq!(q.pop(), Some((Time(3), 100)));
+        // Scheduled at a different base, same instant: still behind.
+        q.schedule(Time(1000), 2);
+        q.schedule(Time(999), 99);
+        assert_eq!(q.pop(), Some((Time(999), 99)));
+        q.schedule(Time(1000), 3);
+        let rest: Vec<_> = std::iter::from_fn(|| q.pop().map(|(_, v)| v)).collect();
+        assert_eq!(rest, [0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn the_top_bucket_holds_the_end_of_time() {
+        let mut q = EventQueue::new();
+        q.schedule(Time::MAX, "end");
+        q.schedule(Time(u64::MAX >> 1), "half");
+        q.schedule(Time(1), "one");
+        assert_eq!(q.pop(), Some((Time(1), "one")));
+        assert_eq!(q.pop(), Some((Time(u64::MAX >> 1), "half")));
+        assert_eq!(q.pop(), Some((Time::MAX, "end")));
+        assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn quiet_now_tracks_live_entries_at_the_current_instant() {
+        let mut q = EventQueue::new();
+        q.schedule(Time(5), "a");
+        let b = q.schedule(Time(5), "b");
+        q.schedule(Time(6), "c");
+        assert_eq!(q.pop(), Some((Time(5), "a")));
+        assert!(!q.quiet_now(), "b is still due at 5");
+        assert!(q.cancel(b));
+        assert!(q.quiet_now(), "only debris is left at 5");
+        q.schedule(Time(5), "d");
+        assert!(!q.quiet_now());
+        assert_eq!(q.pop(), Some((Time(5), "d")));
+        assert!(q.quiet_now(), "c is due later");
+        assert_eq!(q.pop(), Some((Time(6), "c")));
+    }
+
+    #[test]
+    fn a_slot_is_retired_before_its_generation_wraps() {
+        let mut q = EventQueue::new();
+        q.schedule(Time(1), "a");
+        assert_eq!(q.pop(), Some((Time(1), "a")));
+        q.gens[0] = SENTINEL_GEN - 1;
+        let last = q.schedule(Time(2), "last");
+        assert_eq!((last.slot, last.gen), (0, SENTINEL_GEN - 1));
+        assert_eq!(q.pop(), Some((Time(2), "last")));
+        let next = q.schedule(Time(3), "next");
+        assert_eq!(next.slot, 1, "the exhausted slot is never reused");
+        assert!(!q.cancel(last));
+        assert!(!q.cancel(EventKey::default()));
+        assert!(q.cancel(next));
     }
 }

@@ -387,9 +387,11 @@ impl WhatIfArgs {
             .iter()
             .map(|iv| RunSpec {
                 intervention: Some(iv.clone()),
-                // The diff reads the full recording; nothing reads a summary.
+                // The diff reads the full recording's spans; nothing reads
+                // a summary or the gauges.
                 recorder: Recording {
                     summary: false,
+                    metrics_interval_ns: None,
                     ..spec.recorder
                 },
                 ..spec.clone()

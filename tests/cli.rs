@@ -314,6 +314,72 @@ fn one_run_writes_every_artifact_the_split_runs_write() {
 }
 
 #[test]
+fn monitoring_leaves_the_recorded_artifacts_unchanged() {
+    let run: &[&'static str] = &[
+        "--machine",
+        "cori",
+        "--nodes",
+        "2",
+        "--op",
+        "bcast",
+        "--lib",
+        "adapt",
+        "--msg",
+        "1048576",
+        "--metrics-out",
+        "metrics.csv",
+        "--trace-out",
+        "trace.json",
+        "--obs-out",
+        "rec.json",
+    ];
+    let (plain, _) = run_in("unmonitored", run);
+    let monitored_args: Vec<&str> = run
+        .iter()
+        .copied()
+        .chain(["--health-out", "health.json"])
+        .collect();
+    let (monitored, out) = run_in("monitored", &monitored_args);
+    // Alerts are recorded; this clean run raises none.
+    assert!(out.contains("snapshots every 10000ns, 0 alerts"), "{out}");
+    // The queue-length gauge left the snapshot timer out: `63`, not `64`,
+    // events are queued at t=0.
+    let metrics = std::fs::read_to_string(plain.join("metrics.csv")).unwrap();
+    assert!(metrics.contains("\n0,event_queue_len,0,63\n"), "{metrics}");
+    for file in ["metrics.csv", "trace.json", "rec.json"] {
+        let want = std::fs::read(plain.join(file)).unwrap();
+        let got = std::fs::read(monitored.join(file)).unwrap();
+        assert!(want == got, "the monitored run's {file} differs");
+    }
+}
+
+#[test]
+fn whatif_reruns_leave_the_metrics_and_deltas_unchanged() {
+    let base = mini(&["--msg", "262144", "--seed", "7"]);
+    let with = |extra: &[&'static str]| -> Vec<&'static str> {
+        base.iter().copied().chain(extra.iter().copied()).collect()
+    };
+    let whatif: &[&'static str] = &["--whatif", "noop,scale-link=NicTx:2"];
+    let metrics: &[&'static str] = &["--metrics-out", "metrics.csv"];
+    let (plain, _) = run_in("whatif-plain", &with(metrics));
+    let (_, bare) = run_in("whatif-bare", &with(whatif));
+    let (both, out) = run_in("whatif-metrics", &with(&[whatif, metrics].concat()));
+    assert!(
+        std::fs::read(plain.join("metrics.csv")).unwrap()
+            == std::fs::read(both.join("metrics.csv")).unwrap(),
+        "re-runs changed the baseline's metrics CSV"
+    );
+    let deltas = |s: &str| -> Vec<String> {
+        s.lines()
+            .filter(|l| l.starts_with("whatif "))
+            .map(str::to_owned)
+            .collect()
+    };
+    assert_eq!(deltas(&out).len(), 2, "{out}");
+    assert_eq!(deltas(&out), deltas(&bare));
+}
+
+#[test]
 fn unwritable_artifact_paths_exit_2() {
     let dir = scratch("unwritable");
     let missing = dir.join("no-such-dir").join("artifact");

@@ -70,6 +70,23 @@ fn run_scaled(
     seed: u64,
     intervention: Option<Intervention>,
 ) -> String {
+    serialize(&run_result(
+        op,
+        msg_bytes,
+        noise_percent,
+        seed,
+        intervention,
+    ))
+}
+
+/// The run behind a fixture case.
+fn run_result(
+    op: OpKind,
+    msg_bytes: u64,
+    noise_percent: f64,
+    seed: u64,
+    intervention: Option<Intervention>,
+) -> adapt::mpi::RunResult {
     let case = CollectiveCase {
         machine: profiles::cori(4),
         nranks: 128,
@@ -77,7 +94,7 @@ fn run_scaled(
         library: Library::OmpiAdapt,
         msg_bytes,
     };
-    let res = execute(&RunSpec {
+    execute(&RunSpec {
         noise: Noise {
             percent: noise_percent,
             scope: NoiseScope::PerNode,
@@ -86,8 +103,7 @@ fn run_scaled(
         intervention,
         ..case.spec()
     })
-    .unwrap();
-    serialize(&res)
+    .unwrap()
 }
 
 fn check(name: &str, got: String) {
@@ -113,6 +129,19 @@ fn golden_bcast_quiet() {
         "bcast_128r_1m_quiet.txt",
         run_case(OpKind::Bcast, 1 << 20, 0.0, 1),
     );
+}
+
+/// A hand-off runs an event the moment its dispatch ends, exactly where
+/// the queue would have popped it next: the quiet broadcast hands off a
+/// share of its events and still counts them all, so the fixture's
+/// `events=` line is unchanged.
+#[test]
+fn handoffs_leave_the_quiet_bcast_event_count_unchanged() {
+    let res = run_result(OpKind::Bcast, 1 << 20, 0.0, 1, None);
+    let (events, handoffs) = (res.stats.events, res.stats.handoffs);
+    assert!(handoffs > 0 && handoffs < events, "{handoffs} of {events}");
+    let want = std::fs::read_to_string(golden_dir().join("bcast_128r_1m_quiet.txt")).unwrap();
+    assert_eq!(serialize(&res).lines().next(), want.lines().next());
 }
 
 #[test]
