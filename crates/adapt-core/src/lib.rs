@@ -13,7 +13,8 @@
 //!   including the multi-level single-communicator tree of §3.2;
 //! - [`BcastSpec`] / [`AdaptBcast`]: pipelined broadcast with per-child
 //!   independent windows (`N` outstanding sends per child, `M ≥ N`
-//!   outstanding receives);
+//!   outstanding receives), on CPU ranks or on GPU ranks with the
+//!   explicit CPU staging buffer of §4.1 ([`BcastSpec::staged_programs`]);
 //! - [`ReduceSpec`] / [`AdaptReduce`]: pipelined reduce with per-segment
 //!   independent upward flow and CPU- or GPU-stream-executed folds (§4.2).
 

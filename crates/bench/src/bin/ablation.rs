@@ -22,7 +22,6 @@ use adapt_bench::{parse_args, print_table};
 use adapt_core::{
     topology_aware_tree, AdaptConfig, BcastSpec, ReduceData, ReduceExec, ReduceSpec, TopoTreeConfig,
 };
-use adapt_gpu::GpuBcastSpec;
 use adapt_mpi::{RunError, World};
 use adapt_noise::ClusterNoise;
 use adapt_topology::{profiles, Placement};
@@ -90,15 +89,19 @@ fn study_staging() -> Result<(), Box<RunError>> {
     let rows: Vec<(String, Vec<String>)> = [true, false]
         .iter()
         .map(|&staging| {
-            let spec = GpuBcastSpec {
-                placement: placement.clone(),
+            let spec = BcastSpec {
                 tree: tree.clone(),
                 msg_bytes: 32 << 20,
                 cfg: AdaptConfig::default(),
-                staging,
+                data: None,
+            };
+            let programs = if staging {
+                spec.staged_programs(&placement)
+            } else {
+                spec.programs()
             };
             let world = World::gpu(machine.clone(), nranks, ClusterNoise::silent(nranks));
-            let res = world.try_run(spec.programs())?;
+            let res = world.try_run(programs)?;
             Ok((
                 if staging {
                     "explicit CPU staging (Fig 6c)".to_string()
@@ -181,15 +184,14 @@ fn study_nvlink() -> Result<(), Box<RunError>> {
         let nranks = machine.gpu_job_size();
         let placement = Placement::block_gpu(machine.shape, nranks);
         let tree = Arc::new(topology_aware_tree(&placement, TopoTreeConfig::default()));
-        let spec = GpuBcastSpec {
-            placement,
+        let spec = BcastSpec {
             tree,
             msg_bytes: 32 << 20,
             cfg: AdaptConfig::default(),
-            staging: true,
+            data: None,
         };
         let world = World::gpu(machine, nranks, ClusterNoise::silent(nranks));
-        let res = world.try_run(spec.programs())?;
+        let res = world.try_run(spec.staged_programs(&placement))?;
         Ok((
             label.to_string(),
             vec![format!("{:.3}ms", res.makespan.as_micros_f64() / 1000.0)],

@@ -14,7 +14,8 @@
 //! scenario's wall time rises more than PCT percent.
 //!
 //! `record` stamps every row with the PR number `--pr` names; it has no
-//! default. A scenario whose run or sanity check fails stops `record`
+//! default. Rows carry the short `HEAD` rev, with a `+` when tracked
+//! files differ from it; `--rev` overrides both. A scenario whose run or sanity check fails stops `record`
 //! with `bench: <scenario>: <reason>` and appends nothing.
 
 use adapt_bench::barometer::{
@@ -98,15 +99,37 @@ fn parse_cli() -> Result<Cli, String> {
     Ok(cli)
 }
 
-/// Short rev of the working tree, or `unknown` outside a git checkout.
+/// Short rev of the working tree (see [`stamp_rev`]), or `unknown`
+/// outside a git checkout.
 fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .unwrap_or_else(|| "unknown".to_string())
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .map(|o| String::from_utf8_lossy(&o.stdout).into_owned())
+    };
+    match git(&["rev-parse", "--short", "HEAD"]) {
+        Some(head) => {
+            let porcelain = git(&["status", "--porcelain", "--untracked-files=no"]);
+            stamp_rev(&head, &porcelain.unwrap_or_default())
+        }
+        None => "unknown".to_string(),
+    }
+}
+
+/// The rev a ledger row is stamped with: `head`, or `head+` when
+/// `porcelain` (`git status --porcelain --untracked-files=no`) lists a
+/// changed tracked file, so rows measured on a dirty tree never pass for
+/// the clean commit. `rev:PREFIX` selectors still match both.
+fn stamp_rev(head: &str, porcelain: &str) -> String {
+    let head = head.trim();
+    if porcelain.trim().is_empty() {
+        head.to_string()
+    } else {
+        format!("{head}+")
+    }
 }
 
 fn run(cli: Cli) -> Result<(), String> {
@@ -177,5 +200,21 @@ fn main() -> ExitCode {
             eprintln!("bench: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::stamp_rev;
+
+    #[test]
+    fn clean_tree_is_stamped_with_head() {
+        assert_eq!(stamp_rev("5315cbd\n", ""), "5315cbd");
+    }
+
+    #[test]
+    fn dirty_tree_is_stamped_head_plus() {
+        let porcelain = " M crates/sim/src/queue.rs\nM  CHANGES.md\n";
+        assert_eq!(stamp_rev("5315cbd\n", porcelain), "5315cbd+");
     }
 }

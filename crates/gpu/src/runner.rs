@@ -8,10 +8,10 @@
 //! | MVAPICH | Waitall engine over the topology-aware tree (GPU-aware pairwise paths, no staging, no level overlap); CPU-executed reduction |
 //! | OMPI-default | Waitall engine with the `tuned` decision — which was not designed for GPUs and picks a non-chain tree (§5.2.2); CPU-executed reduction |
 
-use crate::bcast::GpuBcastSpec;
 use adapt_collectives::{tuned, Device, RunSpec, WaitallBcastSpec, WaitallReduceSpec};
 use adapt_core::{
-    topology_aware_tree, AdaptConfig, ReduceData, ReduceExec, ReduceSpec, TopoTreeConfig, Tree,
+    topology_aware_tree, AdaptConfig, BcastSpec, ReduceData, ReduceExec, ReduceSpec,
+    TopoTreeConfig, Tree,
 };
 use adapt_mpi::RankProgram;
 use adapt_topology::{MachineSpec, Placement};
@@ -85,14 +85,13 @@ impl GpuCase {
         use adapt_collectives::OpKind;
         let msg = self.msg_bytes;
         match (self.op, self.library) {
-            (OpKind::Bcast, GpuLibrary::OmpiAdapt) => GpuBcastSpec {
-                placement: self.placement(),
+            (OpKind::Bcast, GpuLibrary::OmpiAdapt) => BcastSpec {
                 tree: self.topo_tree(),
                 msg_bytes: msg,
                 cfg: AdaptConfig::default(),
-                staging: true,
+                data: None,
             }
-            .programs(),
+            .staged_programs(&self.placement()),
             (OpKind::Bcast, GpuLibrary::Mvapich) => WaitallBcastSpec {
                 tree: self.topo_tree(),
                 msg_bytes: msg,

@@ -244,8 +244,9 @@ macro_rules! world_stats {
 
         impl std::fmt::Display for WorldStats {
             fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                let width = Self::FIELD_NAMES.iter().map(|n| n.len()).max().unwrap_or(0);
                 for (name, value) in self.fields() {
-                    writeln!(f, "  {name:<20} {value}")?;
+                    writeln!(f, "  {name:<width$} {value}")?;
                 }
                 Ok(())
             }

@@ -80,15 +80,19 @@ fn run() -> Result<(), Box<RunError>> {
     let placement = Placement::block_gpu(machine.shape, nranks);
     let tree = Arc::new(topology_aware_tree(&placement, TopoTreeConfig::default()));
     let run_staging = |staging: bool| {
-        let spec = GpuBcastSpec {
-            placement: placement.clone(),
+        let spec = BcastSpec {
             tree: tree.clone(),
             msg_bytes: msg,
             cfg: AdaptConfig::default(),
-            staging,
+            data: None,
+        };
+        let programs = if staging {
+            spec.staged_programs(&placement)
+        } else {
+            spec.programs()
         };
         let world = World::gpu(machine.clone(), nranks, ClusterNoise::silent(nranks));
-        Ok::<_, Box<RunError>>(world.try_run(spec.programs())?.makespan.as_micros_f64())
+        Ok::<_, Box<RunError>>(world.try_run(programs)?.makespan.as_micros_f64())
     };
     let with = run_staging(true)?;
     let without = run_staging(false)?;

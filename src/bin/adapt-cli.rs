@@ -741,6 +741,17 @@ mod tests {
             );
         }
         assert_eq!(shown.lines().count(), WorldStats::FIELD_NAMES.len());
+        // Every value starts in one column, the longest name's included.
+        let columns: Vec<usize> = shown.lines().map(|l| l.rfind(' ').unwrap() + 1).collect();
+        let longest = WorldStats::FIELD_NAMES
+            .iter()
+            .map(|n| n.len())
+            .max()
+            .unwrap();
+        assert!(
+            columns.iter().all(|&c| c == 2 + longest + 1),
+            "values must align in one column:\n{shown}"
+        );
     }
 
     /// Satellite guarantee: every flag the CLI parses appears in the

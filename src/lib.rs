@@ -46,11 +46,11 @@
 //! | [`net`] | flow-level max-min fair network |
 //! | [`mpi`] | simulated MPI runtime (matching, protocols, progress engine) |
 //! | [`obs`] | cross-layer tracing, time-series metrics, critical-path analysis |
-//! | [`core`] | **the ADAPT framework** (event-driven bcast/reduce, trees) |
+//! | [`core`] | **the ADAPT framework** (event-driven bcast/reduce, trees; GPU staging and stream folds as data-path modes) |
 //! | [`collectives`] | baselines: blocking, Waitall, hierarchical, composite |
 //! | [`noise`] | system-noise injection |
 //! | [`faults`] | deterministic fault injection: loss, degradation, stalls |
-//! | [`gpu`] | GPU substrate: staging buffers, stream-offloaded reduction |
+//! | [`gpu`] | the Figure 11 GPU library presets |
 //! | [`apps`] | ASP (parallel Floyd–Warshall) |
 
 /// The discrete-event simulation engine.
@@ -81,7 +81,7 @@ pub use adapt_noise as noise;
 /// stalls, and the reliability-layer configuration.
 pub use adapt_faults as faults;
 
-/// GPU cluster support.
+/// The Figure 11 GPU library presets.
 pub use adapt_gpu as gpu;
 
 /// Applications (ASP).
@@ -98,7 +98,7 @@ pub mod prelude {
         ScanSpec, ScatterSpec, TopoTreeConfig, Tree, TreeKind,
     };
     pub use adapt_faults::FaultPlan;
-    pub use adapt_gpu::{GpuBcastSpec, GpuCase, GpuLibrary};
+    pub use adapt_gpu::{GpuCase, GpuLibrary};
     pub use adapt_mpi::{AuditReport, Completion, Payload, ProgramCtx, RankProgram, Token, World};
     pub use adapt_noise::{ClusterNoise, NoiseSpec};
     pub use adapt_sim::rng::MasterSeed;

@@ -489,6 +489,40 @@ fn killed_interior_rank_is_survivable() {
     assert_bytes_survivors(res, &data, &[victim]);
 }
 
+/// A kill anywhere below the root of the staged GPU broadcast (§4.1) is
+/// survivable: staging is a data path of the one ADAPT broadcast, so the
+/// GPU job gets the same shrink recovery and first-arrival dedup as the
+/// CPU one. Every non-root rank of a two-node psg job dies once at each
+/// of four instants, from the first segments to the tail of the
+/// pipeline, and every survivor still assembles the root's bytes.
+#[test]
+fn staged_gpu_broadcast_survives_any_non_root_kill() {
+    let data = payload(1 << 20);
+    let machine = profiles::psg(2);
+    let nranks = machine.gpu_job_size();
+    let placement = Placement::block_gpu(machine.shape, nranks);
+    let spec = BcastSpec {
+        tree: Arc::new(topology_aware_tree(&placement, TopoTreeConfig::default())),
+        msg_bytes: data.len() as u64,
+        cfg: AdaptConfig::default(),
+        data: Some(Bytes::from(data.clone())),
+    };
+    for victim in 1..nranks {
+        for at in [2, 5, 20, 100] {
+            let plan = FaultPlan::lossy(1, 0.0)
+                .with_kill(victim, t_us(at))
+                .with_rto(Duration::from_micros(5));
+            let res = World::gpu(machine.clone(), nranks, ClusterNoise::silent(nranks))
+                .with_faults(plan)
+                .try_run(spec.staged_programs(&placement))
+                .unwrap_or_else(|e| panic!("kill of rank {victim} at {at}us: {e}"));
+            assert_eq!(res.stats.ranks_killed, 1);
+            assert_eq!(res.stats.failures_detected, 1);
+            assert_bytes_survivors(res, &data, &[victim]);
+        }
+    }
+}
+
 #[test]
 fn killed_leaf_never_blocks_the_others() {
     let data = payload(150_000);
