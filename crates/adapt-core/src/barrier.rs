@@ -12,6 +12,7 @@
 //! makes an independent (n−1)-hop journey.
 
 use crate::config::{pack_token, unpack_token, AdaptConfig};
+use crate::segments::BlockPartition;
 use adapt_mpi::{program::ANY_TAG, Completion, Payload, ProgramCtx, RankProgram, Tag};
 use bytes::Bytes;
 use std::collections::VecDeque;
@@ -160,20 +161,11 @@ impl AllgatherSpec {
     }
 }
 
-fn block_range(msg: u64, n: u64, i: u64) -> (u64, u64) {
-    let off = |i: u64| -> u64 {
-        let base = msg / n;
-        let rem = msg % n;
-        i * base + i.min(rem)
-    };
-    (off(i), off(i + 1))
-}
-
 /// One rank's event-driven ring allgather.
 pub struct AdaptAllgather {
     rank: u32,
     n: u64,
-    msg: u64,
+    part: BlockPartition,
     cfg: AdaptConfig,
     real: bool,
     result: Option<Vec<u8>>,
@@ -191,12 +183,13 @@ pub struct AdaptAllgather {
 impl AdaptAllgather {
     fn new(spec: &AllgatherSpec, rank: u32) -> AdaptAllgather {
         let n = spec.nranks as u64;
+        let part = BlockPartition::new(spec.msg_bytes, n);
         let mut result = spec
             .data
             .is_some()
             .then(|| vec![0u8; spec.msg_bytes as usize]);
         if let (Some(res), Some(contribs)) = (result.as_mut(), spec.data.as_deref()) {
-            let (lo, hi) = block_range(spec.msg_bytes, n, rank as u64);
+            let (lo, hi) = part.block(rank as u64);
             let own = &contribs[rank as usize];
             assert_eq!(own.len() as u64, hi - lo, "contribution size");
             res[lo as usize..hi as usize].copy_from_slice(own);
@@ -204,7 +197,7 @@ impl AdaptAllgather {
         AdaptAllgather {
             rank,
             n,
-            msg: spec.msg_bytes,
+            part,
             cfg: spec.cfg,
             real: spec.data.is_some(),
             result,
@@ -220,7 +213,7 @@ impl AdaptAllgather {
     }
 
     fn block_payload(&self, b: u64) -> Payload {
-        let (lo, hi) = block_range(self.msg, self.n, b);
+        let (lo, hi) = self.part.block(b);
         match &self.result {
             Some(res) => Payload::from(res[lo as usize..hi as usize].to_vec()),
             None => Payload::Synthetic(hi - lo),
@@ -294,7 +287,7 @@ impl RankProgram for AdaptAllgather {
             Completion::RecvDone { tag, data, .. } => {
                 self.recvs_done += 1;
                 let b = tag as u64;
-                let (lo, hi) = block_range(self.msg, self.n, b);
+                let (lo, hi) = self.part.block(b);
                 if let (Some(res), Some(bytes)) = (self.result.as_mut(), data.bytes()) {
                     res[lo as usize..hi as usize].copy_from_slice(bytes);
                 }
@@ -390,7 +383,7 @@ mod tests {
             let msg = 40_000u64;
             let contributions: Vec<Bytes> = (0..n)
                 .map(|r| {
-                    let (lo, hi) = block_range(msg, n as u64, r as u64);
+                    let (lo, hi) = BlockPartition::new(msg, n as u64).block(r as u64);
                     Bytes::from(
                         (lo..hi)
                             .map(|i| ((i * 7 + r as u64) % 251) as u8)

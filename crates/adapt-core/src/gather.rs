@@ -8,6 +8,7 @@
 //! unrelated bytes.
 
 use crate::config::{pack_token, unpack_token, AdaptConfig};
+use crate::segments::BlockPartition;
 use crate::tree::{Tree, TreeKind};
 use adapt_mpi::{program::ANY_TAG, Completion, Payload, ProgramCtx, RankProgram, Tag};
 use bytes::Bytes;
@@ -15,23 +16,6 @@ use std::sync::Arc;
 
 const KIND_SEND: u8 = 1;
 const KIND_RECV: u8 = 2;
-
-fn block_range(msg: u64, n: u64, lo: u64, hi: u64) -> (u64, u64) {
-    let off = |i: u64| -> u64 {
-        let base = msg / n;
-        let rem = msg % n;
-        i * base + i.min(rem)
-    };
-    (off(lo), off(hi))
-}
-
-fn binomial_subtree(v: u64, n: u64) -> u64 {
-    if v == 0 {
-        return n;
-    }
-    let lsb = v & v.wrapping_neg();
-    lsb.min(n - v)
-}
 
 /// Description of one ADAPT gather (root = rank 0, binomial routing).
 #[derive(Clone)]
@@ -86,16 +70,11 @@ pub struct AdaptGather {
 impl AdaptGather {
     fn new(spec: &GatherSpec, tree: &Tree, rank: u32) -> AdaptGather {
         let n = spec.nranks as u64;
-        let size = binomial_subtree(rank as u64, n);
-        let (lo, hi) = block_range(spec.msg_bytes, n, rank as u64, rank as u64 + size);
+        let part = BlockPartition::new(spec.msg_bytes, n);
+        let (lo, hi) = part.subtree(rank as u64);
         let children = tree.children(rank).to_vec();
-        let child_ranges: Vec<(u64, u64)> = children
-            .iter()
-            .map(|&c| {
-                let cs = binomial_subtree(c as u64, n);
-                block_range(spec.msg_bytes, n, c as u64, c as u64 + cs)
-            })
-            .collect();
+        let child_ranges: Vec<(u64, u64)> =
+            children.iter().map(|&c| part.subtree(c as u64)).collect();
         let seg = spec.cfg.seg_size;
         let nseg = (hi - lo).div_ceil(seg) as usize;
         let mut g = AdaptGather {
@@ -118,7 +97,7 @@ impl AdaptGather {
             finished_at: None,
         };
         // The own block is present from the start.
-        let (own_lo, own_hi) = block_range(spec.msg_bytes, n, rank as u64, rank as u64 + 1);
+        let (own_lo, own_hi) = part.block(rank as u64);
         if let (Some(buf), Some(contribs)) = (g.buffer.as_mut(), spec.data.as_deref()) {
             let own = &contribs[rank as usize];
             assert_eq!(own.len() as u64, own_hi - own_lo, "contribution size");
@@ -278,7 +257,7 @@ mod tests {
     fn run_gather(n: u32, msg: u64, seg: u64) {
         let contributions: Vec<Bytes> = (0..n)
             .map(|r| {
-                let (lo, hi) = block_range(msg, n as u64, r as u64, r as u64 + 1);
+                let (lo, hi) = BlockPartition::new(msg, n as u64).block(r as u64);
                 Bytes::from(
                     (lo..hi)
                         .map(|i| ((i * 13 + r as u64) % 251) as u8)

@@ -39,5 +39,5 @@ pub use gather::{AdaptGather, GatherSpec};
 pub use reduce::{AdaptReduce, ReduceData, ReduceExec, ReduceSpec};
 pub use scan::{AdaptScan, ScanSpec};
 pub use scatter::{AdaptScatter, ScatterSpec};
-pub use segments::Segments;
+pub use segments::{binomial_subtree, BlockPartition, Segments};
 pub use tree::{topology_aware_tree, topology_aware_tree_rooted, TopoTreeConfig, Tree, TreeKind};

@@ -9,6 +9,7 @@
 //! pipelining are segmented.
 
 use crate::config::{pack_token, unpack_token, AdaptConfig};
+use crate::segments::BlockPartition;
 use crate::tree::{Tree, TreeKind};
 use adapt_mpi::{program::ANY_TAG, Completion, Payload, ProgramCtx, RankProgram, Tag};
 use bytes::Bytes;
@@ -16,25 +17,6 @@ use std::sync::Arc;
 
 const KIND_SEND: u8 = 1;
 const KIND_RECV: u8 = 2;
-
-/// Byte range of ranks `[lo, hi)` in a block-partitioned message.
-fn block_range(msg: u64, n: u64, lo: u64, hi: u64) -> (u64, u64) {
-    let off = |i: u64| -> u64 {
-        let base = msg / n;
-        let rem = msg % n;
-        i * base + i.min(rem)
-    };
-    (off(lo), off(hi))
-}
-
-/// Subtree size of `v` in a binomial tree over `n` ranks.
-fn binomial_subtree(v: u64, n: u64) -> u64 {
-    if v == 0 {
-        return n;
-    }
-    let lsb = v & v.wrapping_neg();
-    lsb.min(n - v)
-}
 
 /// Description of one ADAPT scatter (root = rank 0, binomial routing — the
 /// shape under which subtree block ranges are contiguous).
@@ -93,18 +75,11 @@ pub struct AdaptScatter {
 impl AdaptScatter {
     fn new(spec: &ScatterSpec, tree: &Tree, rank: u32) -> AdaptScatter {
         let n = spec.nranks as u64;
-        let (lo, hi) = {
-            let size = binomial_subtree(rank as u64, n);
-            block_range(spec.msg_bytes, n, rank as u64, rank as u64 + size)
-        };
+        let part = BlockPartition::new(spec.msg_bytes, n);
+        let (lo, hi) = part.subtree(rank as u64);
         let children = tree.children(rank).to_vec();
-        let child_ranges: Vec<(u64, u64)> = children
-            .iter()
-            .map(|&c| {
-                let size = binomial_subtree(c as u64, n);
-                block_range(spec.msg_bytes, n, c as u64, c as u64 + size)
-            })
-            .collect();
+        let child_ranges: Vec<(u64, u64)> =
+            children.iter().map(|&c| part.subtree(c as u64)).collect();
         let own_segs = (hi - lo).div_ceil(spec.cfg.seg_size) as usize;
         AdaptScatter {
             rank,
@@ -210,8 +185,7 @@ impl AdaptScatter {
 
     /// The rank's own block after the run (real mode).
     pub fn own_block(&self) -> Option<Vec<u8>> {
-        let n = self.n;
-        let (lo, hi) = block_range(self.msg, n, self.rank as u64, self.rank as u64 + 1);
+        let (lo, hi) = BlockPartition::new(self.msg, self.n).block(self.rank as u64);
         if let Some(d) = &self.root_data {
             return Some(d.slice(lo as usize..hi as usize).to_vec());
         }
@@ -282,18 +256,6 @@ mod tests {
     use adapt_noise::ClusterNoise;
     use adapt_topology::profiles;
 
-    #[test]
-    fn block_ranges_cover_message() {
-        let (lo, hi) = block_range(1000, 7, 0, 7);
-        assert_eq!((lo, hi), (0, 1000));
-        let mut total = 0;
-        for i in 0..7 {
-            let (a, b) = block_range(1000, 7, i, i + 1);
-            total += b - a;
-        }
-        assert_eq!(total, 1000);
-    }
-
     fn run_scatter(n: u32, msg: u64, seg: u64) {
         let data: Vec<u8> = (0..msg).map(|i| (i * 17 % 253) as u8).collect();
         let spec = ScatterSpec {
@@ -307,7 +269,7 @@ mod tests {
         for (r, p) in res.programs.into_iter().enumerate() {
             let any: Box<dyn std::any::Any> = p;
             let s = any.downcast::<AdaptScatter>().unwrap();
-            let (lo, hi) = block_range(msg, n as u64, r as u64, r as u64 + 1);
+            let (lo, hi) = BlockPartition::new(msg, n as u64).block(r as u64);
             assert_eq!(
                 s.own_block().unwrap(),
                 &data[lo as usize..hi as usize],

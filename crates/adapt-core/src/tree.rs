@@ -179,11 +179,6 @@ impl Tree {
         (0..self.len()).map(|r| self.depth(r)).max().unwrap_or(0)
     }
 
-    /// Maximum fan-out.
-    pub fn max_children(&self) -> usize {
-        self.children.iter().map(Vec::len).max().unwrap_or(0)
-    }
-
     /// Rebuild the tree around a set of dead ranks: every live rank whose
     /// ancestor chain crosses a dead rank is re-parented to its nearest
     /// *live* ancestor, and dead ranks are cut out entirely (no parent,

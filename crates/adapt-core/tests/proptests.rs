@@ -5,7 +5,7 @@ use adapt_core::{
     TopoTreeConfig, Tree, TreeKind,
 };
 use adapt_mpi::{bytes_to_f64, f64_to_bytes, DType, ReduceOp, World};
-use adapt_noise::{ClusterNoise, DurationLaw, NoiseSpec};
+use adapt_noise::{ClusterNoise, NoiseSpec};
 use adapt_sim::rng::MasterSeed;
 use adapt_sim::time::Duration;
 use adapt_topology::{ClusterShape, Placement};
@@ -88,7 +88,6 @@ proptest! {
             ClusterNoise::uniform(n, NoiseSpec {
                 period: Duration::from_micros(200),
                 max_duration: Duration::from_micros(120),
-                law: DurationLaw::Uniform,
             }, MasterSeed(seed))
         } else {
             ClusterNoise::silent(n)
@@ -138,7 +137,6 @@ proptest! {
             ClusterNoise::uniform(n, NoiseSpec {
                 period: Duration::from_micros(150),
                 max_duration: Duration::from_micros(100),
-                law: DurationLaw::Uniform,
             }, MasterSeed(seed))
         } else {
             ClusterNoise::silent(n)
@@ -169,7 +167,6 @@ proptest! {
         let heavy = NoiseSpec {
             period: Duration::from_micros(100),
             max_duration: Duration::from_micros(95),
-            law: DurationLaw::Uniform,
         };
         let noisy1 = mk(ClusterNoise::uniform(n, heavy, MasterSeed(seed)));
         let noisy2 = mk(ClusterNoise::uniform(n, heavy, MasterSeed(seed)));
@@ -279,7 +276,6 @@ proptest! {
             ClusterNoise::uniform(n, NoiseSpec {
                 period: Duration::from_micros(250),
                 max_duration: Duration::from_micros(150),
-                law: DurationLaw::Uniform,
             }, MasterSeed(seed))
         } else {
             ClusterNoise::silent(n)

@@ -16,7 +16,7 @@ use adapt_bench::{par_map, parse_args, print_table, Scale};
 use adapt_collectives::{run_trial, CollectiveCase, Library, NoiseScope, OpKind, Trial};
 use adapt_core::{topology_aware_tree, TopoTreeConfig, Tree};
 use adapt_mpi::{RunError, World};
-use adapt_noise::{ClusterNoise, DurationLaw, NoiseSpec};
+use adapt_noise::{ClusterNoise, NoiseSpec};
 use adapt_sim::rng::MasterSeed;
 use adapt_sim::time::Duration;
 use adapt_topology::{profiles, Placement};
@@ -173,7 +173,6 @@ fn figure2_relations(
                         NoiseSpec {
                             period: Duration::from_millis(1),
                             max_duration: Duration::from_micros(500),
-                            law: DurationLaw::Uniform,
                         },
                         MasterSeed(s),
                     )

@@ -8,56 +8,10 @@
 //! `Intel-topo-Rabenseifner's`). Each is a single program over the full
 //! communicator using exact tags.
 
-use adapt_core::Tree;
+use adapt_core::{binomial_subtree, BlockPartition, Tree};
 use adapt_mpi::{Completion, Payload, ProgramCtx, RankProgram, Tag, Token};
 use adapt_topology::Rank;
 use bytes::Bytes;
-
-/// Byte-range partition of a message into `n` per-rank blocks (the MPI
-/// convention: the first `msg % n` blocks get one extra byte).
-#[derive(Clone, Copy, Debug)]
-pub struct BlockPartition {
-    msg: u64,
-    n: u64,
-}
-
-impl BlockPartition {
-    /// Partition `msg` bytes over `n` ranks.
-    pub fn new(msg: u64, n: u32) -> BlockPartition {
-        BlockPartition { msg, n: n as u64 }
-    }
-
-    /// Byte offset of block `i`.
-    pub fn offset(&self, i: u64) -> u64 {
-        let base = self.msg / self.n;
-        let rem = self.msg % self.n;
-        i * base + i.min(rem)
-    }
-
-    /// Length of block `i`.
-    pub fn len(&self, i: u64) -> u64 {
-        self.offset(i + 1) - self.offset(i)
-    }
-
-    /// Whether the partition covers no bytes at all.
-    pub fn is_empty(&self) -> bool {
-        self.msg == 0
-    }
-
-    /// Length of the contiguous block range `[lo, hi)`.
-    pub fn range_len(&self, lo: u64, hi: u64) -> u64 {
-        self.offset(hi) - self.offset(lo)
-    }
-}
-
-/// Binomial subtree size of virtual rank `v` in an `n`-rank binomial tree.
-fn binomial_subtree(v: u64, n: u64) -> u64 {
-    if v == 0 {
-        return n;
-    }
-    let lsb = v & v.wrapping_neg();
-    lsb.min(n - v)
-}
 
 /// Allgather strategy for [`ScatterAllgatherBcast`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -139,7 +93,7 @@ const TAG_AG_BASE: Tag = 1;
 impl ScatterAllgatherBcast {
     fn new(spec: &ScatterAllgatherBcastSpec, kind: AllgatherKind, rank: Rank) -> Self {
         let n = spec.nranks as u64;
-        let part = BlockPartition::new(spec.msg_bytes, spec.nranks);
+        let part = BlockPartition::new(spec.msg_bytes, n);
         let tree = Tree::build(adapt_core::TreeKind::Binomial, spec.nranks, 0);
         let blocks = match &spec.data {
             None => None,
@@ -689,28 +643,6 @@ mod tests {
     use adapt_mpi::{bytes_to_f64, f64_to_bytes, World};
     use adapt_noise::ClusterNoise;
     use adapt_topology::profiles;
-
-    #[test]
-    fn block_partition_covers_message() {
-        let p = BlockPartition::new(1003, 7);
-        let total: u64 = (0..7).map(|i| p.len(i)).sum();
-        assert_eq!(total, 1003);
-        assert_eq!(p.offset(0), 0);
-        assert_eq!(p.offset(7), 1003);
-        // First msg % n blocks get the extra byte.
-        assert_eq!(p.len(0), 144);
-        assert_eq!(p.len(6), 143);
-    }
-
-    #[test]
-    fn binomial_subtree_sizes() {
-        assert_eq!(binomial_subtree(0, 8), 8);
-        assert_eq!(binomial_subtree(4, 8), 4);
-        assert_eq!(binomial_subtree(2, 8), 2);
-        assert_eq!(binomial_subtree(1, 8), 1);
-        // Clipped by n for non-power-of-two counts.
-        assert_eq!(binomial_subtree(4, 6), 2);
-    }
 
     fn run_sag(kind: AllgatherKind, n: u32, data: &[u8]) {
         let spec = ScatterAllgatherBcastSpec {

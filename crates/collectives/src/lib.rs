@@ -52,9 +52,7 @@ impl ReduceInputs {
 }
 
 pub use blocking::{BlockingBcastSpec, BlockingReduceSpec};
-pub use exchange::{
-    AllgatherKind, BlockPartition, RabenseifnerReduceSpec, ScatterAllgatherBcastSpec,
-};
+pub use exchange::{AllgatherKind, RabenseifnerReduceSpec, ScatterAllgatherBcastSpec};
 pub use hier::{HierBcastSpec, HierLevels, HierProgram, HierReduceSpec, PhasedProgram};
 pub use runner::{
     execute, run_trial, CollectiveCase, Device, IntelAlg, Library, Noise, NoiseScope, OpKind,

@@ -706,13 +706,14 @@ pub struct Trial {
 pub struct TrialResult {
     /// Mean completion time in microseconds.
     pub mean_us: f64,
-    /// Spread across iterations.
+    /// Fastest repetition's per-operation time (microseconds).
     pub min_us: f64,
-    /// Spread across iterations.
+    /// Slowest repetition's per-operation time (microseconds).
     pub max_us: f64,
-    /// Per-iteration times (microseconds).
+    /// Per-operation time of each repetition: its makespan over
+    /// `iterations` (microseconds).
     pub samples: Vec<f64>,
-    /// Counters from the last iteration.
+    /// Counters from the last repetition.
     pub stats: WorldStats,
     /// Invariant report from the last repetition (every repetition runs
     /// through [`execute`], so every report is clean).

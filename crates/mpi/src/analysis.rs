@@ -19,80 +19,16 @@ pub fn comm_matrix(obs: &ObsData) -> Vec<Vec<u64>> {
     m
 }
 
-/// Wall-clock attribution for one rank over a whole run.
-///
-/// `active` is pure CPU work on the simulated clock (noise stretching
-/// excluded) and is always available. The dispatch/protocol split
-/// (`callbacks` / `progressing`, both wall-clock, noise included) needs
-/// span data — a run recorded through
-/// [`World::with_recorder`](crate::World::with_recorder); without it both
-/// fall back to the active/blocked split.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RankPhases {
-    /// When the rank finished, as a duration since time zero.
-    pub finish: Duration,
-    /// Pure CPU work performed (overheads, matching, folds, compute).
-    pub active: Duration,
-    /// Wall-clock spent inside program handler dispatches (completion
-    /// callbacks plus the operation costs they posted).
-    pub callbacks: Duration,
-    /// Wall-clock spent in progress-engine protocol actions (CTS sends,
-    /// rendezvous data launches, unexpected-queue bookkeeping).
-    pub progressing: Duration,
-    /// The rest of the rank's lifetime: blocked waiting on the network,
-    /// on peers, or preempted by noise.
-    pub blocked: Duration,
-}
-
-/// Break each rank's lifetime into blocked-waiting vs progressing vs
-/// callback time. With observability data attached the split comes from
-/// recorded spans; otherwise `callbacks` falls back to the `active`
-/// counter and `progressing` is zero.
-pub fn phase_breakdown(result: &RunResult) -> Vec<RankPhases> {
-    let n = result.per_rank_finish.len();
-    let mut out = Vec::with_capacity(n);
-    for r in 0..n {
-        let finish_ns = result.per_rank_finish[r]
-            .saturating_since(adapt_sim::time::Time::ZERO)
-            .0;
-        let active = result.per_rank_busy[r];
-        let (callbacks_ns, progressing_ns) = match &result.obs {
-            Some(obs) => (
-                obs.dispatches
-                    .iter()
-                    .filter(|d| d.rank as usize == r)
-                    .map(|d| d.end_ns - d.begin_ns)
-                    .sum::<u64>(),
-                obs.protocols
-                    .iter()
-                    .filter(|p| p.rank as usize == r)
-                    .map(|p| p.end_ns - p.begin_ns)
-                    .sum::<u64>(),
-            ),
-            None => (active.0, 0),
-        };
-        out.push(RankPhases {
-            finish: Duration(finish_ns),
-            active,
-            callbacks: Duration(callbacks_ns),
-            progressing: Duration(progressing_ns),
-            blocked: Duration(finish_ns.saturating_sub(callbacks_ns + progressing_ns)),
-        });
-    }
-    out
-}
-
 /// Per-rank CPU utilization: pure work divided by the run's makespan.
-/// A thin view over [`phase_breakdown`]'s `active` column.
 pub fn busy_fractions(result: &RunResult) -> Vec<f64> {
     let total = result.makespan.as_secs_f64();
-    let phases = phase_breakdown(result);
     if total <= 0.0 {
-        return vec![0.0; phases.len()];
+        return vec![0.0; result.per_rank_busy.len()];
     }
-    phases
+    result
+        .per_rank_busy
         .iter()
-        .map(|p| p.active.as_secs_f64() / total)
+        .map(|busy| busy.as_secs_f64() / total)
         .collect()
 }
 
@@ -179,56 +115,28 @@ mod tests {
 
     #[test]
     fn busy_fractions_divide_work_by_makespan() {
-        let r = result(&[100, 100], &[50, 25]);
+        let mut r = result(&[100, 100], &[50, 25]);
         let f = busy_fractions(&r);
         assert!((f[0] - 0.5).abs() < 1e-12, "{f:?}");
         assert!((f[1] - 0.25).abs() < 1e-12, "{f:?}");
+        // Recorded dispatch spans do not change the active/makespan ratio.
+        r.obs = Some(ObsData {
+            nranks: 2,
+            dispatches: vec![DispatchSpan {
+                rank: 0,
+                begin_ns: 0,
+                end_ns: 40_000,
+                trigger: Trigger::Start,
+            }],
+            ..ObsData::default()
+        });
+        assert_eq!(busy_fractions(&r), f);
     }
 
     #[test]
     fn busy_fractions_of_empty_run_are_zero() {
         let r = result(&[0, 0, 0], &[0, 0, 0]);
         assert_eq!(busy_fractions(&r), vec![0.0; 3]);
-    }
-
-    #[test]
-    fn phase_breakdown_without_spans_falls_back_to_active() {
-        let r = result(&[100, 100], &[50, 25]);
-        let p = phase_breakdown(&r);
-        assert_eq!(p[0].callbacks, Duration::from_micros(50));
-        assert_eq!(p[0].progressing, Duration::ZERO);
-        assert_eq!(p[0].blocked, Duration::from_micros(50));
-        assert_eq!(p[1].blocked, Duration::from_micros(75));
-    }
-
-    #[test]
-    fn phase_breakdown_uses_recorded_spans_when_present() {
-        use adapt_obs::{ProtoKind, ProtoSpan};
-        let mut r = result(&[100], &[50]);
-        let mut obs = ObsData {
-            nranks: 1,
-            ..ObsData::default()
-        };
-        obs.dispatches.push(DispatchSpan {
-            rank: 0,
-            begin_ns: 0,
-            end_ns: 40_000,
-            trigger: Trigger::Start,
-        });
-        obs.protocols.push(ProtoSpan {
-            rank: 0,
-            begin_ns: 50_000,
-            end_ns: 80_000,
-            kind: ProtoKind::CtsSend,
-            msg: 0,
-        });
-        r.obs = Some(obs);
-        let p = phase_breakdown(&r);
-        assert_eq!(p[0].callbacks, Duration::from_micros(40));
-        assert_eq!(p[0].progressing, Duration::from_micros(30));
-        assert_eq!(p[0].blocked, Duration::from_micros(30));
-        // busy_fractions stays the active/makespan ratio regardless.
-        assert!((busy_fractions(&r)[0] - 0.5).abs() < 1e-12);
     }
 
     #[test]

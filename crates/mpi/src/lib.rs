@@ -13,7 +13,6 @@
 //! expressed here while the MPI-level API cannot.
 
 pub mod analysis;
-pub mod callbacks;
 pub mod datatype;
 mod matching;
 pub mod payload;
@@ -22,8 +21,7 @@ pub mod world;
 
 pub use adapt_faults::{FaultPlan, RelConfig};
 pub use adapt_sim::audit::{AuditReport, RankAudit};
-pub use analysis::{busy_fractions, comm_matrix, finish_skew, phase_breakdown, RankPhases};
-pub use callbacks::{CallbackProgram, Cb};
+pub use analysis::{busy_fractions, comm_matrix, finish_skew};
 pub use datatype::{bytes_to_f64, combine, f64_to_bytes, DType, ReduceOp};
 pub use payload::Payload;
 pub use program::{Completion, Op, ProgramCtx, RankProgram, Tag, Token};

@@ -243,24 +243,6 @@ impl dyn ProgramCtx + '_ {
         });
     }
 
-    /// Non-blocking send from an explicit memory space.
-    pub fn isend_from(
-        &mut self,
-        src_mem: MemSpace,
-        dst: Rank,
-        tag: Tag,
-        payload: Payload,
-        token: Token,
-    ) {
-        self.post(Op::Isend {
-            dst,
-            tag,
-            payload,
-            token,
-            src_mem: Some(src_mem),
-        });
-    }
-
     /// Non-blocking receive into the rank's default memory.
     pub fn irecv(&mut self, src: Rank, tag: Tag, token: Token) {
         self.post(Op::Irecv {
@@ -268,16 +250,6 @@ impl dyn ProgramCtx + '_ {
             tag,
             token,
             dst_mem: None,
-        });
-    }
-
-    /// Non-blocking receive into an explicit memory space.
-    pub fn irecv_into(&mut self, dst_mem: MemSpace, src: Rank, tag: Tag, token: Token) {
-        self.post(Op::Irecv {
-            src,
-            tag,
-            token,
-            dst_mem: Some(dst_mem),
         });
     }
 

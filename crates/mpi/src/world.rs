@@ -192,10 +192,6 @@ enum Ev {
 #[derive(Debug, Default)]
 struct RankState {
     busy_until: Time,
-    /// Progress-thread horizon (used when asynchronous progress is on:
-    /// protocol work and callbacks run here, application compute on
-    /// `busy_until`).
-    prog_busy_until: Time,
     /// Pure CPU work performed (noise stretching excluded).
     busy_accum: Duration,
     posted: PostedQueue,
@@ -383,11 +379,6 @@ pub struct World {
     /// Hard cap on processed events (livelock guard): crossing it ends
     /// the run with [`RunError::EventCap`].
     pub max_events: u64,
-    /// Asynchronous progress (paper §7 future work): when enabled, each
-    /// rank has a dedicated progress thread — completion callbacks and
-    /// protocol actions no longer wait for application `compute` to
-    /// finish, so non-blocking collectives overlap with computation.
-    async_progress: bool,
     /// The fault layer (`None` = pristine network, zero-cost transport
     /// exactly as before the layer existed).
     faults: Option<Box<Faults>>,
@@ -446,7 +437,6 @@ impl World {
             stats: WorldStats::default(),
             byte_audit: ByteAudit::default(),
             max_events: 2_000_000_000,
-            async_progress: false,
             faults: None,
             run_error: None,
             watchdog: None,
@@ -563,22 +553,12 @@ impl World {
     /// snapshot timer event rides the deterministic queue every
     /// `monitor.interval_ns()` of simulated time, the detectors run over
     /// consecutive snapshots, and the report lands in
-    /// [`RunResult::health`]. Keep a [`adapt_obs::HealthView`] (from
-    /// [`Monitor::view`]) to query alerts live, mid-run. Snapshots read
+    /// [`RunResult::health`]. Snapshots read
     /// state the simulation maintains anyway and never perturb an event,
     /// so the monitored run's makespan and audit are byte-identical to
     /// the unmonitored run.
     pub fn with_monitor(mut self, monitor: Monitor) -> World {
         self.monitor = Some(Box::new(Health::new(monitor)));
-        self
-    }
-
-    /// Enable asynchronous progress (a per-rank progress thread): protocol
-    /// actions and completion callbacks run concurrently with application
-    /// `compute`, which is how the paper's §7 envisions non-blocking
-    /// collectives overlapping computation. Noise still preempts both.
-    pub fn enable_async_progress(mut self) -> World {
-        self.async_progress = true;
         self
     }
 
@@ -1153,30 +1133,19 @@ impl World {
         self.fabric.global_core(loc.node, loc.socket, loc.core)
     }
 
-    /// First instant at or after `t` at which `rank`'s CPU serving the
-    /// progress engine is free and not preempted. With asynchronous
-    /// progress the dedicated progress thread's horizon applies; otherwise
-    /// the single application CPU must also be past its compute.
+    /// First instant at or after `t` at which `rank`'s CPU is free and
+    /// not preempted.
     fn cpu_ready(&mut self, rank: Rank, t: Time) -> Time {
-        let state = &self.ranks[rank as usize];
-        let busy = if self.async_progress {
-            state.prog_busy_until
-        } else {
-            state.busy_until
-        };
+        let busy = self.ranks[rank as usize].busy_until;
         self.rank_defer(rank, t.max(busy))
     }
 
-    /// Extend a rank's (progress) busy horizon by `work` starting at `t`;
-    /// returns the completion instant.
+    /// Extend a rank's busy horizon by `work` starting at `t`; returns the
+    /// completion instant.
     fn bump_busy(&mut self, rank: Rank, t: Time, work: Duration) -> Time {
         let done = self.finish_rank_work(rank, t, work);
         let state = &mut self.ranks[rank as usize];
-        if self.async_progress {
-            state.prog_busy_until = done;
-        } else {
-            state.busy_until = done;
-        }
+        state.busy_until = done;
         state.busy_accum += work;
         done
     }

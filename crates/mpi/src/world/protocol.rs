@@ -164,44 +164,21 @@ impl World {
                 }
                 Op::Compute { work, token } => {
                     let work = self.cost(Layer::Compute, work);
-                    if self.async_progress {
-                        // Application compute runs on the main thread,
-                        // serialized with earlier compute but not with the
-                        // progress engine.
-                        let posted = self.finish_rank_work(rank, t, cost);
-                        let start = posted.max(self.ranks[rank as usize].busy_until);
-                        let done = self.finish_rank_work(rank, start, work);
-                        let state = &mut self.ranks[rank as usize];
-                        state.busy_until = done;
-                        state.busy_accum += work;
-                        if self.obs_on {
-                            self.obs.compute(
-                                rank,
-                                token.0,
-                                start.as_nanos(),
-                                done.as_nanos(),
-                                false,
-                            );
-                        }
-                        self.deliver(done, rank, Completion::ComputeDone { token }, NO_MSG);
+                    // The begin query is observability-only: the noise window
+                    // stream is deterministic and idempotent, so asking early
+                    // returns the same instant a later call would.
+                    let begin = if self.obs_on {
+                        Some(self.finish_rank_work(rank, t, cost))
                     } else {
-                        // The begin query is observability-only: the noise
-                        // window stream is deterministic and idempotent,
-                        // so asking early returns the same instant a later
-                        // call would.
-                        let begin = if self.obs_on {
-                            Some(self.finish_rank_work(rank, t, cost))
-                        } else {
-                            None
-                        };
-                        cost += work;
-                        let at = self.finish_rank_work(rank, t, cost);
-                        if let Some(begin) = begin {
-                            self.obs
-                                .compute(rank, token.0, begin.as_nanos(), at.as_nanos(), false);
-                        }
-                        self.deliver(at, rank, Completion::ComputeDone { token }, NO_MSG);
+                        None
+                    };
+                    cost += work;
+                    let at = self.finish_rank_work(rank, t, cost);
+                    if let Some(begin) = begin {
+                        self.obs
+                            .compute(rank, token.0, begin.as_nanos(), at.as_nanos(), false);
                     }
+                    self.deliver(at, rank, Completion::ComputeDone { token }, NO_MSG);
                 }
                 Op::GpuReduce { bytes, token } => {
                     cost += self.cost(Layer::Callback, CTRL_OVERHEAD);
@@ -267,11 +244,7 @@ impl World {
                 .dispatch(rank, t.as_nanos(), done.as_nanos(), trigger);
         }
         let state = &mut self.ranks[rank as usize];
-        if self.async_progress {
-            state.prog_busy_until = state.prog_busy_until.max(done);
-        } else {
-            state.busy_until = state.busy_until.max(done);
-        }
+        state.busy_until = state.busy_until.max(done);
         state.busy_accum += cost;
         self.ops_buf = ops;
     }

@@ -2,7 +2,7 @@
 //! timing, noise interaction, determinism.
 
 use adapt_mpi::{Completion, Payload, ProgramCtx, RankProgram, RunError, Token, World};
-use adapt_noise::{ClusterNoise, DurationLaw, NoiseSpec};
+use adapt_noise::{ClusterNoise, NoiseSpec};
 use adapt_obs::{events_csv, MemRecorder};
 use adapt_sim::rng::MasterSeed;
 use adapt_sim::time::{Duration, Time};
@@ -209,7 +209,6 @@ fn noise_on_receiver_slows_rendezvous() {
             let spec = NoiseSpec {
                 period: Duration::from_micros(100),
                 max_duration: Duration::from_micros(90),
-                law: DurationLaw::Uniform,
             };
             let noise = ClusterNoise::single_rank(2, 1, spec, MasterSeed(seed));
             let world = two_rank_world(noise);

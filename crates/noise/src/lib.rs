@@ -14,4 +14,4 @@
 
 pub mod model;
 
-pub use model::{ClusterNoise, DurationLaw, NoiseSpec, RankNoise};
+pub use model::{ClusterNoise, NoiseSpec, RankNoise};

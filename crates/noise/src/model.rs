@@ -6,28 +6,14 @@ use adapt_sim::time::{Duration, Time};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
-/// Distribution of noise-window durations.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum DurationLaw {
-    /// Uniform on `[0, max]` — the paper's §5.1.1 parameterization.
-    Uniform,
-    /// Exponential with mean `max / 2` (clipped at `3 × max` so windows
-    /// never overlap the next period) — heavier tail, same mean as the
-    /// uniform law, for sensitivity studies.
-    Exponential,
-}
-
 /// Statistical description of one rank's noise process.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct NoiseSpec {
     /// Interval between successive noise events (the paper uses 100 ms,
     /// i.e. a fixed 10 Hz frequency).
     pub period: Duration,
-    /// Scale of the duration law: uniform draws from `[0, max_duration]`;
-    /// exponential has mean `max_duration / 2`.
+    /// Window durations are drawn uniformly from `[0, max_duration]`.
     pub max_duration: Duration,
-    /// Shape of the duration distribution.
-    pub law: DurationLaw,
 }
 
 impl NoiseSpec {
@@ -40,22 +26,7 @@ impl NoiseSpec {
         NoiseSpec {
             period,
             max_duration: max,
-            law: DurationLaw::Uniform,
         }
-    }
-
-    /// Same mean duty cycle as [`NoiseSpec::uniform_percent`] but with
-    /// exponentially distributed (heavy-tailed) window durations.
-    pub fn exponential_percent(percent: f64) -> NoiseSpec {
-        NoiseSpec {
-            law: DurationLaw::Exponential,
-            ..NoiseSpec::uniform_percent(percent)
-        }
-    }
-
-    /// Average fraction of CPU time stolen.
-    pub fn duty_cycle(&self) -> f64 {
-        (self.max_duration.as_secs_f64() / 2.0) / self.period.as_secs_f64()
     }
 }
 
@@ -99,16 +70,7 @@ impl RankNoise {
                 + self.phase
                 + Duration::from_nanos(self.next_index.saturating_mul(self.spec.period.as_nanos()));
             let max = self.spec.max_duration.as_secs_f64().max(1e-12);
-            let dur = Duration::from_secs_f64(match self.spec.law {
-                DurationLaw::Uniform => self.rng.random_range(0.0..=max),
-                DurationLaw::Exponential => {
-                    // Inverse-CDF sampling, mean max/2, clipped at 3·max so
-                    // successive windows never overlap (max < period / 3 is
-                    // guaranteed by the percent constructors).
-                    let u: f64 = self.rng.random_range(1e-12..1.0);
-                    (-(u.ln()) * max / 2.0).min(3.0 * max)
-                }
-            });
+            let dur = Duration::from_secs_f64(self.rng.random_range(0.0..=max));
             self.windows.push_back(start, start + dur);
             self.next_index += 1;
             if self.spec.max_duration.is_zero() {
@@ -300,7 +262,6 @@ mod tests {
         NoiseSpec {
             period: Duration::from_millis(period_ms),
             max_duration: Duration::from_millis(max_ms),
-            law: DurationLaw::Uniform,
         }
     }
 
@@ -309,9 +270,12 @@ mod tests {
         let five = NoiseSpec::uniform_percent(5.0);
         assert_eq!(five.period, Duration::from_millis(100));
         assert_eq!(five.max_duration, Duration::from_millis(10));
-        assert!((five.duty_cycle() - 0.05).abs() < 1e-12);
+        // The mean window is max/2, so the duty cycle is max / (2 · period).
+        let duty = |s: NoiseSpec| s.max_duration.as_secs_f64() / 2.0 / s.period.as_secs_f64();
+        assert!((duty(five) - 0.05).abs() < 1e-12);
         let ten = NoiseSpec::uniform_percent(10.0);
         assert_eq!(ten.max_duration, Duration::from_millis(20));
+        assert!((duty(ten) - 0.10).abs() < 1e-12);
     }
 
     #[test]
@@ -387,30 +351,6 @@ mod tests {
         assert!(!cn.is_empty());
         // Rank 0 is clean.
         assert_eq!(cn.defer(0, Time(12345)), Time(12345));
-    }
-
-    #[test]
-    fn exponential_law_has_matching_duty_cycle() {
-        let mut n = RankNoise::new(NoiseSpec::exponential_percent(10.0), 9);
-        let horizon = Time::ZERO + Duration::from_millis(100 * 1000);
-        let stolen = n.stolen_until(horizon);
-        let frac = stolen.as_secs_f64() / horizon.as_secs_f64();
-        assert!(
-            (frac - 0.10).abs() < 0.03,
-            "exponential duty cycle {frac} should be near 0.10"
-        );
-    }
-
-    #[test]
-    fn exponential_windows_never_overlap_period() {
-        let spec = NoiseSpec::exponential_percent(10.0); // max 20ms, clip 60ms < 100ms
-        let mut n = RankNoise::new(spec, 4);
-        n.ensure(Time::ZERO + Duration::from_millis(5_000));
-        // Windows are disjoint and ordered.
-        let w = n.windows.windows().to_vec();
-        for pair in w.windows(2) {
-            assert!(pair[0].1 <= pair[1].0, "windows overlap: {pair:?}");
-        }
     }
 
     #[test]

@@ -95,8 +95,8 @@ pub use hist::{nearest_rank, percentile, Hist, HIST_BUCKETS};
 pub use json::{from_json, to_json, FORMAT};
 pub use metrics::{metrics_csv, CSV_HEADER, FLOW_CLASSES};
 pub use monitor::{
-    health_json, health_report_text, AlertKind, HealthAlert, HealthReport, HealthView, Monitor,
-    MonitorConfig, SnapshotInput, HEALTH_FORMAT, MAX_REPORT_ALERTS,
+    health_json, health_report_text, AlertKind, HealthAlert, HealthReport, Monitor, MonitorConfig,
+    SnapshotInput, HEALTH_FORMAT, MAX_REPORT_ALERTS,
 };
 pub use record::{
     ComputeRec, DispatchSpan, FlowClass, FlowRec, GaugeMetric, GaugeRec, MsgRec, ObsData, PhaseRec,

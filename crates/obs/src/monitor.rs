@@ -1,5 +1,5 @@
 //! Online health monitor: periodic in-run snapshots, deterministic
-//! anomaly detectors, and a live [`HealthView`] — the sensing half of
+//! anomaly detectors and a final [`HealthReport`] — the sensing half of
 //! the paper's adaptive loop.
 //!
 //! A [`Monitor`] rides the deterministic event queue: the world pops a
@@ -32,13 +32,10 @@
 //!
 //! Every alert is latched (one per subject per sustained episode) and
 //! re-armed when the condition clears, so the stream stays bounded and
-//! readable. Alerts flow three ways: into the attached recorder (Chrome
-//! trace + flight ring), into the shared [`HealthView`] that collective
-//! programs can query mid-run, and into the final [`HealthReport`]
-//! exported as the dependency-free `adapt-obs-health-v1` JSON artifact
+//! readable. Alerts flow two ways: into the attached recorder (Chrome
+//! trace + flight ring) and into the final [`HealthReport`], exported as
+//! the dependency-free `adapt-obs-health-v1` JSON artifact
 //! ([`health_json`], validated by `obs-validate`).
-
-use std::sync::{Arc, Mutex};
 
 /// Format tag written into (and required from) every health artifact.
 pub const HEALTH_FORMAT: &str = "adapt-obs-health-v1";
@@ -217,53 +214,8 @@ impl HealthReport {
     }
 }
 
-/// Live view of monitor state, shared between the in-run [`Monitor`]
-/// and any code holding a clone — collective programs query it mid-run
-/// (the sensing input of the adaptive loop). All methods take the lock
-/// briefly; the world is single-threaded per run, so there is never
-/// contention.
-#[derive(Clone)]
-pub struct HealthView {
-    shared: Arc<Mutex<HealthState>>,
-}
-
-impl HealthView {
-    /// Snapshots taken so far.
-    pub fn snapshots(&self) -> u64 {
-        self.shared.lock().unwrap().snapshots
-    }
-
-    /// Total alerts fired so far.
-    pub fn total_alerts(&self) -> u64 {
-        self.shared.lock().unwrap().counts.iter().sum()
-    }
-
-    /// Alerts of one kind fired so far.
-    pub fn count(&self, kind: AlertKind) -> u64 {
-        self.shared.lock().unwrap().counts[kind.index()]
-    }
-
-    /// Is this rank currently flagged as a straggler?
-    pub fn is_straggler(&self, rank: u32) -> bool {
-        let s = self.shared.lock().unwrap();
-        s.straggler_latched.get(rank as usize).copied() == Some(true)
-    }
-
-    /// Link ids currently flagged hot, ascending.
-    pub fn hot_links(&self) -> Vec<u32> {
-        let s = self.shared.lock().unwrap();
-        (0..s.hot_latched.len() as u32)
-            .filter(|&l| s.hot_latched[l as usize])
-            .collect()
-    }
-
-    /// The most recent alert, if any fired yet.
-    pub fn last_alert(&self) -> Option<HealthAlert> {
-        self.shared.lock().unwrap().alerts.last().map(|&(a, _)| a)
-    }
-}
-
-/// Shared monitor state behind the [`HealthView`] lock.
+/// What the monitor has accumulated so far: the report's counters and
+/// alert stream, plus the per-subject latches.
 #[derive(Default)]
 struct HealthState {
     snapshots: u64,
@@ -282,7 +234,7 @@ struct HealthState {
 /// [`World::with_monitor`]: ../adapt/struct.World.html
 pub struct Monitor {
     cfg: MonitorConfig,
-    shared: Arc<Mutex<HealthState>>,
+    state: HealthState,
     nranks: u32,
     /// Resolved per-link topology names (see [`crate::topo_label`]).
     link_labels: Vec<String>,
@@ -323,7 +275,7 @@ impl Monitor {
         assert!(cfg.interval_ns > 0, "snapshot interval must be positive");
         Monitor {
             cfg,
-            shared: Arc::new(Mutex::new(HealthState::default())),
+            state: HealthState::default(),
             nranks: 0,
             link_labels: Vec::new(),
             link_group: Vec::new(),
@@ -344,14 +296,6 @@ impl Monitor {
     /// Snapshot interval (ns).
     pub fn interval_ns(&self) -> u64 {
         self.cfg.interval_ns
-    }
-
-    /// A live view onto this monitor's state. Clone freely; hand one to
-    /// the collective program that should adapt.
-    pub fn view(&self) -> HealthView {
-        HealthView {
-            shared: Arc::clone(&self.shared),
-        }
     }
 
     /// Describe the job: rank count and raw link class labels (debug
@@ -384,9 +328,8 @@ impl Monitor {
         self.hot_streak = vec![0; nlinks];
         self.group_sum = vec![0; groups.len()];
         self.group_active = vec![0; groups.len()];
-        let mut s = self.shared.lock().unwrap();
-        s.straggler_latched = vec![false; nranks as usize];
-        s.hot_latched = vec![false; nlinks];
+        self.state.straggler_latched = vec![false; nranks as usize];
+        self.state.hot_latched = vec![false; nlinks];
     }
 
     /// Ingest one snapshot and run every detector. Returns the alerts
@@ -404,7 +347,7 @@ impl Monitor {
         self.detect_storm(input);
         self.detect_flatline(input, finished);
 
-        let mut s = self.shared.lock().unwrap();
+        let s = &mut self.state;
         s.snapshots += 1;
         s.last_t_ns = input.t_ns;
         for a in &self.fired {
@@ -415,8 +358,8 @@ impl Monitor {
                 _ => {}
             }
         }
-        // Re-arm bookkeeping lives in the detectors; mirror the cleared
-        // latches into the shared view.
+        // Re-arm bookkeeping lives in the detectors; clear the latches of
+        // subjects whose condition ended.
         for r in 0..nranks {
             if input.finished_at_ns[r].is_some() {
                 s.straggler_latched[r] = false;
@@ -471,12 +414,8 @@ impl Monitor {
         if input.t_ns <= threshold {
             return;
         }
-        let latched = {
-            let s = self.shared.lock().unwrap();
-            s.straggler_latched.clone()
-        };
-        for (r, is_latched) in latched.iter().enumerate() {
-            if input.finished_at_ns[r].is_none() && !is_latched {
+        for (r, &latched) in self.state.straggler_latched.iter().enumerate() {
+            if input.finished_at_ns[r].is_none() && !latched {
                 self.fired.push(HealthAlert {
                     kind: AlertKind::Straggler,
                     t_ns: input.t_ns,
@@ -526,8 +465,7 @@ impl Monitor {
                 && share_pm >= cfg.hot_link_share_pm;
             if hot {
                 self.hot_streak[l] += 1;
-                let latched = self.shared.lock().unwrap().hot_latched[l];
-                if self.hot_streak[l] >= cfg.hot_link_streak && !latched {
+                if self.hot_streak[l] >= cfg.hot_link_streak && !self.state.hot_latched[l] {
                     self.fired.push(HealthAlert {
                         kind: AlertKind::HotLink,
                         t_ns: input.t_ns,
@@ -602,7 +540,7 @@ impl Monitor {
     /// Consume the monitor into its final report.
     pub fn into_report(self) -> HealthReport {
         let nlinks = self.link_labels.len() as u32;
-        let s = self.shared.lock().unwrap();
+        let s = self.state;
         HealthReport {
             interval_ns: self.cfg.interval_ns,
             nranks: self.nranks,
@@ -610,7 +548,7 @@ impl Monitor {
             snapshots: s.snapshots,
             last_t_ns: s.last_t_ns,
             counts: s.counts,
-            alerts: s.alerts.clone(),
+            alerts: s.alerts,
             dropped_alerts: s.dropped_alerts,
         }
     }
@@ -753,15 +691,19 @@ mod tests {
         assert_eq!(a.len(), 1);
         assert_eq!(a[0].kind, AlertKind::Straggler);
         assert_eq!(a[0].subject, 3);
-        assert!(m2.view().is_straggler(3));
-        assert!(!m2.view().is_straggler(0));
         // Latched: no repeat while still unfinished.
         let a = snap(&mut m2, 400, &[50, 50, 50, 0], &fin, &[0, 0], 1, 10, 0);
         assert!(a.is_empty(), "straggler must latch: {a:?}");
-        // Rank finishes: latch clears.
+        // Rank recovers: the latch clears, so lagging again fires again.
         let fin_done = [Some(100), Some(110), Some(120), Some(450)];
-        snap(&mut m2, 500, &[50; 4], &fin_done, &[0, 0], 0, 10, 0);
-        assert!(!m2.view().is_straggler(3));
+        let a = snap(&mut m2, 500, &[50; 4], &fin_done, &[0, 0], 0, 10, 0);
+        assert!(a.is_empty(), "a finished rank is no straggler: {a:?}");
+        let a = snap(&mut m2, 600, &[50, 50, 50, 0], &fin, &[0, 0], 1, 10, 0);
+        assert_eq!(a.len(), 1, "re-armed straggler fires again: {a:?}");
+        assert_eq!(a[0].subject, 3);
+        let r = m2.into_report();
+        assert_eq!(r.counts[AlertKind::Straggler.index()], 2);
+        assert_eq!(r.alerts.len(), 2);
     }
 
     #[test]
@@ -790,13 +732,12 @@ mod tests {
         assert_eq!(fired.len(), 1, "one latched alert: {fired:?}");
         assert_eq!(fired[0].kind, AlertKind::HotLink);
         assert_eq!(fired[0].subject, 0);
-        assert_eq!(m.view().hot_links(), vec![0]);
         // Load rebalances: streak breaks, latch re-arms, and a second
-        // sustained episode fires again.
+        // sustained episode on the cooled link fires again.
         for i in 20..26 {
-            snap(&mut m, 1000 * (i + 1), &[0, 0], &fin, &[500, 500], 1, 0, 0);
+            let a = snap(&mut m, 1000 * (i + 1), &[0, 0], &fin, &[500, 500], 1, 0, 0);
+            assert!(a.is_empty(), "rebalanced load must stay quiet: {a:?}");
         }
-        assert!(m.view().hot_links().is_empty());
         let mut refired = Vec::new();
         for i in 26..36 {
             refired.extend(snap(
@@ -804,14 +745,15 @@ mod tests {
                 1000 * (i + 1),
                 &[0, 0],
                 &fin,
-                &[0, 1000],
+                &[1000, 0],
                 1,
                 0,
                 0,
             ));
         }
-        assert_eq!(refired.len(), 1);
-        assert_eq!(refired[0].subject, 1);
+        assert_eq!(refired.len(), 1, "{refired:?}");
+        assert_eq!(refired[0].subject, 0);
+        assert_eq!(m.into_report().counts[AlertKind::HotLink.index()], 2);
     }
 
     #[test]
@@ -951,17 +893,5 @@ mod tests {
         );
         let json = health_json(&r);
         crate::validate::validate_health(&json).unwrap();
-    }
-
-    #[test]
-    fn view_is_shared_and_live() {
-        let mut m = two_nic_monitor(2);
-        let view = m.view();
-        assert_eq!(view.snapshots(), 0);
-        let fin = [None, None];
-        snap(&mut m, 1000, &[0, 0], &fin, &[0, 0], 1, 0, 0);
-        assert_eq!(view.snapshots(), 1);
-        assert_eq!(view.total_alerts(), 0);
-        assert!(view.last_alert().is_none());
     }
 }

@@ -19,6 +19,29 @@ use adapt::obs::{
 use adapt::prelude::*;
 use std::sync::Arc;
 
+/// Write report text to stdout or stderr, ignoring a write error. A
+/// reader that went away (a closed pipe) must not turn the run's own
+/// exit code into a panic, as `println!` would. Every line the CLI
+/// prints goes through here, by way of `out!` and `err!` below.
+fn put(to_stderr: bool, text: std::fmt::Arguments) {
+    use std::io::Write;
+    let _ = if to_stderr {
+        std::io::stderr().write_fmt(text)
+    } else {
+        std::io::stdout().write_fmt(text)
+    };
+}
+
+/// `print!` to stdout through [`put`].
+macro_rules! out {
+    ($($fmt:tt)*) => { put(false, format_args!($($fmt)*)) };
+}
+
+/// `eprint!` to stderr through [`put`].
+macro_rules! err {
+    ($($fmt:tt)*) => { put(true, format_args!($($fmt)*)) };
+}
+
 /// Exit code when the progress watchdog (or a dry event queue) cuts a
 /// run short: distinguishes "the schedule was not survivable" from
 /// argument errors and panics.
@@ -164,7 +187,7 @@ const EXIT_USAGE: i32 = 2;
 
 /// Reject the command line with a one-line reason plus usage.
 fn usage_error(reason: impl std::fmt::Display) -> ! {
-    eprint!("adapt-cli: {reason}\n{}", usage());
+    err!("adapt-cli: {reason}\n{}", usage());
     std::process::exit(EXIT_USAGE);
 }
 
@@ -273,33 +296,34 @@ impl ObsArgs {
         if let Some(s) = &res.summary {
             if let Some(path) = &self.summary_out {
                 save_or_exit(path, summary_json(s));
-                println!(
-                    "  summary: {} msgs, {} flows aggregated online -> {path}",
-                    s.msgs_posted, s.flow_starts
+                out!(
+                    "  summary: {} msgs, {} flows aggregated online -> {path}\n",
+                    s.msgs_posted,
+                    s.flow_starts
                 );
             }
-            print!("{}", summary_report(s));
+            out!("{}", summary_report(s));
         }
         let Some(obs) = &res.obs else { return };
         if let Some(path) = &self.trace_out {
             save_or_exit(path, chrome_trace(obs));
-            println!(
-                "  trace: {} spans over {} msgs -> {path}",
+            out!(
+                "  trace: {} spans over {} msgs -> {path}\n",
                 obs.dispatches.len() + obs.protocols.len(),
                 obs.msgs.len()
             );
         }
         if let Some(path) = &self.metrics_out {
             save_or_exit(path, metrics_csv(obs));
-            println!("  metrics: {} samples -> {path}", obs.gauges.len());
+            out!("  metrics: {} samples -> {path}\n", obs.gauges.len());
         }
         if self.critical {
-            print!("{}", critical_path(obs).render());
+            out!("{}", critical_path(obs).render());
         }
         if let Some(path) = &self.events_csv {
             let csv = events_csv(obs);
             save_or_exit(path, &csv);
-            println!("  events: {} rows -> {path}", csv.lines().count() - 1);
+            out!("  events: {} rows -> {path}\n", csv.lines().count() - 1);
         }
     }
 }
@@ -335,10 +359,10 @@ impl MonitorArgs {
     /// here — its post-mortem is the watchdog diagnosis and flight tail.
     fn emit(&self, res: &RunResult) {
         let Some(h) = &res.health else { return };
-        print!("{}", health_report_text(h));
+        out!("{}", health_report_text(h));
         if let Some(path) = &self.health_out {
             save_or_exit(path, health_json(h));
-            println!("  health artifact -> {path}");
+            out!("  health artifact -> {path}\n");
         }
     }
 }
@@ -406,8 +430,8 @@ impl WhatIfArgs {
     fn emit(&self, obs: &ObsData, reruns: &[RunSpec]) {
         if let Some(path) = &self.obs_out {
             save_or_exit(path, to_json(obs));
-            println!(
-                "  recording: {} msgs, {} dispatches -> {path}",
+            out!(
+                "  recording: {} msgs, {} dispatches -> {path}\n",
                 obs.msgs.len(),
                 obs.dispatches.len()
             );
@@ -416,22 +440,22 @@ impl WhatIfArgs {
             let res = execute(rerun).unwrap_or_else(|err| fail(&err));
             let Some(data) = &res.obs else { continue };
             let (base, new) = (obs.makespan_ns(), data.makespan_ns());
-            println!(
-                "whatif {}: baseline {:.3} us, re-run {:.3} us, delta {:+} ns, ratio x{:.4}",
+            out!(
+                "whatif {}: baseline {:.3} us, re-run {:.3} us, delta {:+} ns, ratio x{:.4}\n",
                 iv.describe(),
                 base as f64 / 1000.0,
                 new as f64 / 1000.0,
                 new as i64 - base as i64,
                 new as f64 / base.max(1) as f64
             );
-            print!("{}", diff_runs(obs, data).render());
+            out!("{}", diff_runs(obs, data).render());
         }
         if let Some(base) = &self.diff_against {
             let text = std::fs::read_to_string(base)
                 .unwrap_or_else(|e| usage_error(format!("--diff-against {base}: {e}")));
             let a = from_json(&text)
                 .unwrap_or_else(|e| usage_error(format!("--diff-against {base}: {e}")));
-            print!("{}", diff_runs(&a, obs).render());
+            out!("{}", diff_runs(&a, obs).render());
         }
     }
 }
@@ -470,9 +494,9 @@ impl FaultArgs {
             .as_ref()
             .map(|h| format!(" alerts={}", h.total_alerts()))
             .unwrap_or_default();
-        println!(
+        out!(
             "  recovery: drops={} retransmits={} acks={} dups={} backoff={}ns \
-             killed={} detected={}{alerts}",
+             killed={} detected={}{alerts}\n",
             s.drops_injected,
             s.retransmits,
             s.acks,
@@ -494,10 +518,10 @@ impl FaultArgs {
 fn fail(err: &RunError) -> ! {
     if let Some(frag) = err.flight() {
         if save(FLIGHT_DUMP_PATH, frag) {
-            eprintln!("flight recorder: last spans -> {FLIGHT_DUMP_PATH}");
+            err!("flight recorder: last spans -> {FLIGHT_DUMP_PATH}\n");
         }
     }
-    eprintln!("{err}");
+    err!("{err}\n");
     std::process::exit(match err {
         RunError::Stalled(_) | RunError::EventCap { .. } => EXIT_STALLED,
         RunError::RanksFailed(_) | RunError::RetryBudgetExhausted { .. } => EXIT_FAILED,
@@ -510,7 +534,7 @@ fn fail(err: &RunError) -> ! {
 /// `cannot write PATH: ERR` and returns false.
 fn save(path: &str, body: impl AsRef<[u8]>) -> bool {
     std::fs::write(path, body)
-        .map_err(|e| eprintln!("adapt-cli: cannot write {path}: {e}"))
+        .map_err(|e| err!("adapt-cli: cannot write {path}: {e}\n"))
         .is_ok()
 }
 
@@ -649,7 +673,7 @@ fn main() {
         usage_error(reason);
     }
     if flag(&args, "help") || args.is_empty() {
-        eprint!("{}", usage());
+        err!("{}", usage());
         return;
     }
     let nodes: u32 = parsed(&args, "nodes").unwrap_or(4);
@@ -672,7 +696,7 @@ fn main() {
         Device::Cpu
     };
     if flag(&args, "describe") {
-        print!("{}", adapt::topology::describe_machine(&machine));
+        out!("{}", adapt::topology::describe_machine(&machine));
         return;
     }
     let noise: f64 = parsed(&args, "noise").unwrap_or(0.0);
@@ -705,17 +729,17 @@ fn main() {
         Device::Cpu => "ranks",
         Device::Gpu => "GPUs",
     };
-    println!(
-        "{} ({}) on {} {units}, {} bytes, {noise}% noise: {:.1} us",
+    out!(
+        "{} ({}) on {} {units}, {} bytes, {noise}% noise: {:.1} us\n",
         job.op,
         job.label,
         spec.nranks,
         job.msg,
         res.makespan.as_micros_f64()
     );
-    print!("{}", res.stats);
+    out!("{}", res.stats);
     faults.summary(&res);
-    println!("  {}", res.audit);
+    out!("  {}\n", res.audit);
     monitor.emit(&res);
     obs.emit(&res);
     if let Some(data) = &res.obs {

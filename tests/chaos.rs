@@ -341,7 +341,6 @@ fn faults_compose_with_noise() {
             NoiseSpec {
                 period: Duration::from_micros(300),
                 max_duration: Duration::from_micros(150),
-                law: adapt::noise::DurationLaw::Uniform,
             },
             MasterSeed(5),
         );

@@ -521,3 +521,27 @@ fn a_valid_run_exits_zero() {
     assert!(stdout.contains("bcast (OMPI-adapt) on 32 ranks, 65536 bytes"));
     assert!(stdout.contains("audit: clean"));
 }
+
+#[test]
+fn a_reader_that_went_away_keeps_the_exit_code() {
+    use std::process::Stdio;
+    let psg = "--machine psg --nodes 2 --gpu --msg 1048576 --seed 7";
+    let cases = [
+        (format!("{psg} --op bcast"), 0),
+        ("--bogus".to_string(), 2),
+        (format!("{psg} --op reduce --faults kill=4:5us,rto=5us"), 4),
+    ];
+    for (line, code) in cases {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_adapt-cli"))
+            .args(line.split_whitespace())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn adapt-cli");
+        // Close both read ends before the run writes its first line.
+        drop(child.stdout.take());
+        drop(child.stderr.take());
+        let status = child.wait().expect("wait for adapt-cli");
+        assert_eq!(status.code(), Some(code), "{line}");
+    }
+}

@@ -1,6 +1,5 @@
 //! End-to-end contract of the online health monitor: seeded faults fire
-//! the matching detector, clean runs fire nothing, and the live
-//! [`HealthView`] agrees with the final report.
+//! the matching detector and clean runs fire nothing.
 //!
 //! Every fixture here is deterministic (seeded noise, seeded faults), so
 //! the assertions are exact — an alert either fires on every run or on
@@ -155,46 +154,6 @@ fn the_same_fixture_without_the_fault_stays_quiet() {
     let health = monitored_minicluster(FaultPlan::default(), Monitor::new(20_000));
     assert_eq!(health.total_alerts(), 0, "{:?}", health.alerts);
     assert!(health.snapshots > 0);
-}
-
-#[test]
-fn the_live_view_agrees_with_the_final_report() {
-    let plan = FaultPlan::default().with_stall(
-        15,
-        Time::ZERO + Duration::from_micros(20),
-        Time::ZERO + Duration::from_millis(5),
-    );
-    let monitor = straggler_monitor();
-    let view = monitor.view();
-    let machine = profiles::minicluster(2, 2, 4);
-    let nranks = 16;
-    let data: Vec<u8> = (0..200_000u32).map(|i| (i % 249) as u8).collect();
-    let placement = Placement::block_cpu(machine.shape, nranks);
-    let tree = Arc::new(topology_aware_tree(&placement, TopoTreeConfig::default()));
-    let spec = BcastSpec {
-        tree,
-        msg_bytes: data.len() as u64,
-        cfg: AdaptConfig::default().with_seg_size(32 * 1024),
-        data: Some(Bytes::from(data)),
-    };
-    let world = World::cpu(machine, nranks, ClusterNoise::silent(nranks))
-        .with_faults(plan)
-        .with_monitor(monitor);
-    let res = world.try_run(spec.programs()).unwrap();
-    let health = res.health.expect("health report");
-    // The view outlives the monitor (shared state) and saw every alert.
-    assert_eq!(view.total_alerts(), health.total_alerts());
-    assert!(view.total_alerts() >= 1, "the stall fired through the view");
-    assert_eq!(view.snapshots(), health.snapshots);
-    // The straggler latch is *live*: rank 15 was flagged while stalled,
-    // then recovered and finished, so by end-of-run it reads healthy
-    // again (the report above still carries the alert it fired).
-    assert!(!view.is_straggler(15), "a recovered rank reads healthy");
-    assert!(view.last_alert().is_some());
-    assert_eq!(
-        view.count(AlertKind::Straggler),
-        health.counts[AlertKind::Straggler.index()]
-    );
 }
 
 #[test]
